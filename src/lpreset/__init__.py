@@ -37,7 +37,7 @@ from .optimizer import (
     projected_gradient_verify,
     solve,
 )
-from .simulate import SimReport, run_strategy, sample_path
+from .simulate import SimReport, execute, run_strategy, sample_path
 from .strategies import (
     StrategySpec,
     optimal_strategy,

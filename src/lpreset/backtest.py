@@ -23,8 +23,9 @@ import numpy as np
 from .bins import BinGrid
 from .distribution import PriceSeries
 from .errors import InputError
+from .simulate import execute, payoffs
 from .strategies import StrategySpec
-from .utility import MODE_FULL, UtilityParams, exp_utility
+from .utility import UtilityParams, exp_utility
 
 __all__ = ["BacktestReport", "replay", "v2_baseline", "compare"]
 
@@ -86,57 +87,54 @@ def replay(
     series: PriceSeries,
     spec: StrategySpec,
     grid: BinGrid,
-    mode: str = MODE_FULL,
     collect_band: bool = False,
     compare_v2: bool = True,
 ) -> BacktestReport:
     """Drive the tau-reset semantics with realized price moves.
 
     Multi-bin jumps are allowed; a jump beyond B_tau is a single reset at the
-    fixed cost of 1, re-centering on the landing bin.
+    fixed cost of 1, re-centering on the landing bin. The step moves are the
+    bin differences: bins[t] - center = (bins[t] - bins[t-1]) + offset left
+    by step t-1.
     """
-    del mode
     params = spec.params
-    alloc = spec.allocation
-    scale = params.kappa * params.ell
     n_tau, n_alpha = spec.n_tau, spec.n_alpha
 
-    bins = [grid.price_to_bin(float(p)) for p in series.prices]
-    center = bins[0]
-    resets = 0
-    utilities = []
-    band = [] if collect_band else None
+    bins = grid.prices_to_bins(series.prices)
+    js = execute(np.diff(bins), n_tau)
+    _, utilities = payoffs(js, spec, lambda r: exp_utility(r, params))
+    resets = (js < -n_tau) | (js > n_tau)
 
-    for t in range(1, len(bins)):
-        j = bins[t] - center
-        r = scale * alloc.weight(j)
-        if abs(j) > n_tau:
-            r -= 1.0
-            resets += 1
-            center = bins[t]
-        utilities.append(exp_utility(r, params))
-        if band is not None:
-            # band edges may poke past the grid's covered span near the series
-            # extremes, so compute them directly rather than via bin_bounds
-            band.append(
+    band = None
+    if collect_band:
+        steps = np.arange(1, len(bins))
+        centers = bins[np.maximum.accumulate(np.where(resets, steps, 0))]
+        distinct, which = np.unique(centers, return_inverse=True)
+        # band edges may poke past the grid's covered span near the series
+        # extremes, so compute them directly rather than via bin_bounds
+        edges = np.array(
+            [
                 (
-                    t,
-                    float(series.prices[t]),
-                    grid._edge(center - n_alpha),
-                    grid._edge(center + n_alpha + 1),
-                    grid._edge(center - n_tau),
-                    grid._edge(center + n_tau + 1),
+                    grid._edge(c - n_alpha),
+                    grid._edge(c + n_alpha + 1),
+                    grid._edge(c - n_tau),
+                    grid._edge(c + n_tau + 1),
                 )
-            )
+                for c in distinct.tolist()
+            ]
+        )
+        band = list(
+            zip(steps.tolist(), series.prices[1:].tolist(), *edges[which].T.tolist())
+        )
 
-    mean = float(np.mean(utilities))
+    mean = float(utilities.mean())
     v2_mean = (
         v2_baseline(series, grid, params, apply_shift=False) if compare_v2 else math.nan
     )
     ratio = mean / v2_mean if compare_v2 and v2_mean != 0.0 else math.nan
     return BacktestReport(
-        steps=len(utilities),
-        resets=resets,
+        steps=len(js),
+        resets=int(np.count_nonzero(resets)),
         mean_utility_per_step=mean,
         v2_mean_utility_per_step=v2_mean,
         ratio=ratio,

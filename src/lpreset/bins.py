@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RangeError
 
 __all__ = ["BinGrid"]
@@ -80,23 +82,40 @@ class BinGrid:
         return self.reference_price * (1.0 + self.step) ** index
 
     def price_to_bin(self, price: float) -> int:
-        """Index of the bin whose interval contains ``price``.
+        """Index of the bin whose interval contains ``price`` (see prices_to_bins)."""
+        return int(self.prices_to_bins([price])[0])
 
-        A price exactly on an edge belongs to the higher bin. Results landing
-        one index off due to floating-point rounding are corrected by checking
-        the neighbouring intervals.
+    def prices_to_bins(self, prices) -> np.ndarray:
+        """Index of the bin whose interval contains each of ``prices``.
+
+        A price exactly on an edge belongs to the higher bin. The floor of the
+        log ratio can land one index off near an edge, so each result is
+        moved to the neighbour whose ``_edge`` interval holds the price.
         """
+        prices = np.asarray(prices, dtype=float)
         lo, hi = self.index_range
         span_lo, span_hi = self._edge(lo), self._edge(hi + 1)
-        if price < span_lo or price >= span_hi:
+        outside = ~((prices >= span_lo) & (prices < span_hi))
+        if outside.any():
+            price = float(prices[np.argmax(outside)])
             raise RangeError(
                 f"price {price} outside covered span [{span_lo}, {span_hi})"
             )
-        i = math.floor(math.log(price / self.reference_price) / math.log1p(self.step))
-        # log arithmetic can land one bin off near an edge; re-check neighbours
-        for cand in (i, i - 1, i + 1):
-            if cand < lo or cand > hi:
-                continue
-            if self._edge(cand) <= price < self._edge(cand + 1):
-                return cand
-        raise RangeError(f"price {price} could not be located on the grid")
+        idx = np.floor(
+            np.log(prices / self.reference_price) / math.log1p(self.step)
+        ).astype(np.int64)
+        # scalar edges of every candidate bin i - 1 .. i + 1 and of its upper end
+        known = np.unique(np.unique(idx)[:, None] + np.arange(-1, 3))
+        edges = np.array([self._edge(i) for i in known.tolist()])
+
+        def edge(indices: np.ndarray) -> np.ndarray:
+            return edges[np.searchsorted(known, indices)]
+
+        idx -= prices < edge(idx)
+        idx += prices >= edge(idx + 1)
+        located = (idx >= lo) & (idx <= hi)
+        located &= (edge(idx) <= prices) & (prices < edge(idx + 1))
+        if not located.all():
+            price = float(prices[np.argmin(located)])
+            raise RangeError(f"price {price} could not be located on the grid")
+        return idx

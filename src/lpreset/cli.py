@@ -207,9 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dist = NextPriceDistribution.load(args.distribution)
     spec = _load_strategy(args.strategy, dist)
     path = sample_path(dist, args.steps, args.seed)
-    report = run_strategy(
-        path, spec, mode=args.mode, seed=args.seed, trace_out=args.trace_out
-    )
+    report = run_strategy(path, spec, seed=args.seed, trace_out=args.trace_out)
     _emit_json(report.to_json_dict(), args.out, args.quiet)
     return 0
 
@@ -229,7 +227,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         series,
         spec,
         grid,
-        mode=args.mode,
         collect_band=args.band_out is not None,
         compare_v2=args.compare_v2,
     )

@@ -46,6 +46,10 @@ class PriceSeries:
             raise InputError("timestamps and prices must have the same length")
         if len(px) < 2:
             raise InputError("need at least 2 price observations")
+        if not np.all(np.isfinite(ts)):
+            raise InputError("timestamps must be finite")
+        if not np.all(np.isfinite(px)):
+            raise InputError("prices must be finite")
         if not np.all(np.diff(ts) > 0):
             raise InputError("timestamps must be strictly increasing")
         if not np.all(px > 0):
@@ -187,6 +191,8 @@ def fit_distribution(
         raise InputError(f"k_max must be >= 1, got {k_max}")
     if bin_width_pct <= 0:
         raise InputError("bin_width_pct must be > 0")
+    if not np.all(np.isfinite(changes)):
+        raise InputError("percent changes must be finite")
 
     ks = np.floor(changes / bin_width_pct + 0.5).astype(int)
     if clamp_tails:

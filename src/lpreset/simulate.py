@@ -5,16 +5,18 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .distribution import NextPriceDistribution
 from .errors import InputError
 from .strategies import StrategySpec
-from .utility import MODE_FULL, exp_utility
+from .utility import exp_utility, landing_rewards
 
-__all__ = ["SimReport", "sample_path", "run_strategy"]
+__all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
 
@@ -55,10 +57,51 @@ def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarra
     return np.searchsorted(cdf, u, side="right") - dist.k_max
 
 
+def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
+    """Landing offset j of each step of a tau-reset strategy driven by ``moves``.
+
+    j is measured from the centre in force before the step: the offset left
+    by the previous step plus this step's move. The offset left after a step
+    is j when |j| <= n_tau, and 0 when the step resets (re-centres).
+    """
+    moves = np.asarray(moves, dtype=np.int64)
+    reach = n_tau + int(np.abs(moves).max(initial=0))
+    # settle[j] is the offset left after landing at j; negative j index from the end
+    settle = [0] * (2 * reach + 1)
+    for j in range(-n_tau, n_tau + 1):
+        settle[j] = j
+    js = array("q")
+    append = js.append
+    offset = 0
+    for move in moves.tolist():
+        j = offset + move
+        append(j)
+        offset = settle[j]
+    return np.frombuffer(js, dtype=np.int64)
+
+
+def payoffs(
+    js: np.ndarray, spec: StrategySpec, utility_of: Callable[[float], float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reward and utility of each step, given its landing offset in ``js``.
+
+    ``utility_of`` maps a reward to a utility. It is called once per distinct
+    offset, on a Python float, so each step gets the bits of a scalar
+    per-step evaluation (np.exp and math.exp can differ in the last bit).
+    """
+    lo = int(js.min())
+    table = landing_rewards(
+        spec.allocation, np.arange(lo, int(js.max()) + 1), spec.n_tau, spec.params
+    )
+    utility = np.zeros(len(table))
+    for k in np.flatnonzero(np.bincount(js - lo)).tolist():
+        utility[k] = utility_of(float(table[k]))
+    return table[js - lo], utility[js - lo]
+
+
 def run_strategy(
     path: np.ndarray,
     spec: StrategySpec,
-    mode: str = MODE_FULL,
     seed: int = 0,
     trace_out: str | None = None,
 ) -> SimReport:
@@ -68,50 +111,38 @@ def run_strategy(
     kappa*ell*A(j) (zero for bins beyond B_alpha); landing outside B_tau
     additionally pays the fixed reset fee of 1 and re-centers the strategy.
     Per-step utilities use the same shift convention as expected_utility, so
-    the sample mean estimates the analytic full-coverage E_u. ``mode`` is
-    accepted for interface symmetry; the executed semantics are identical.
+    the sample mean estimates the analytic full-coverage E_u.
     """
-    del mode
+    n = len(path)
+    if n < 1:
+        raise InputError("path must have at least one move")
     params = spec.params
-    alloc = spec.allocation
-    scale = params.kappa * params.ell
-    shift = params.shift
-    n_tau = spec.n_tau
-
-    offset = 0
-    resets = 0
-    total_reward = 0.0
-    utilities = np.empty(len(path))
-    rows = []
-    for t, move in enumerate(path):
-        j = offset + int(move)
-        r = scale * alloc.weight(j)
-        if abs(j) > n_tau:
-            r -= 1.0
-            resets += 1
-            offset = 0
-            reset_flag = 1
-        else:
-            offset = j
-            reset_flag = 0
-        total_reward += r
-        utilities[t] = exp_utility(r + shift, params)
-        if trace_out is not None:
-            rows.append((t, j, r, reset_flag))
+    js = execute(path, spec.n_tau)
+    rewards, utilities = payoffs(
+        js, spec, lambda r: exp_utility(r + params.shift, params)
+    )
+    resets = (js < -spec.n_tau) | (js > spec.n_tau)
 
     if trace_out is not None:
         with open(trace_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "offset", "reward", "reset_flag"])
-            writer.writerows(rows)
+            writer.writerows(
+                zip(
+                    range(n),
+                    js.tolist(),
+                    rewards.tolist(),
+                    resets.astype(np.int64).tolist(),
+                )
+            )
 
-    n = len(path)
     mean = float(utilities.mean())
     std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimReport(
         steps=n,
-        resets=resets,
-        total_reward=total_reward,
+        resets=int(np.count_nonzero(resets)),
+        # a running sum in step order, from 0.0 (which turns a -0.0 total into 0.0)
+        total_reward=float(np.cumsum(rewards)[-1]) + 0.0,
         mean_utility_per_step=mean,
         std_error=std_error,
         seed=seed,

@@ -35,6 +35,7 @@ __all__ = [
     "exp_utility",
     "exp_utility_vec",
     "reward",
+    "landing_rewards",
     "expected_utility",
 ]
 
@@ -163,6 +164,20 @@ def reward(alloc: Allocation, j: int, n_tau: int, params: UtilityParams) -> floa
     return r
 
 
+def landing_rewards(
+    alloc: Allocation, js: np.ndarray, n_tau: int, params: UtilityParams
+) -> np.ndarray:
+    """Rewards of landing at each offset in ``js``, zero allocation beyond B_alpha.
+
+    Elementwise the same arithmetic as ``reward``: kappa*ell*A(j), less the
+    reset fee of 1 outside B_tau.
+    """
+    js = np.asarray(js)
+    rewards = params.kappa * params.ell * alloc.weight_array(js)
+    rewards[np.abs(js) > n_tau] -= 1.0
+    return rewards
+
+
 def _landing_and_rewards(
     dist: NextPriceDistribution,
     n_tau: int,
@@ -180,9 +195,7 @@ def _landing_and_rewards(
         reach = n_tau + dist.k_max
         js = np.arange(-reach, reach + 1)
     q = landing_over(dist, chain, js)
-    rewards = params.kappa * params.ell * alloc.weight_array(js)
-    rewards[np.abs(js) > n_tau] -= 1.0
-    return q, rewards
+    return q, landing_rewards(alloc, js, n_tau, params)
 
 
 def expected_utility(

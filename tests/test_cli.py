@@ -235,6 +235,22 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_price_is_one_line_and_nonzero(
+        self, command, bad, strategy_file, tmp_path, capsys
+    ):
+        csv_path = tmp_path / "px.csv"
+        csv_path.write_text(f"timestamp,price\n1,100.0\n2,{bad}\n3,101.0\n")
+        argv = [command, str(csv_path)]
+        if command == "backtest":
+            argv.append(strategy_file)
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
     def test_resolve_rejects_unknown_kind(self, toy_dist):
         from lpreset import InputError
 

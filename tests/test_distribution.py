@@ -57,6 +57,18 @@ class TestFitDistribution:
         assert d.prob(0) == 1.0
         assert d.source_rows == 1
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("clamp_tails", [True, False])
+    def test_non_finite_change_is_an_error(self, bad, clamp_tails):
+        # a cast non-finite value used to be clipped into the -k_max edge bin
+        with pytest.raises(InputError, match="finite"):
+            fit_distribution(
+                np.array([bad, 0.0]),
+                k_max=3,
+                bin_width_pct=1.0,
+                clamp_tails=clamp_tails,
+            )
+
     def test_all_dropped_is_an_error(self):
         with pytest.raises(InputError, match="outside the binned range"):
             fit_distribution(np.array([50.0]), k_max=2, bin_width_pct=1.0, clamp_tails=False)
@@ -122,6 +134,16 @@ class TestSeriesAndIO:
         p.write_text("time,px\n1,100\n2,101\n")
         with pytest.raises(InputError, match="timestamp,price"):
             load_price_csv(str(p))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_price_rejected(self, bad):
+        with pytest.raises(InputError, match="prices must be finite"):
+            series([100.0, bad, 101.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_timestamp_rejected(self, bad):
+        with pytest.raises(InputError, match="timestamps must be finite"):
+            PriceSeries(np.array([1.0, 2.0, bad]), np.array([100.0, 101.0, 102.0]))
 
     def test_non_monotone_timestamps(self):
         with pytest.raises(InputError):

@@ -1,0 +1,287 @@
+"""The tau-reset execution kernel against the per-step scalar walks it replaced.
+
+``reference_run_strategy``, ``reference_replay`` and ``reference_price_to_bin``
+are the step-by-step loops that ``run_strategy``, ``replay`` and
+``BinGrid.price_to_bin`` used to be. The vectorized code must give the same
+bits, so every comparison here is ``==``, never approximate.
+"""
+
+import csv
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lpreset import (
+    Allocation,
+    BinGrid,
+    InputError,
+    LpresetError,
+    NextPriceDistribution,
+    PriceSeries,
+    RangeError,
+    StrategySpec,
+    UtilityParams,
+    exp_utility,
+    replay,
+    run_strategy,
+    sample_path,
+    v2_baseline,
+)
+from lpreset.backtest import BacktestReport
+from lpreset.simulate import SimReport, execute
+
+
+def reference_run_strategy(path, spec, seed=0, trace_out=None):
+    params = spec.params
+    alloc = spec.allocation
+    scale = params.kappa * params.ell
+    shift = params.shift
+    n_tau = spec.n_tau
+
+    offset = 0
+    resets = 0
+    total_reward = 0.0
+    utilities = np.empty(len(path))
+    rows = []
+    for t, move in enumerate(path):
+        j = offset + int(move)
+        r = scale * alloc.weight(j)
+        if abs(j) > n_tau:
+            r -= 1.0
+            resets += 1
+            offset = 0
+            reset_flag = 1
+        else:
+            offset = j
+            reset_flag = 0
+        total_reward += r
+        utilities[t] = exp_utility(r + shift, params)
+        if trace_out is not None:
+            rows.append((t, j, r, reset_flag))
+
+    if trace_out is not None:
+        with open(trace_out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "offset", "reward", "reset_flag"])
+            writer.writerows(rows)
+
+    n = len(path)
+    mean = float(utilities.mean())
+    std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return SimReport(
+        steps=n,
+        resets=resets,
+        total_reward=total_reward,
+        mean_utility_per_step=mean,
+        std_error=std_error,
+        seed=seed,
+    )
+
+
+def reference_price_to_bin(grid, price):
+    lo, hi = grid.index_range
+    span_lo, span_hi = grid._edge(lo), grid._edge(hi + 1)
+    if price < span_lo or price >= span_hi:
+        raise RangeError(f"price {price} outside covered span [{span_lo}, {span_hi})")
+    i = math.floor(math.log(price / grid.reference_price) / math.log1p(grid.step))
+    for cand in (i, i - 1, i + 1):
+        if cand < lo or cand > hi:
+            continue
+        if grid._edge(cand) <= price < grid._edge(cand + 1):
+            return cand
+    raise RangeError(f"price {price} could not be located on the grid")
+
+
+def reference_replay(series, spec, grid, collect_band=False):
+    params = spec.params
+    alloc = spec.allocation
+    scale = params.kappa * params.ell
+    n_tau, n_alpha = spec.n_tau, spec.n_alpha
+
+    bins = [reference_price_to_bin(grid, float(p)) for p in series.prices]
+    center = bins[0]
+    resets = 0
+    utilities = []
+    band = [] if collect_band else None
+
+    for t in range(1, len(bins)):
+        j = bins[t] - center
+        r = scale * alloc.weight(j)
+        if abs(j) > n_tau:
+            r -= 1.0
+            resets += 1
+            center = bins[t]
+        utilities.append(exp_utility(r, params))
+        if band is not None:
+            band.append(
+                (
+                    t,
+                    float(series.prices[t]),
+                    grid._edge(center - n_alpha),
+                    grid._edge(center + n_alpha + 1),
+                    grid._edge(center - n_tau),
+                    grid._edge(center + n_tau + 1),
+                )
+            )
+
+    mean = float(np.mean(utilities))
+    v2_mean = v2_baseline(series, grid, params, apply_shift=False)
+    ratio = mean / v2_mean if v2_mean != 0.0 else math.nan
+    return BacktestReport(
+        steps=len(utilities),
+        resets=resets,
+        mean_utility_per_step=mean,
+        v2_mean_utility_per_step=v2_mean,
+        ratio=ratio,
+        grid_bins=grid.n_bins,
+        band_trace=band,
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """The call's result, or the type and message of the package error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except LpresetError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def distributions(draw):
+    """h over k_max in 1..6 with integer weights, so some moves have zero mass."""
+    k_max = draw(st.integers(1, 6))
+    size = 2 * k_max + 1
+    counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    counts[draw(st.integers(0, size - 1))] += 1
+    probs = np.asarray(counts, dtype=float)
+    return NextPriceDistribution(k_max, probs / probs.sum(), bin_width_pct=1.0)
+
+
+@st.composite
+def specs(draw):
+    n_tau = draw(st.integers(0, 8))
+    n_alpha = draw(st.integers(0, 10))
+    raw = draw(
+        st.lists(st.integers(0, 4), min_size=2 * n_alpha + 1, max_size=2 * n_alpha + 1)
+    )
+    weights = np.asarray(raw, dtype=float)
+    if weights.sum() > 0:
+        weights /= weights.sum() + draw(st.sampled_from([0.0, 1.0]))
+    params = UtilityParams(
+        a=draw(st.sampled_from([0.0, 0.1, 15.0])),
+        ell=draw(st.sampled_from([1.0, 100.0])),
+    )
+    return StrategySpec("custom", n_tau, n_alpha, Allocation(n_alpha, weights), params)
+
+
+class TestRunStrategy:
+    @settings(max_examples=150, deadline=None)
+    @given(distributions(), specs(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_report_and_trace_equal_reference(self, dist, spec, steps, seed):
+        path = sample_path(dist, steps, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            got_trace = os.path.join(tmp, "got.csv")
+            want_trace = os.path.join(tmp, "want.csv")
+            got = run_strategy(path, spec, seed=seed, trace_out=got_trace)
+            want = reference_run_strategy(path, spec, seed=seed, trace_out=want_trace)
+            with open(got_trace, "rb") as fh, open(want_trace, "rb") as ref:
+                assert fh.read() == ref.read()
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+    def test_offsets_follow_the_reset_rule(self):
+        # n_tau = 1: +1 stays, +1 more lands at 2 and resets, -1 and 0 stay at -1,
+        # and the last -1 lands at -2 and resets
+        assert execute(np.array([1, 1, -1, 0, -1]), 1).tolist() == [1, 2, -1, -1, -2]
+        assert execute(np.array([3, -3]), 0).tolist() == [3, -3]
+
+    def test_empty_path_is_an_error(self):
+        spec = StrategySpec(
+            "custom", 1, 1, Allocation(1, np.full(3, 1 / 3)), UtilityParams()
+        )
+        with pytest.raises(InputError):
+            run_strategy(np.array([], dtype=np.int64), spec)
+
+
+@st.composite
+def walks(draw):
+    """A grid step and prices on, just off and between the grid's bin edges."""
+    step = draw(st.sampled_from([0.001, 0.01, 0.05]))
+    anchor = draw(st.floats(0.5, 5000.0))
+    n = draw(st.integers(2, 120))
+    moves = draw(st.lists(st.integers(-12, 12), min_size=n - 1, max_size=n - 1))
+    levels = np.concatenate([[0], np.cumsum(moves)]).tolist()
+    kinds = draw(st.lists(st.sampled_from("=<>m"), min_size=n, max_size=n))
+    prices = []
+    for level, kind in zip(levels, kinds):
+        edge = anchor * (1.0 + step) ** level
+        if kind == "<":
+            edge = math.nextafter(edge, 0.0)
+        elif kind == ">":
+            edge = math.nextafter(edge, math.inf)
+        elif kind == "m":
+            edge = anchor * (1.0 + step) ** (level + 0.5)
+        prices.append(edge)
+    return step, anchor, prices
+
+
+class TestReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(walks(), specs(), st.booleans())
+    def test_report_and_band_equal_reference(self, walk, spec, collect_band):
+        step, anchor, prices = walk
+        ts = 1_600_000_000.0 + 600.0 * np.arange(len(prices))
+        series = PriceSeries(ts, np.asarray(prices))
+        lo, hi = min(prices), max(prices)
+        grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
+        got = outcome(replay, series, spec, grid, collect_band=collect_band)
+        want = outcome(reference_replay, series, spec, grid, collect_band=collect_band)
+        assert got == want
+        if collect_band and isinstance(got, BacktestReport):
+            assert got.band_trace == want.band_trace
+            assert len(got.band_trace) == got.steps
+
+
+class TestPricesToBins:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.01, 1e4),
+        st.floats(1e-5, 0.5),
+        st.integers(-60, 0),
+        st.integers(0, 60),
+        st.lists(
+            st.tuples(st.integers(-64, 64), st.sampled_from("=<>m")),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_equals_scalar_reference(self, ref, step, lo, width, points):
+        grid = BinGrid(reference_price=ref, step=step, index_range=(lo, lo + width))
+        prices = []
+        for index, kind in points:
+            price = grid._edge(index)
+            if kind == "<":
+                price = math.nextafter(price, 0.0)
+            elif kind == ">":
+                price = math.nextafter(price, math.inf)
+            elif kind == "m":
+                price = ref * (1.0 + step) ** (index + 0.5)
+            prices.append(price)
+        want = [outcome(reference_price_to_bin, grid, p) for p in prices]
+        assert [outcome(grid.price_to_bin, p) for p in prices] == want
+        got = outcome(grid.prices_to_bins, prices)
+        failed = [w for w in want if isinstance(w, tuple)]
+        if failed:
+            assert got == failed[0]
+        else:
+            assert got.tolist() == want
+
+    def test_non_finite_price_raises_range_error(self):
+        grid = BinGrid(reference_price=100.0, step=0.01, index_range=(-5, 5))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(RangeError, match="outside covered span"):
+                grid.prices_to_bins([100.0, bad])
