@@ -13,10 +13,11 @@ reward-scale utilities the ratio is meaningful for every risk level.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,14 +55,22 @@ class BacktestReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def write_band_csv(self, path: str) -> None:
+        """Write the band trace as CSV, with the bytes ``csv.writer`` gives.
+
+        The four band edges change only at a reset, so each run of rows
+        shares them; each distinct edge quadruple is formatted once, and
+        each run is written as it is formatted.
+        """
         if self.band_trace is None:
             raise InputError("replay was run without band collection")
+        tails: dict[tuple, str] = {}
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "price", "alpha_low", "alpha_high", "tau_low", "tau_high"]
-            )
-            writer.writerows(self.band_trace)
+            fh.write("step,price,alpha_low,alpha_high,tau_low,tau_high\r\n")
+            for edges, rows in groupby(self.band_trace, key=itemgetter(2, 3, 4, 5)):
+                tail = tails.get(edges)
+                if tail is None:
+                    tail = tails[edges] = ",%r,%r,%r,%r\r\n" % edges
+                fh.write("".join([f"{row[0]},{row[1]!r}{tail}" for row in rows]))
 
 
 def v2_baseline(

@@ -46,7 +46,9 @@ class BinGrid:
     ) -> "BinGrid":
         """Build the smallest grid covering [low, high].
 
-        ``anchor`` fixes the left edge of bin 0 (defaults to ``low``).
+        ``anchor`` fixes the left edge of bin 0 (defaults to ``low``). The
+        floor of the log ratio can start the grid one bin above a ``low``
+        just under an edge, so the first bin is checked against ``_edge``.
         """
         if low <= 0 or high < low:
             raise RangeError(f"invalid price range [{low}, {high}]")
@@ -55,7 +57,10 @@ class BinGrid:
         base = math.log1p(step)
         lo = math.floor(math.log(low / anchor) / base)
         hi = math.floor(math.log(high / anchor) / base)
-        return cls(reference_price=anchor, step=step, index_range=(lo, hi))
+        grid = cls(reference_price=anchor, step=step, index_range=(lo, hi))
+        if low < grid._edge(lo):
+            return cls(reference_price=anchor, step=step, index_range=(lo - 1, hi))
+        return grid
 
     @property
     def n_bins(self) -> int:

@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
 
 DEFAULT_K_MAX = 64
 DEFAULT_BIN_WIDTH_PCT = 6.0 / 128.0  # 129 bins spanning [-3%, 3%]
+CSV_BLOCK_ROWS = 256  # rows held as text at once while reading a price CSV
 
 
 @dataclass(frozen=True)
@@ -146,24 +150,56 @@ def _parse_timestamp(raw: str) -> float:
 
 
 def load_price_csv(path: str) -> PriceSeries:
-    """Read a ``timestamp,price`` CSV (ISO-8601 or epoch-second timestamps)."""
-    timestamps: list[float] = []
-    prices: list[float] = []
+    """Read a ``timestamp,price`` CSV (ISO-8601 or epoch-second timestamps).
+
+    The two columns are found by header name, in any order and among other
+    columns; blank lines are skipped. Each column of a block of rows is
+    converted in bulk with ``float``. A block with ISO-8601 timestamps or a
+    bad field takes the row-by-row pass of ``_parse_rows``, which reports
+    the first bad field in file order.
+    """
+    timestamps, prices = array("d"), array("d")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"timestamp", "price"} <= set(
-            reader.fieldnames
-        ):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"timestamp", "price"} <= set(header):
             raise InputError(f"{path}: expected header with 'timestamp,price'")
-        for row in reader:
-            timestamps.append(_parse_timestamp(row["timestamp"]))
+        # a repeated column name means its last column, as in a dict of the row
+        column = {name: i for i, name in enumerate(header)}
+        ti, pi = column["timestamp"], column["price"]
+        rows = filter(None, reader)  # a blank line reads as []
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
             try:
-                prices.append(float(row["price"]))
-            except ValueError as exc:
-                raise InputError(f"{path}: bad price {row['price']!r}") from exc
+                block_ts = array("d", map(float, map(itemgetter(ti), block)))
+                block_px = array("d", map(float, map(itemgetter(pi), block)))
+            except (IndexError, ValueError):
+                block_ts, block_px = _parse_rows(path, block, len(prices), ti, pi)
+            timestamps.extend(block_ts)
+            prices.extend(block_px)
     if len(prices) < 2:
         raise InputError(f"{path}: need at least 2 rows")
     return PriceSeries(np.asarray(timestamps), np.asarray(prices))
+
+
+def _parse_rows(
+    path: str, rows: list[list[str]], skipped: int, ti: int, pi: int
+) -> tuple[list[float], list[float]]:
+    """Timestamps and prices of ``rows``, parsed one row at a time.
+
+    ``skipped`` counts the data rows before ``rows``, for error messages.
+    """
+    timestamps: list[float] = []
+    prices: list[float] = []
+    need = max(ti, pi) + 1
+    for n, row in enumerate(rows, start=skipped + 1):
+        if len(row) < need:
+            raise InputError(f"{path}: data row {n} has {len(row)} fields, need {need}")
+        timestamps.append(_parse_timestamp(row[ti]))
+        try:
+            prices.append(float(row[pi]))
+        except ValueError as exc:
+            raise InputError(f"{path}: bad price {row[pi]!r}") from exc
+    return timestamps, prices
 
 
 def percent_changes(series: PriceSeries) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from array import array
@@ -19,6 +18,7 @@ from .utility import exp_utility, landing_rewards
 __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
+TRACE_BLOCK_ROWS = 4096  # trace rows formatted before each write
 
 
 @dataclass(frozen=True)
@@ -124,17 +124,7 @@ def run_strategy(
     resets = (js < -spec.n_tau) | (js > spec.n_tau)
 
     if trace_out is not None:
-        with open(trace_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "offset", "reward", "reset_flag"])
-            writer.writerows(
-                zip(
-                    range(n),
-                    js.tolist(),
-                    rewards.tolist(),
-                    resets.astype(np.int64).tolist(),
-                )
-            )
+        _write_trace(trace_out, js, rewards, spec.n_tau)
 
     mean = float(utilities.mean())
     std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -147,3 +137,22 @@ def run_strategy(
         std_error=std_error,
         seed=seed,
     )
+
+
+def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, n_tau: int) -> None:
+    """Write the per-step trace CSV, with the bytes ``csv.writer`` gives.
+
+    A step's reward and reset flag depend only on its landing offset, so
+    the rest of a row is formatted once per distinct offset. Rows are
+    formatted and written a block at a time.
+    """
+    offsets = js.tolist()
+    tails = {
+        j: f",{j},{r!r},{int(abs(j) > n_tau)}\r\n"
+        for j, r in dict(zip(offsets, rewards.tolist())).items()
+    }
+    with open(path, "w", newline="") as fh:
+        fh.write("step,offset,reward,reset_flag\r\n")
+        for start in range(0, len(offsets), TRACE_BLOCK_ROWS):
+            block = offsets[start : start + TRACE_BLOCK_ROWS]
+            fh.write("".join([f"{t}{tails[j]}" for t, j in enumerate(block, start)]))

@@ -121,3 +121,18 @@ def test_jitter_correction_near_edges():
         lo, hi = g.bin_bounds(i)
         assert g.price_to_bin(lo) == i
         assert g.price_to_bin(math.nextafter(hi, 0.0)) == i
+
+
+def test_from_price_range_covers_low_one_ulp_below_an_edge():
+    # the floor of the log ratio used to start the grid at bin k, one bin
+    # above such a low, for 180 of these 400 k; a low inside a bin still
+    # starts the grid at that bin
+    for k in range(-200, 200):
+        low = math.nextafter(100.0 * 1.01**k, 0.0)
+        g = BinGrid.from_price_range(low, 100.0 * 1.01 ** (k + 3), 0.01, anchor=100.0)
+        assert g.covered_span()[0] <= low
+        assert g.index_range[0] == k - 1
+        assert g.price_to_bin(low) == k - 1
+        inside = 100.0 * 1.01 ** (k + 0.5)
+        g = BinGrid.from_price_range(inside, inside * 2.0, 0.01, anchor=100.0)
+        assert g.index_range[0] == k

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ class TestBacktest:
         assert lines[0] == "step,price,alpha_low,alpha_high,tau_low,tau_high"
         assert len(lines) == 401
 
+    def test_low_one_ulp_below_a_bin_edge(self, tmp_path, strategy_file, capsys):
+        # with the grid anchored at the first price, 100.0, bin -3 starts at
+        # 100 * 1.005**-3; the minimum one ulp below it is in bin -4, which
+        # the grid used to leave out
+        low = math.nextafter(100.0 * (1.0 + 0.005) ** -3, 0.0)
+        prices = [100.0, 99.2, low, 98.9, 99.7, 100.4]
+        csv_path = write_price_csv(tmp_path / "px.csv", prices)
+        code = main(["backtest", csv_path, strategy_file, "--bin-width-pct", "0.5"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["steps"] == 5
+        assert doc["grid_bins"] == 6  # bins -4 .. 1
+
     def test_no_compare_flag(self, tmp_path, strategy_file, capsys):
         csv_path, strat = self.make_inputs(tmp_path, strategy_file)
         code = main(
@@ -249,6 +263,22 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    def test_short_row_is_one_line_and_nonzero(
+        self, command, strategy_file, tmp_path, capsys
+    ):
+        csv_path = tmp_path / "px.csv"
+        csv_path.write_text("timestamp,price\n1,100\n2\n3,101\n")
+        argv = [command, str(csv_path)]
+        if command == "backtest":
+            argv.append(strategy_file)
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert str(csv_path) in err
         assert not (tmp_path / "out.json").exists()
 
     def test_resolve_rejects_unknown_kind(self, toy_dist):

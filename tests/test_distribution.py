@@ -135,6 +135,33 @@ class TestSeriesAndIO:
         with pytest.raises(InputError, match="timestamp,price"):
             load_price_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "timestamp,price\n1,100\n2\n3,101\n",
+            "price,timestamp\n100,1\n101\n102,3\n",
+            "timestamp,price\n1,100\n\n3\n4,101\n",
+        ],
+    )
+    def test_short_row_is_an_input_error(self, tmp_path, text):
+        p = tmp_path / "short.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match=r"short\.csv: data row 2 has 1 fields"):
+            load_price_csv(str(p))
+
+    def test_columns_found_by_name(self, tmp_path):
+        p = tmp_path / "cols.csv"
+        p.write_text('volume,price,timestamp\n7,"100.5", 1\n\n8,101,2\n')
+        s = load_price_csv(str(p))
+        assert s.timestamps.tolist() == [1.0, 2.0]
+        assert s.prices.tolist() == [100.5, 101.0]
+
+    def test_bad_price_names_the_value(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("timestamp,price\n1,100\n2,abc\n3,101\n")
+        with pytest.raises(InputError, match=r"bad\.csv: bad price 'abc'"):
+            load_price_csv(str(p))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_price_rejected(self, bad):
         with pytest.raises(InputError, match="prices must be finite"):
