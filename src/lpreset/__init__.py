@@ -9,7 +9,7 @@ simulation and historical backtesting against a Uniswap-v2-style uniform
 baseline.
 """
 
-from .backtest import BacktestReport, compare, replay, v2_baseline
+from .backtest import BacktestReport, replay, v2_baseline
 from .bins import BinGrid
 from .distribution import (
     NextPriceDistribution,
@@ -21,14 +21,14 @@ from .distribution import (
 )
 from .errors import InputError, LpresetError, NumericalError, RangeError
 from .markov import (
+    LandingLaw,
     OutcomeMatrix,
     ResetChain,
     build_reset_chain,
     landing_distribution,
+    landing_law,
     outcome_matrix,
-    reset_prob,
     stationary_distribution,
-    transition_prob,
 )
 from .optimizer import (
     OptimizationProblem,

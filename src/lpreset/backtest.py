@@ -13,7 +13,6 @@ reward-scale utilities the ratio is meaningful for every risk level.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -28,7 +27,7 @@ from .simulate import execute, payoffs
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
 
-__all__ = ["BacktestReport", "replay", "v2_baseline", "compare"]
+__all__ = ["BacktestReport", "replay", "v2_baseline"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ class BacktestReport:
             "ratio": float(self.ratio),
             "grid_bins": int(self.grid_bins),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def write_band_csv(self, path: str) -> None:
         """Write the band trace as CSV, with the bytes ``csv.writer`` gives.
@@ -150,15 +146,3 @@ def replay(
         grid_bins=grid.n_bins,
         band_trace=band,
     )
-
-
-def compare(report: BacktestReport) -> float:
-    """Strategy-to-v2 mean utility ratio."""
-    if not math.isfinite(report.v2_mean_utility_per_step):
-        raise InputError("report has no v2 baseline (run replay with compare_v2)")
-    if report.v2_mean_utility_per_step <= 0.0:
-        raise InputError(
-            f"v2 baseline utility {report.v2_mean_utility_per_step!r} is not positive; "
-            "ratio comparison is undefined"
-        )
-    return report.mean_utility_per_step / report.v2_mean_utility_per_step

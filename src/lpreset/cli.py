@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-
-import numpy as np
 
 from . import backtest as bt
 from .bins import BinGrid
@@ -24,19 +23,27 @@ from .distribution import (
     fit_distribution,
     load_price_csv,
     percent_changes,
+    read_json,
 )
 from .errors import InputError, LpresetError
-from .markov import build_reset_chain, landing_over
-from .optimizer import OptimizationProblem, solve
+from .markov import landing_law
 from .simulate import run_strategy, sample_path
 from .strategies import (
     StrategySpec,
+    doc_field,
     optimal_strategy,
     proportional_strategy,
     uniform_strategy,
     window_for_mass,
 )
-from .utility import MODE_FULL, MODE_STRICT, UtilityParams, expected_utility
+from .utility import (
+    MODE_FULL,
+    MODE_STRICT,
+    UtilityParams,
+    expected_utility,
+    json_count,
+    json_number,
+)
 
 __all__ = ["main", "resolve_strategy"]
 
@@ -63,43 +70,37 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
     Documents either carry explicit ``weights`` or a constructor form
     (kind plus window parameters) resolved against the distribution.
     """
-    params = UtilityParams.from_json_dict(doc.get("params", {}))
+    if not isinstance(doc, dict):
+        raise InputError(f"strategy document must be an object, got {doc!r}")
     if "weights" in doc:
         return StrategySpec.from_json_dict(doc)
+    params = UtilityParams.from_json_dict(doc.get("params", {}))
     kind = doc.get("kind")
-    if kind == "uniform":
-        n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
-        n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass")
-        return uniform_strategy(dist, n_tau, n_alpha, params)
-    if kind == "proportional":
-        return proportional_strategy(
-            dist,
-            params,
-            tau_mass=doc.get("tau_mass"),
-            alpha_mass=doc.get("alpha_mass"),
-            n_tau=doc.get("n_tau"),
-            n_alpha=doc.get("n_alpha"),
-        )
+    if kind not in ("uniform", "proportional", "optimal"):
+        raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
+    n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
     if kind == "optimal":
-        n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
-        spec, _ = optimal_strategy(dist, n_tau, params)
-        return spec
-    raise InputError(f"cannot resolve strategy document (kind={kind!r}, no weights)")
+        return optimal_strategy(dist, n_tau, params)[0]
+    n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass")
+    if kind == "uniform":
+        return uniform_strategy(dist, n_tau, n_alpha, params)
+    return proportional_strategy(dist, params, n_tau=n_tau, n_alpha=n_alpha)
 
 
 def _window_field(
     doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str
 ) -> int:
+    if count_key in doc and mass_key in doc:
+        raise InputError(f"strategy document gives both {count_key} and {mass_key}")
     if count_key in doc:
-        return int(doc[count_key])
+        return doc_field(doc, count_key, json_count)
     if mass_key in doc:
-        return window_for_mass(dist, float(doc[mass_key]))
+        return window_for_mass(dist, doc_field(doc, mass_key, json_number))
     raise InputError(f"strategy document needs {count_key} or {mass_key}")
 
 
 def _load_strategy(path: str, dist: NextPriceDistribution) -> StrategySpec:
-    with open(path) as fh:
-        return resolve_strategy(json.load(fh), dist)
+    return resolve_strategy(read_json(path), dist)
 
 
 # ---------------------------------------------------------------- commands
@@ -141,7 +142,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     n_tau = (
         args.n_tau if args.n_tau is not None else window_for_mass(dist, args.tau_mass)
     )
-    spec, solution = optimal_strategy(dist, n_tau, params, mode=args.mode)
+    spec, solution = optimal_strategy(dist, n_tau, params)
     doc = solution.to_json_dict()
     doc.update(
         {"n_tau": spec.n_tau, "mode": args.mode, "params": params.to_json_dict()}
@@ -150,46 +151,35 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(
-    dist: NextPriceDistribution,
-    strategy: str,
-    n_tau: int,
-    n_alpha: int,
-    params: UtilityParams,
-    mode: str,
-) -> float:
-    if strategy == "proportional":
-        spec = proportional_strategy(dist, params, n_tau=n_tau, n_alpha=n_alpha)
-    elif strategy == "uniform":
-        spec = uniform_strategy(dist, n_tau, n_alpha, params)
-    elif strategy == "optimal":
-        spec, _ = optimal_strategy(dist, n_tau, params)
-    else:
-        raise InputError(f"unknown sweep strategy {strategy!r}")
-    return expected_utility(dist, spec.n_tau, spec.allocation, spec.params, mode)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     dist = NextPriceDistribution.load(args.distribution)
     params = _params_from_args(args)
+    if args.tau_mass_grid:  # the optimal strategy, one row per mass
+        masses = _parse_grid(args.tau_mass_grid, float)
+        n_taus = [window_for_mass(dist, mass) for mass in masses]
+        strategy, n_alphas = "optimal", [None]
+    else:
+        n_taus = _parse_grid(args.n_tau_grid, int)
+        strategy, n_alphas = args.strategy, _parse_grid(args.n_alpha_grid, int)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n_tau", "n_alpha", "expected_utility"])
-    if args.tau_mass_grid:
-        for mass in _parse_grid(args.tau_mass_grid, float):
-            n_tau = window_for_mass(dist, mass)
-            spec, _ = optimal_strategy(dist, n_tau, params)
+    for n_tau in n_taus:
+        law = landing_law(dist, n_tau)  # serves every n_alpha of the row
+        if strategy == "optimal":
+            optimal = optimal_strategy(dist, n_tau, params, law=law)[0]
+        for n_alpha in n_alphas:
+            if strategy == "proportional":
+                spec = proportional_strategy(dist, params, n_tau=n_tau, n_alpha=n_alpha)
+            elif strategy == "uniform":
+                spec = uniform_strategy(dist, n_tau, n_alpha, params)
+            else:
+                spec = optimal
             value = expected_utility(
-                dist, spec.n_tau, spec.allocation, params, args.mode
+                dist, n_tau, spec.allocation, params, args.mode, law=law
             )
-            writer.writerow([n_tau, spec.n_alpha, repr(value)])
-    else:
-        for n_tau in _parse_grid(args.n_tau_grid, int):
-            for n_alpha in _parse_grid(args.n_alpha_grid, int):
-                value = _sweep_cell(
-                    dist, args.strategy, n_tau, n_alpha, params, args.mode
-                )
-                writer.writerow([n_tau, n_alpha, repr(value)])
+            row_alpha = spec.n_alpha if n_alpha is None else n_alpha
+            writer.writerow([n_tau, row_alpha, repr(value)])
     _emit(buf.getvalue(), args.out, args.quiet)
     return 0
 
@@ -239,15 +229,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, mode: bool = False) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--quiet", action="store_true", help="suppress stdout output")
-    p.add_argument(
-        "--mode",
-        choices=[MODE_STRICT, MODE_FULL],
-        default=MODE_STRICT,
-        help="expected-utility evaluation mode",
-    )
+    if mode:
+        p.add_argument(
+            "--mode",
+            choices=[MODE_STRICT, MODE_FULL],
+            default=MODE_STRICT,
+            help="expected-utility evaluation mode",
+        )
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
@@ -277,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distribution")
     p.add_argument("strategy")
     p.set_defaults(func=cmd_eval)
-    _add_common(p)
+    _add_common(p, mode=True)
 
     p = sub.add_parser("optimize", help="solve for the optimal allocation")
     p.add_argument("distribution")
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tau-mass", type=float)
     _add_params(p)
     p.set_defaults(func=cmd_optimize)
-    _add_common(p)
+    _add_common(p, mode=True)
 
     p = sub.add_parser("sweep", help="expected-utility sweep over window grids")
     p.add_argument("distribution")
@@ -303,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_params(p)
     p.set_defaults(func=cmd_sweep)
-    _add_common(p)
+    _add_common(p, mode=True)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of a strategy")
     p.add_argument("distribution")
@@ -331,14 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except LpresetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # an input or output path that cannot be opened
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {where}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from itertools import islice
 from operator import itemgetter
 
@@ -83,7 +83,7 @@ class NextPriceDistribution:
             raise InputError(
                 f"probs must have length {2 * self.k_max + 1}, got {p.shape}"
             )
-        if np.any(p < 0):
+        if not np.all(p >= 0.0):  # NaN fails too; inf fails the sum below
             raise InputError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InputError(f"probabilities must sum to 1, got {p.sum()!r}")
@@ -101,10 +101,6 @@ class NextPriceDistribution:
         inside = np.abs(ks) <= self.k_max
         out[inside] = self.probs[ks[inside] + self.k_max]
         return out
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.k_max, self.k_max + 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,6 +121,8 @@ class NextPriceDistribution:
             )
         except KeyError as exc:
             raise InputError(f"distribution document missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad distribution document: {exc}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -133,8 +131,16 @@ class NextPriceDistribution:
 
     @classmethod
     def load(cls, path: str) -> "NextPriceDistribution":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
+
+
+def read_json(path: str):
+    """The JSON document at ``path``; text that is not JSON is an InputError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InputError(f"{path}: not a JSON document ({exc})") from exc
 
 
 def _parse_timestamp(raw: str) -> float:
@@ -144,9 +150,12 @@ def _parse_timestamp(raw: str) -> float:
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(raw).timestamp()
+        stamp = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise InputError(f"unparseable timestamp {raw!r}") from exc
+    if stamp.tzinfo is None:  # naive timestamps are UTC, whatever the local zone
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
 def load_price_csv(path: str) -> PriceSeries:

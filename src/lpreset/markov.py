@@ -1,27 +1,36 @@
-"""Reset Markov chain over the reset window B_tau.
+"""Reset Markov chain over the reset window B_tau, and its landing law.
 
 The chain tracks the price offset from the last reset center. Any move that
 exits B_tau triggers a reallocation centered on the new price, which the
 chain models as a transition back to the center state: M(i, j) = f(i, j) for
 j != 0 and M(i, 0) = f(i, 0) + g(i), where f(i, j) = h(j - i) and
 g(i) = 1 - sum_{j in B_tau} f(i, j).
+
+``landing_law`` gives what the rest of the package needs, in closed form:
+
+* the stationary law p over B_tau, by renewal-reward. A cycle runs from one
+  reset to the next, starting at the center and moving by F, the in-window
+  block of f; its expected visits to each state are e_0 (I - F)^-1, which
+  normalize to p and sum to the expected cycle length (1 / reset rate).
+* the landing law q(j) = sum_i p(i) h(j - i) over |j| <= n_tau + k_max: the
+  convolution of p with h.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import NextPriceDistribution
-from .errors import InputError, NumericalError, RangeError
+from .errors import InputError, NumericalError
 
 __all__ = [
+    "LandingLaw",
     "ResetChain",
     "OutcomeMatrix",
-    "transition_prob",
-    "reset_prob",
+    "landing_law",
     "build_reset_chain",
     "stationary_distribution",
     "outcome_matrix",
@@ -34,22 +43,37 @@ STATIONARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
+class LandingLaw:
+    """Stationary law over B_tau and landing law q over the full reach.
+
+    ``q`` runs over j in [-reach, reach], reach = n_tau + k_max, and sums to
+    1. ``cycle_length`` is the expected number of steps from one reset to the
+    next (inf for the no-move h).
+    """
+
+    n_tau: int
+    stationary: np.ndarray
+    q: np.ndarray
+    cycle_length: float
+
+    @property
+    def reach(self) -> int:
+        return (self.q.shape[0] - 1) // 2
+
+    def over(self, n: int) -> np.ndarray:
+        """q(j) for |j| <= n, zero beyond the reach."""
+        if n > self.reach:
+            return np.pad(self.q, n - self.reach)
+        return self.q[self.reach - n : self.reach + n + 1]
+
+
+@dataclass(frozen=True)
 class ResetChain:
     """Transition matrix over B_tau plus its stationary distribution p_tau."""
 
     n_tau: int
     M: np.ndarray
     stationary: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_tau": int(self.n_tau),
-            "matrix": self.M.tolist(),
-            "stationary": self.stationary.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -60,26 +84,6 @@ class OutcomeMatrix:
     n_alpha: int
     O: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_tau": int(self.n_tau),
-            "n_alpha": int(self.n_alpha),
-            "matrix": self.O.tolist(),
-        }
-
-
-def transition_prob(dist: NextPriceDistribution, i: int, j: int) -> float:
-    """f(i, j) = h(j - i); zero when the move exceeds the support."""
-    return dist.prob(j - i)
-
-
-def reset_prob(dist: NextPriceDistribution, n_tau: int, i: int) -> float:
-    """g(i) = 1 - sum_{j in B_tau} f(i, j), the per-step reset probability."""
-    if abs(i) > n_tau:
-        raise RangeError(f"offset {i} outside B_tau (n_tau={n_tau})")
-    inside = sum(dist.prob(j - i) for j in range(-n_tau, n_tau + 1))
-    return min(max(1.0 - inside, 0.0), 1.0)
-
 
 def _f_block(dist: NextPriceDistribution, n_rows: int, n_cols: int) -> np.ndarray:
     """Matrix of f(i, j) for i in [-n_rows, n_rows], j in [-n_cols, n_cols]."""
@@ -88,22 +92,52 @@ def _f_block(dist: NextPriceDistribution, n_rows: int, n_cols: int) -> np.ndarra
     return dist.prob_array(j - i)
 
 
-def build_reset_chain(dist: NextPriceDistribution, n_tau: int) -> ResetChain:
+def _cycle_visits(F: np.ndarray) -> np.ndarray | None:
+    """Expected visits e_center (I - F)^-1 to each state in a cycle from the center.
+
+    F holds the transitions that continue the cycle. The visits are sums of
+    non-negative terms, so rounding below zero is cleared. None when I - F is
+    singular: some states never end the cycle.
+    """
+    n = F.shape[0]
+    start = np.zeros(n)
+    start[n // 2] = 1.0
+    try:
+        return np.maximum(np.linalg.solve(np.eye(n) - F.T, start), 0.0)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def landing_law(dist: NextPriceDistribution, n_tau: int) -> LandingLaw:
+    """The stationary and landing laws of the reset chain, in closed form."""
     if n_tau < 0:
         raise InputError(f"n_tau must be >= 0, got {n_tau}")
+    visits = _cycle_visits(_f_block(dist, n_tau, n_tau))
+    if visits is None:  # only the no-move h (h(0) = 1) never leaves the center
+        p, cycle = np.zeros(2 * n_tau + 1), math.inf
+        p[n_tau] = 1.0
+    else:
+        cycle = float(visits.sum())
+        p = visits / cycle
+    return LandingLaw(
+        n_tau=n_tau, stationary=p, q=np.convolve(p, dist.probs), cycle_length=cycle
+    )
+
+
+def build_reset_chain(dist: NextPriceDistribution, n_tau: int) -> ResetChain:
+    p = landing_law(dist, n_tau).stationary
     M = _f_block(dist, n_tau, n_tau)
-    g = 1.0 - M.sum(axis=1)
-    M[:, n_tau] += np.maximum(g, 0.0)
-    p = stationary_distribution(M)
+    M[:, n_tau] += np.maximum(1.0 - M.sum(axis=1), 0.0)
     return ResetChain(n_tau=n_tau, M=M, stationary=p)
 
 
-def stationary_distribution(M: np.ndarray, max_iters: int = 100_000) -> np.ndarray:
-    """Left fixed point p M = p, normalized to sum 1.
+def stationary_distribution(M: np.ndarray) -> np.ndarray:
+    """Left fixed point p M = p of a stochastic matrix, normalized to sum 1.
 
-    Direct linear solve of (M^T - I) p = 0 with the normalization row
-    appended; falls back to power iteration if the solve is singular or
-    leaves a residual above tolerance.
+    Renewal-reward with the center state n // 2 (where every reset chain
+    resets to) as the renewal state: a cycle ends at each entry to it.
+    Raises NumericalError when some states never reach the center, which
+    covers every M without a unique fixed point.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -111,41 +145,14 @@ def stationary_distribution(M: np.ndarray, max_iters: int = 100_000) -> np.ndarr
         raise InputError(f"matrix must be square, got {M.shape}")
     if np.any(np.abs(M.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InputError("matrix rows must sum to 1")
-
-    A = M.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        p = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        p = np.full(n, np.nan)
-
-    if not _is_valid_stationary(p, M):
-        p = np.full(n, 1.0 / n)
-        for _ in range(max_iters):
-            nxt = p @ M
-            if np.max(np.abs(nxt - p)) < STATIONARY_TOL / 10:
-                p = nxt
-                break
-            p = nxt
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-        if not _is_valid_stationary(p, M):
-            resid = float(np.max(np.abs(p @ M - p)))
-            raise NumericalError(
-                f"stationary distribution did not converge (residual {resid:.3e})"
-            )
-    return p
-
-
-def _is_valid_stationary(p: np.ndarray, M: np.ndarray) -> bool:
-    if not np.all(np.isfinite(p)):
-        return False
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        return False
-    p = np.maximum(p, 0.0)
-    return float(np.max(np.abs(p @ M - p))) < STATIONARY_TOL
+    F = M.copy()
+    F[:, n // 2] = 0.0
+    visits = _cycle_visits(F)
+    if visits is not None:
+        p = visits / visits.sum()
+        if float(np.max(np.abs(p @ M - p))) < STATIONARY_TOL:
+            return p
+    raise NumericalError("no unique stationary law: a state never reaches the center")
 
 
 def outcome_matrix(
@@ -168,7 +175,8 @@ def landing_distribution(chain: ResetChain, O: OutcomeMatrix) -> np.ndarray:
 def landing_over(
     dist: NextPriceDistribution, chain: ResetChain, js: np.ndarray
 ) -> np.ndarray:
-    """q(j) over arbitrary relative offsets js."""
-    i = np.arange(-chain.n_tau, chain.n_tau + 1)[:, None]
-    F = dist.prob_array(np.asarray(js)[None, :] - i)
-    return chain.stationary @ F
+    """q(j) over arbitrary relative offsets js (zero beyond the reach)."""
+    reach = chain.n_tau + dist.k_max
+    js = np.asarray(js)
+    pad = max(int(np.abs(js).max(initial=0)) - reach, 0)
+    return np.pad(np.convolve(chain.stationary, dist.probs), pad)[js + reach + pad]

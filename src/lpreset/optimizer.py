@@ -4,8 +4,10 @@ The objective sum_j q_j * u(kappa*ell*A_j - fee_j + shift) splits by risk
 attitude:
 
 * a > 0 (strictly concave): the KKT equalization condition inverts in closed
-  form, giving a water-filling allocation with the multiplier found by
-  bisection in log space.
+  form. On an active bin A_j = v_j - theta, and A_j = 0 where v_j <= theta,
+  with v_j = (log(q_j*kappa*ell) - a*s_j) / (a*kappa*ell) (s_j is the reward
+  shift less the reset fee). Those weights are the Euclidean projection of v
+  onto the simplex, found by one sort (Duchi et al. 2008).
 * a = 0 (linear): the optimum is the vertex with the largest landing
   probability.
 * a < 0 (convex): the maximum lies at a vertex of the simplex; all vertices
@@ -17,8 +19,6 @@ a >= 0.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,6 @@ __all__ = [
     "project_simplex",
 ]
 
-BISECT_ITERS = 200
-BISECT_TOL = 1e-14
 ACTIVE_TOL = 1e-12
 
 
@@ -91,6 +89,9 @@ class OptimizationProblem:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solver's allocation and certificate. ``iterations`` counts the active
+    bins (water-filling), the vertices (enumeration) or the ascent steps."""
+
     allocation: Allocation
     objective: float
     kkt_residual: float
@@ -109,9 +110,6 @@ class Solution:
             "converged": bool(self.converged),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _one_hot(problem: OptimizationProblem, hot: int) -> np.ndarray:
     w = np.zeros_like(problem.q)
@@ -128,39 +126,18 @@ def _argmax_center_first(values: np.ndarray, n_alpha: int) -> int:
     return int(candidates[order[0]])
 
 
-def _water_filling(problem: OptimizationProblem, tol: float) -> tuple[np.ndarray, int]:
+def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
+    """Weights that equalize q_j * u'(c_j) over the active bins, and their count."""
     p = problem.params
     a, scale = p.a, p.kappa * p.ell
-    # stationarity: q_j*scale*exp(-a*(scale*A_j + s_j)) = lambda on active bins
     s = np.where(problem.tau_membership, p.shift, p.shift - 1.0)
-    with np.errstate(divide="ignore"):
-        top = np.log(problem.q * scale) - a * s  # A_j > 0 iff top > ln(lambda)
-    top[problem.q == 0.0] = -np.inf
-
-    def weights_at(log_lam: float) -> np.ndarray:
-        return np.maximum(0.0, (top - log_lam) / (a * scale))
-
-    hi = float(np.max(top))
-    lo = hi - a * scale * (1.0 + 1.0 / (a * scale))  # single bin already fills budget
-    if weights_at(lo).sum() < 1.0:
-        raise NumericalError(
-            f"water-filling bracket failure: S(lo)={weights_at(lo).sum()!r} < 1 "
-            f"(log bracket [{lo}, {hi}])"
-        )
-    iters = 0
-    for iters in range(1, BISECT_ITERS + 1):
-        mid = 0.5 * (lo + hi)
-        total = weights_at(mid).sum()
-        if abs(total - 1.0) < BISECT_TOL:
-            hi = lo = mid
-            break
-        if total > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    w = weights_at(0.5 * (lo + hi))
+    live = problem.q > 0.0  # bins the price never lands in get nothing
+    w = np.zeros_like(problem.q)
+    w[live] = project_simplex(
+        (np.log(problem.q[live] * scale) - a * s[live]) / (a * scale)
+    )
     w /= w.sum()  # exact simplex normalization
-    return w, iters
+    return w, int(np.count_nonzero(w))
 
 
 def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
@@ -168,7 +145,7 @@ def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
     a = problem.params.a
     n = problem.q.shape[0]
     if a > 0:
-        w, iters = _water_filling(problem, tol)
+        w, iters = _water_filling(problem)
         method = "water-filling"
     elif a == 0.0:
         w = _one_hot(problem, _argmax_center_first(problem.q, problem.n_alpha))

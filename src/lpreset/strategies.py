@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution
+from .distribution import NextPriceDistribution, read_json
 from .errors import InputError
-from .markov import build_reset_chain, landing_over
+from .markov import LandingLaw, landing_law
+from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
 from .optimizer import OptimizationProblem, Solution, solve
-from .utility import MODE_FULL, MODE_STRICT, Allocation, UtilityParams
+from .utility import Allocation, UtilityParams, json_count, json_number
 
 __all__ = [
     "StrategySpec",
@@ -53,24 +54,19 @@ class StrategySpec:
             "params": self.params.to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StrategySpec":
-        try:
-            n_alpha = int(doc["n_alpha"])
-            return cls(
-                kind=doc.get("kind", "custom"),
-                n_tau=int(doc["n_tau"]),
-                n_alpha=n_alpha,
-                allocation=Allocation(
-                    n_alpha=n_alpha, weights=np.asarray(doc["weights"], dtype=float)
-                ),
-                params=UtilityParams.from_json_dict(doc.get("params", {})),
-            )
-        except KeyError as exc:
-            raise InputError(f"strategy document missing field {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InputError(f"strategy document must be an object, got {doc!r}")
+        n_alpha = doc_field(doc, "n_alpha", json_count)
+        weights = doc_field(doc, "weights", lambda ws: [json_number(w) for w in ws])
+        return cls(
+            kind=doc.get("kind", "custom"),
+            n_tau=doc_field(doc, "n_tau", json_count),
+            n_alpha=n_alpha,
+            allocation=Allocation(n_alpha=n_alpha, weights=np.array(weights)),
+            params=UtilityParams.from_json_dict(doc.get("params", {})),
+        )
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -79,23 +75,30 @@ class StrategySpec:
 
     @classmethod
     def load(cls, path: str) -> "StrategySpec":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
+
+
+def doc_field(doc: dict, key: str, convert):
+    """``convert(doc[key])``; a missing or unconvertible field is an InputError."""
+    if key not in doc:
+        raise InputError(f"strategy document missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"strategy field {key!r}: bad value {doc[key]!r}") from exc
 
 
 def window_for_mass(dist: NextPriceDistribution, mass: float) -> int:
-    """Smallest half-width n with sum_{|k| <= n} h(k) >= mass."""
+    """Smallest half-width n with sum_{|k| <= n} h(k) >= mass.
+
+    The whole support holds all of h's mass, so n never exceeds k_max, even
+    when the rounded sum falls an ulp short of 1.
+    """
     if not 0.0 < mass <= 1.0:
         raise InputError(f"mass must be in (0, 1], got {mass}")
-    total = dist.prob(0)
-    if total >= mass:
-        return 0
-    for n in range(1, dist.k_max + 1):
-        total += dist.prob(n) + dist.prob(-n)
-        if total >= mass:
-            return n
-    # normalized probs sum to 1 >= mass, so this is unreachable
-    raise InputError(f"distribution mass {total!r} never reached target {mass}")
+    k = dist.k_max
+    within = np.cumsum(dist.probs[k:] + np.r_[0.0, dist.probs[k - 1 :: -1]])
+    return min(int(np.searchsorted(within, mass)), k)
 
 
 def uniform_strategy(
@@ -105,6 +108,8 @@ def uniform_strategy(
     params: UtilityParams,
 ) -> StrategySpec:
     """A(j) = 1 / (2 n_alpha + 1) on every bin of B_alpha."""
+    if n_alpha < 0:
+        raise InputError(f"n_alpha must be >= 0, got {n_alpha}")
     n = 2 * n_alpha + 1
     return StrategySpec(
         kind="uniform",
@@ -156,28 +161,26 @@ def optimal_strategy(
     dist: NextPriceDistribution,
     n_tau: int,
     params: UtilityParams,
-    mode: str = MODE_FULL,
+    law: LandingLaw | None = None,
 ) -> tuple[StrategySpec, Solution]:
     """Optimal allocation over B_alpha = every bin reachable from B_tau.
 
     With that choice of B_alpha, strict-paper and full-coverage objectives
-    coincide, so ``mode`` only matters for narrower custom usage and is kept
-    for interface symmetry.
+    coincide. ``law`` is ``landing_law(dist, n_tau)`` when the caller
+    already holds it.
     """
-    if mode not in (MODE_FULL, MODE_STRICT):
-        raise InputError(f"unknown mode {mode!r}")
-    n_alpha = n_tau + dist.k_max
-    chain = build_reset_chain(dist, n_tau)
-    js = np.arange(-n_alpha, n_alpha + 1)
-    q = landing_over(dist, chain, js)
+    law = landing_law(dist, n_tau) if law is None else law
+    if law.n_tau != n_tau:
+        raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
+    js = np.arange(-law.reach, law.reach + 1)
     problem = OptimizationProblem(
-        q=q, tau_membership=np.abs(js) <= n_tau, params=params
+        q=law.q, tau_membership=np.abs(js) <= n_tau, params=params
     )
     solution = solve(problem)
     spec = StrategySpec(
         kind="optimal",
         n_tau=n_tau,
-        n_alpha=n_alpha,
+        n_alpha=law.reach,
         allocation=solution.allocation,
         params=params,
     )

@@ -17,7 +17,6 @@ Two evaluation modes:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .distribution import NextPriceDistribution
 from .errors import InputError, NumericalError, RangeError
-from .markov import build_reset_chain, landing_over
+from .markov import LandingLaw, landing_law
 
 __all__ = [
     "MODE_STRICT",
@@ -46,6 +45,20 @@ _MODES = (MODE_STRICT, MODE_FULL)
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; a string or a bool is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def json_count(value) -> int:
+    """A JSON number with a whole value, as an int."""
+    if not json_number(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class UtilityParams:
     """Risk aversion a, fee yield kappa per unit liquidity per step, total liquidity ell.
@@ -58,6 +71,8 @@ class UtilityParams:
     ell: float = 100.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.kappa, self.ell))):
+            raise InputError(f"utility parameters must be finite, got {self}")
         if self.kappa <= 0:
             raise InputError(f"kappa must be > 0, got {self.kappa}")
         if self.ell <= 0:
@@ -73,11 +88,16 @@ class UtilityParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "UtilityParams":
-        return cls(
-            a=float(doc.get("a", 0.0)),
-            kappa=float(doc.get("kappa", 1.0)),
-            ell=float(doc.get("ell", 100.0)),
-        )
+        if not isinstance(doc, dict):
+            raise InputError(f"params must be an object, got {doc!r}")
+        try:
+            return cls(
+                a=json_number(doc.get("a", 0.0)),
+                kappa=json_number(doc.get("kappa", 1.0)),
+                ell=json_number(doc.get("ell", 100.0)),
+            )
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"bad params {doc!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -96,7 +116,7 @@ class Allocation:
             raise InputError(
                 f"weights must have length {2 * self.n_alpha + 1}, got {w.shape}"
             )
-        if np.any(w < 0):
+        if not np.all(w >= 0.0):  # NaN fails too; inf fails the sum below
             raise InputError("allocation weights must be non-negative")
         if w.sum() > 1.0 + 1e-9:
             raise InputError(f"allocation weights sum to {w.sum()!r} > 1")
@@ -126,9 +146,6 @@ class Allocation:
             )
         except KeyError as exc:
             raise InputError(f"allocation document missing field {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def exp_utility(c: float, params: UtilityParams) -> float:
@@ -178,33 +195,24 @@ def landing_rewards(
     return rewards
 
 
-def _landing_and_rewards(
-    dist: NextPriceDistribution,
-    n_tau: int,
-    alloc: Allocation,
-    params: UtilityParams,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Landing probabilities q(j) and rewards R(j) over the mode's bin set."""
-    if mode not in _MODES:
-        raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    chain = build_reset_chain(dist, n_tau)
-    if mode == MODE_STRICT:
-        js = np.arange(-alloc.n_alpha, alloc.n_alpha + 1)
-    else:
-        reach = n_tau + dist.k_max
-        js = np.arange(-reach, reach + 1)
-    q = landing_over(dist, chain, js)
-    return q, landing_rewards(alloc, js, n_tau, params)
-
-
 def expected_utility(
     dist: NextPriceDistribution,
     n_tau: int,
     alloc: Allocation,
     params: UtilityParams,
     mode: str = MODE_STRICT,
+    law: LandingLaw | None = None,
 ) -> float:
-    """Exact expected per-step utility E_u = sum_j q(j) u(R(j) + shift)."""
-    q, rewards = _landing_and_rewards(dist, n_tau, alloc, params, mode)
-    return float(q @ exp_utility_vec(rewards + params.shift, params))
+    """Exact expected per-step utility E_u = sum_j q(j) u(R(j) + shift).
+
+    ``law`` is ``landing_law(dist, n_tau)`` when the caller already holds
+    it; E_u is then a slice of its q and one dot product.
+    """
+    if mode not in _MODES:
+        raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    law = landing_law(dist, n_tau) if law is None else law
+    if law.n_tau != n_tau:
+        raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
+    n = alloc.n_alpha if mode == MODE_STRICT else law.reach
+    rewards = landing_rewards(alloc, np.arange(-n, n + 1), n_tau, params)
+    return float(law.over(n) @ exp_utility_vec(rewards + params.shift, params))

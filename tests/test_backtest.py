@@ -8,7 +8,6 @@ from lpreset import (
     InputError,
     PriceSeries,
     UtilityParams,
-    compare,
     replay,
     run_strategy,
     sample_path,
@@ -152,7 +151,6 @@ class TestCompare:
         spec = uniform_strategy(toy_dist, 1, 1, params)
         series = series_from_prices([100.0, 101.5, 100.0])
         report = replay(series, spec, grid_for(series))
-        assert compare(report) == pytest.approx(report.ratio)
         assert report.ratio == pytest.approx(
             report.mean_utility_per_step / report.v2_mean_utility_per_step
         )
@@ -163,5 +161,3 @@ class TestCompare:
         series = series_from_prices([100.0, 101.5, 100.0])
         report = replay(series, spec, grid_for(series), compare_v2=False)
         assert math.isnan(report.ratio)
-        with pytest.raises(InputError):
-            compare(report)

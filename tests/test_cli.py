@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lpreset import (
+    MODE_FULL,
     MODE_STRICT,
     NextPriceDistribution,
     UtilityParams,
     expected_utility,
+    optimal_strategy,
+    proportional_strategy,
     run_strategy,
     sample_path,
     uniform_strategy,
@@ -126,6 +130,37 @@ class TestSweep:
         want = expected_utility(toy_dist, 1, spec.allocation, params, MODE_STRICT)
         got = float(lines[1].split(",")[2])
         assert got == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform", "optimal"])
+    def test_every_cell_equals_the_library(self, strategy, dist_file, capsys, toy_dist):
+        argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", "0,1,3",
+                "--n-alpha-grid", "0,2", "--a", "0.5", "--ell", "3", "--mode", MODE_FULL]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        params = UtilityParams(a=0.5, kappa=1.0, ell=3.0)
+        want = []
+        for n_tau in (0, 1, 3):
+            for n_alpha in (0, 2):
+                if strategy == "proportional":
+                    spec = proportional_strategy(toy_dist, params, n_tau=n_tau, n_alpha=n_alpha)
+                elif strategy == "uniform":
+                    spec = uniform_strategy(toy_dist, n_tau, n_alpha, params)
+                else:
+                    spec = optimal_strategy(toy_dist, n_tau, params)[0]
+                value = expected_utility(toy_dist, n_tau, spec.allocation, params, MODE_FULL)
+                want.append([str(n_tau), str(n_alpha), repr(value)])
+        assert rows == want
+
+    def test_tau_mass_grid_rows_carry_the_optimal_window(self, dist_file, capsys, toy_dist):
+        assert main(["sweep", dist_file, "--tau-mass-grid", "0.3,1.0", "--a", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        params = UtilityParams(a=1.0)
+        want = []
+        for n_tau in (0, 1):
+            spec = optimal_strategy(toy_dist, n_tau, params)[0]
+            value = expected_utility(toy_dist, n_tau, spec.allocation, params)
+            want.append([str(n_tau), str(n_tau + toy_dist.k_max), repr(value)])
+        assert rows == want
 
     def test_missing_grid_is_an_error(self, dist_file, capsys):
         code = main(["sweep", dist_file, "--strategy", "uniform"])
@@ -286,3 +321,146 @@ class TestErrorHandling:
 
         with pytest.raises(InputError):
             resolve_strategy({"kind": "mystery"}, toy_dist)
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestUnreadableInputs:
+    def test_missing_price_csv(self, tmp_path, strategy_file, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["fit", missing]) == 1
+        assert_one_error_line(capsys, missing, "No such file")
+        assert main(["backtest", missing, strategy_file]) == 1
+        assert_one_error_line(capsys, missing)
+
+    def test_missing_distribution(self, tmp_path, strategy_file, capsys):
+        missing = str(tmp_path / "missing.json")
+        for argv in (
+            ["eval", missing, strategy_file],
+            ["optimize", missing, "--n-tau", "1"],
+            ["sweep", missing, "--n-tau-grid", "1", "--n-alpha-grid", "1"],
+            ["simulate", missing, strategy_file],
+        ):
+            assert main(argv) == 1
+            assert_one_error_line(capsys, missing, "No such file")
+
+    def test_missing_strategy_document(self, tmp_path, dist_file, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["eval", dist_file, missing]) == 1
+        assert_one_error_line(capsys, missing, "No such file")
+        assert main(["eval", dist_file, str(tmp_path)]) == 1  # a directory
+        assert_one_error_line(capsys, str(tmp_path))
+
+    def test_document_that_is_not_json(self, tmp_path, dist_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["eval", dist_file, str(bad)]) == 1
+        assert_one_error_line(capsys, str(bad))
+        assert main(["eval", str(bad), str(bad)]) == 1
+        assert_one_error_line(capsys, str(bad))
+
+    def test_unwritable_output(self, tmp_path, dist_file, capsys):
+        out = str(tmp_path / "no" / "such" / "dir.json")
+        assert main(["optimize", dist_file, "--n-tau", "1", "--out", out]) == 1
+        assert_one_error_line(capsys, out)
+
+
+class TestParserReuse:
+    def test_one_parser_and_no_carried_attributes(self, dist_file, strategy_file, monkeypatch, capsys):
+        import lpreset.cli as cli
+
+        parser = cli._parser()
+        assert cli._parser() is parser
+        parsed = []
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+        first = ["optimize", dist_file, "--n-tau", "1", "--a", "2.5", "--mode", "full-coverage"]
+        second = ["eval", dist_file, strategy_file]
+        assert main(first) == 0
+        assert main(second) == 0
+        assert cli._parser() is parser
+        assert [vars(ns) for ns in parsed] == [
+            vars(cli.build_parser().parse_args(argv)) for argv in (first, second)
+        ]
+        assert not {"a", "kappa", "ell", "n_tau", "tau_mass"} & set(vars(parsed[1]))
+        assert parsed[1].mode == MODE_STRICT
+
+    @pytest.mark.parametrize(
+        "argv", [["fit", "x"], ["simulate", "x", "y"], ["backtest", "x", "y"]]
+    )
+    def test_mode_flag_only_where_it_matters(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv + ["--mode", "full-coverage"])
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def malformed_documents():
+    """Strategy documents that must be refused: one bad field each."""
+    valid = [
+        {"kind": "uniform", "n_tau": 1, "n_alpha": 1},
+        {"kind": "proportional", "tau_mass": 0.5, "alpha_mass": 0.9},
+        {"kind": "optimal", "n_tau": 1, "params": {"a": 0.5}},
+        {"kind": "custom", "n_tau": 0, "n_alpha": 1, "weights": [0.2, 0.5, 0.3]},
+    ]
+    bad_values = st.one_of(
+        st.text(max_size=3),
+        st.lists(st.integers(-2, 2), max_size=2),
+        st.fixed_dictionaries({"a": st.one_of(st.text(max_size=3), st.none())}),
+        st.none(),
+        st.sampled_from([math.nan, math.inf, -math.inf, -1, 1.5, True, ["0.5"]]),
+    )
+
+    @st.composite
+    def one_bad_field(draw):
+        doc = dict(draw(st.sampled_from(valid)))
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(bad_values)
+        return doc
+
+    return st.one_of(
+        one_bad_field(),
+        st.lists(st.integers(), max_size=2),
+        st.text(max_size=3),
+        st.none(),
+        st.integers(),
+    )
+
+
+class TestMalformedStrategyDocuments:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "uniform", "n_tau": "x", "n_alpha": 1},
+            {"kind": "custom", "n_tau": 0, "n_alpha": 1, "weights": "ab"},
+            {"kind": "proportional", "tau_mass": "z", "alpha_mass": 0.9},
+            [{"kind": "uniform", "n_tau": 1, "n_alpha": 1}],
+            {"kind": "uniform", "n_tau": 1, "n_alpha": 1, "params": {"a": "q"}},
+            {"kind": "uniform", "n_tau": 1, "n_alpha": 1, "params": "q"},
+            {"kind": "uniform", "n_tau": 1, "tau_mass": 0.5, "n_alpha": 1},
+            {"kind": "custom", "n_tau": 0, "n_alpha": 0, "weights": [math.nan]},
+        ],
+    )
+    def test_named_cases(self, doc, dist_file, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", dist_file, str(path)]) == 1
+        assert_one_error_line(capsys)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=malformed_documents())
+    def test_fuzz_is_one_error_line(self, doc, dist_file, tmp_path_factory, capsys):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", dist_file, str(path)]) == 1
+        assert_one_error_line(capsys)

@@ -1,3 +1,6 @@
+import time
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -182,3 +185,32 @@ class TestSeriesAndIO:
         loaded = NextPriceDistribution.load(str(path))
         assert loaded.k_max == eth_dist.k_max
         np.testing.assert_array_equal(loaded.probs, eth_dist.probs)
+
+
+@pytest.fixture
+def set_tz(monkeypatch):
+    """Switch the process's local time zone for one test."""
+
+    def set_zone(zone):
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+@pytest.mark.parametrize("zone", ["UTC", "America/New_York", "Asia/Kolkata"])
+def test_naive_iso_timestamps_are_utc_in_any_local_zone(zone, set_tz, tmp_path):
+    # 02:xx on 2021-03-14 does not exist in New York (clocks jump to 03:00)
+    p = tmp_path / "dst.csv"
+    p.write_text(
+        "timestamp,price\n2021-03-14T02:40:00,100\n2021-03-14T02:50:00,101\n"
+        "2021-03-14T03:00:00,102\n2021-03-14T03:10:00,101\n"
+    )
+    set_tz(zone)
+    start = datetime(2021, 3, 14, 2, 40, tzinfo=timezone.utc).timestamp()
+    assert load_price_csv(str(p)).timestamps.tolist() == [start + 600 * i for i in range(4)]
+    # an explicit offset is kept
+    p.write_text("timestamp,price\n2021-03-14T02:40:00-05:00,100\n2021-03-14T02:50:00-05:00,101\n")
+    assert load_price_csv(str(p)).timestamps[0] == start + 5 * 3600

@@ -3,13 +3,10 @@ import pytest
 
 from lpreset import (
     InputError,
-    RangeError,
     build_reset_chain,
     landing_distribution,
     outcome_matrix,
-    reset_prob,
     stationary_distribution,
-    transition_prob,
 )
 from lpreset.markov import landing_over
 
@@ -22,30 +19,33 @@ def power_iteration(M, iters=10_000):
     return p / p.sum()
 
 
+def reset_probs(dist, n_tau):
+    """g(i) = 1 - sum_{j in B_tau} f(i, j) for i in B_tau."""
+    return 1.0 - outcome_matrix(dist, n_tau, n_tau).O.sum(axis=1)
+
+
 class TestTransitionProb:
     def test_toy_one_step(self, toy_dist):
-        assert transition_prob(toy_dist, 0, 1) == pytest.approx(1 / 3)
+        # f(0, 1): row i = 0, column j = 1 of the in-window block
+        assert outcome_matrix(toy_dist, 1, 1).O[1, 2] == pytest.approx(1 / 3)
 
     def test_outside_support_is_zero(self, toy_dist):
-        assert transition_prob(toy_dist, 0, toy_dist.k_max + 1) == 0.0
+        k = toy_dist.k_max + 1
+        assert outcome_matrix(toy_dist, 0, k).O[0, 2 * k] == 0.0
 
     def test_two_bin_move_has_no_mass(self, toy_dist):
-        assert transition_prob(toy_dist, -1, 1) == 0.0
+        assert build_reset_chain(toy_dist, 1).M[0, 2] == 0.0
 
 
 class TestResetProb:
     def test_center_never_resets(self, toy_dist):
-        assert reset_prob(toy_dist, 1, 0) == 0.0
+        assert reset_probs(toy_dist, 1)[1] == 0.0
 
     def test_outer_bin_resets_one_third(self, toy_dist):
-        assert reset_prob(toy_dist, 1, 1) == pytest.approx(1 / 3)
+        assert reset_probs(toy_dist, 1)[2] == pytest.approx(1 / 3)
 
     def test_single_bin_window(self, toy_dist):
-        assert reset_prob(toy_dist, 0, 0) == pytest.approx(2 / 3)
-
-    def test_outside_window_raises(self, toy_dist):
-        with pytest.raises(RangeError):
-            reset_prob(toy_dist, 1, 2)
+        assert reset_probs(toy_dist, 0)[0] == pytest.approx(2 / 3)
 
 
 class TestResetChain:

@@ -6,9 +6,8 @@ from lpreset import (
     InputError,
     NextPriceDistribution,
     UtilityParams,
-    build_reset_chain,
     expected_utility,
-    reset_prob,
+    landing_law,
     run_strategy,
     sample_path,
     uniform_strategy,
@@ -76,11 +75,7 @@ class TestRunStrategy:
         spec = uniform_strategy(eth_dist, n_tau, 4, params)
         path = sample_path(eth_dist, 50_000, seed=21)
         report = run_strategy(path, spec, seed=21)
-        chain = build_reset_chain(eth_dist, n_tau)
-        expected_rate = sum(
-            chain.stationary[idx] * reset_prob(eth_dist, n_tau, i)
-            for idx, i in enumerate(range(-n_tau, n_tau + 1))
-        )
+        expected_rate = 1.0 / landing_law(eth_dist, n_tau).cycle_length
         observed = report.resets / report.steps
         se = np.sqrt(expected_rate * (1 - expected_rate) / report.steps)
         assert abs(observed - expected_rate) <= 3 * se

@@ -16,6 +16,11 @@ from lpreset.strategies import StrategySpec
 
 
 class TestWindowForMass:
+    def test_full_mass_when_the_rounded_sum_falls_short(self):
+        # summed from the center outwards these probabilities give 1 - 1 ulp
+        d = NextPriceDistribution(2, np.array([19.0, 7.0, 13.0, 19.0, 13.0]) / 71.0, 1.0)
+        assert window_for_mass(d, 1.0) == 2
+
     def test_toy_half_mass(self, toy_dist):
         assert window_for_mass(toy_dist, 0.5) == 1
 
@@ -162,6 +167,11 @@ class TestStrategySpecIO:
         assert back.kind == "proportional"
         assert back.n_tau == 2
         np.testing.assert_array_equal(back.allocation.weights, spec.allocation.weights)
+
+    @pytest.mark.parametrize("doc", [[1], "n_alpha", 3, None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(InputError, match="must be an object"):
+            StrategySpec.from_json_dict(doc)
 
     def test_mismatched_alpha_rejected(self, neutral_params):
         from lpreset import Allocation
