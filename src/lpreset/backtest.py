@@ -93,7 +93,6 @@ def replay(
     spec: StrategySpec,
     grid: BinGrid,
     collect_band: bool = False,
-    compare_v2: bool = True,
 ) -> BacktestReport:
     """Drive the tau-reset semantics with realized price moves.
 
@@ -133,10 +132,8 @@ def replay(
         )
 
     mean = float(utilities.mean())
-    v2_mean = (
-        v2_baseline(series, grid, params, apply_shift=False) if compare_v2 else math.nan
-    )
-    ratio = mean / v2_mean if compare_v2 and v2_mean != 0.0 else math.nan
+    v2_mean = v2_baseline(series, grid, params, apply_shift=False)
+    ratio = mean / v2_mean if v2_mean != 0.0 else math.nan  # u may underflow to 0
     return BacktestReport(
         steps=len(js),
         resets=int(np.count_nonzero(resets)),

@@ -44,11 +44,12 @@ class BinGrid:
     def from_price_range(
         cls, low: float, high: float, step: float, anchor: float | None = None
     ) -> "BinGrid":
-        """Build the smallest grid covering [low, high].
+        """Build a grid covering [low, high].
 
         ``anchor`` fixes the left edge of bin 0 (defaults to ``low``). The
-        floor of the log ratio can start the grid one bin above a ``low``
-        just under an edge, so the first bin is checked against ``_edge``.
+        floor of the log ratio can put an end one bin off near an edge, so
+        both ends are checked against ``_edge`` and widened where they miss.
+        Only a ``high`` just under an edge gets one bin more than it needs.
         """
         if low <= 0 or high < low:
             raise RangeError(f"invalid price range [{low}, {high}]")
@@ -57,10 +58,10 @@ class BinGrid:
         base = math.log1p(step)
         lo = math.floor(math.log(low / anchor) / base)
         hi = math.floor(math.log(high / anchor) / base)
-        grid = cls(reference_price=anchor, step=step, index_range=(lo, hi))
-        if low < grid._edge(lo):
-            return cls(reference_price=anchor, step=step, index_range=(lo - 1, hi))
-        return grid
+        edge = cls(reference_price=anchor, step=step, index_range=(lo, hi))._edge
+        lo -= low < edge(lo)
+        hi += high >= edge(hi + 1)
+        return cls(reference_price=anchor, step=step, index_range=(lo, hi))
 
     @property
     def n_bins(self) -> int:

@@ -2,7 +2,9 @@
 
 Every command writes deterministic JSON (sorted keys) or CSV so reruns with
 identical inputs and seeds are byte-identical. Figures are plotted from
-these artifacts by external tooling; no images are emitted here.
+these artifacts by external tooling; no images are emitted here. Strategy
+documents are read by ``strategies.load_strategy``; this module only maps
+arguments to library calls and errors to one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,29 +25,20 @@ from .distribution import (
     fit_distribution,
     load_price_csv,
     percent_changes,
-    read_json,
 )
 from .errors import InputError, LpresetError
 from .markov import landing_law
 from .simulate import run_strategy, sample_path
 from .strategies import (
-    StrategySpec,
-    doc_field,
+    load_strategy,
     optimal_strategy,
     proportional_strategy,
     uniform_strategy,
     window_for_mass,
 )
-from .utility import (
-    MODE_FULL,
-    MODE_STRICT,
-    UtilityParams,
-    expected_utility,
-    json_count,
-    json_number,
-)
+from .utility import MODE_FULL, MODE_STRICT, UtilityParams, expected_utility
 
-__all__ = ["main", "resolve_strategy"]
+__all__ = ["main"]
 
 
 def _emit(text: str, out: str | None, quiet: bool) -> None:
@@ -62,45 +55,6 @@ def _emit_json(doc: dict, out: str | None, quiet: bool) -> None:
 
 def _params_from_args(args: argparse.Namespace) -> UtilityParams:
     return UtilityParams(a=args.a, kappa=args.kappa, ell=args.ell)
-
-
-def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
-    """Turn a strategy document into a concrete spec.
-
-    Documents either carry explicit ``weights`` or a constructor form
-    (kind plus window parameters) resolved against the distribution.
-    """
-    if not isinstance(doc, dict):
-        raise InputError(f"strategy document must be an object, got {doc!r}")
-    if "weights" in doc:
-        return StrategySpec.from_json_dict(doc)
-    params = UtilityParams.from_json_dict(doc.get("params", {}))
-    kind = doc.get("kind")
-    if kind not in ("uniform", "proportional", "optimal"):
-        raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
-    n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
-    if kind == "optimal":
-        return optimal_strategy(dist, n_tau, params)[0]
-    n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass")
-    if kind == "uniform":
-        return uniform_strategy(dist, n_tau, n_alpha, params)
-    return proportional_strategy(dist, params, n_tau=n_tau, n_alpha=n_alpha)
-
-
-def _window_field(
-    doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str
-) -> int:
-    if count_key in doc and mass_key in doc:
-        raise InputError(f"strategy document gives both {count_key} and {mass_key}")
-    if count_key in doc:
-        return doc_field(doc, count_key, json_count)
-    if mass_key in doc:
-        return window_for_mass(dist, doc_field(doc, mass_key, json_number))
-    raise InputError(f"strategy document needs {count_key} or {mass_key}")
-
-
-def _load_strategy(path: str, dist: NextPriceDistribution) -> StrategySpec:
-    return resolve_strategy(read_json(path), dist)
 
 
 # ---------------------------------------------------------------- commands
@@ -120,7 +74,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     dist = NextPriceDistribution.load(args.distribution)
-    spec = _load_strategy(args.strategy, dist)
+    spec = load_strategy(args.strategy, dist)
     value = expected_utility(dist, spec.n_tau, spec.allocation, spec.params, args.mode)
     _emit_json(
         {
@@ -170,7 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             optimal = optimal_strategy(dist, n_tau, params, law=law)[0]
         for n_alpha in n_alphas:
             if strategy == "proportional":
-                spec = proportional_strategy(dist, params, n_tau=n_tau, n_alpha=n_alpha)
+                spec = proportional_strategy(dist, params, n_tau, n_alpha)
             elif strategy == "uniform":
                 spec = uniform_strategy(dist, n_tau, n_alpha, params)
             else:
@@ -195,7 +149,7 @@ def _parse_grid(raw: str | None, typ) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     dist = NextPriceDistribution.load(args.distribution)
-    spec = _load_strategy(args.strategy, dist)
+    spec = load_strategy(args.strategy, dist)
     path = sample_path(dist, args.steps, args.seed)
     report = run_strategy(path, spec, seed=args.seed, trace_out=args.trace_out)
     _emit_json(report.to_json_dict(), args.out, args.quiet)
@@ -212,14 +166,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     dist = fit_distribution(
         percent_changes(series), k_max=args.k_max, bin_width_pct=args.bin_width_pct
     )
-    spec = _load_strategy(args.strategy, dist)
-    report = bt.replay(
-        series,
-        spec,
-        grid,
-        collect_band=args.band_out is not None,
-        compare_v2=args.compare_v2,
-    )
+    spec = load_strategy(args.strategy, dist)
+    report = bt.replay(series, spec, grid, collect_band=args.band_out is not None)
     if args.band_out:
         report.write_band_csv(args.band_out)
     _emit_json(report.to_json_dict(), args.out, args.quiet)
@@ -311,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-anchor", choices=["first", "low"], default="first")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--bin-width-pct", type=float, default=DEFAULT_BIN_WIDTH_PCT)
-    p.add_argument(
-        "--compare-v2", dest="compare_v2", action="store_true", default=True
-    )
-    p.add_argument("--no-compare-v2", dest="compare_v2", action="store_false")
     p.add_argument("--band-out", help="optional band-trace CSV path")
     p.set_defaults(func=cmd_backtest)
     _add_common(p)

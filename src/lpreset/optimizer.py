@@ -223,6 +223,7 @@ def projected_gradient_verify(
         improved = False
         for _ in range(60):
             cand = project_simplex(w + trial_step * grad)
+            cand /= cand.sum()  # a long step's projection drifts off the simplex
             cand_obj = problem.objective(cand)
             if cand_obj > obj:
                 improved = True

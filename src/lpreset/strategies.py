@@ -1,4 +1,18 @@
-"""Construction of uniform, proportional, and optimal tau-reset strategies."""
+"""Strategy documents and the uniform, proportional and optimal tau-reset strategies.
+
+A strategy document is a JSON object in one of two forms:
+
+* the weights form, ``{"kind", "n_tau", "n_alpha", "weights", "params"}``,
+  which ``StrategySpec.save`` writes;
+* the constructor form, ``{"kind": "uniform" | "proportional" | "optimal",
+  ...}``, whose windows are each a count (``n_tau``, ``n_alpha``) or a
+  probability mass (``tau_mass``, ``alpha_mass``) resolved against the
+  next-price distribution by ``window_for_mass``.
+
+``resolve_strategy`` is the one reader of both forms and ``load_strategy``
+reads one from a file; a missing or malformed field is an InputError. The
+constructors take window counts.
+"""
 
 from __future__ import annotations
 
@@ -12,10 +26,12 @@ from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
 from .optimizer import OptimizationProblem, Solution, solve
-from .utility import Allocation, UtilityParams, json_count, json_number
+from .utility import Allocation, UtilityParams
 
 __all__ = [
     "StrategySpec",
+    "resolve_strategy",
+    "load_strategy",
     "window_for_mass",
     "uniform_strategy",
     "proportional_strategy",
@@ -54,28 +70,67 @@ class StrategySpec:
             "params": self.params.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "StrategySpec":
-        if not isinstance(doc, dict):
-            raise InputError(f"strategy document must be an object, got {doc!r}")
-        n_alpha = doc_field(doc, "n_alpha", json_count)
-        weights = doc_field(doc, "weights", lambda ws: [json_number(w) for w in ws])
-        return cls(
-            kind=doc.get("kind", "custom"),
-            n_tau=doc_field(doc, "n_tau", json_count),
-            n_alpha=n_alpha,
-            allocation=Allocation(n_alpha=n_alpha, weights=np.array(weights)),
-            params=UtilityParams.from_json_dict(doc.get("params", {})),
-        )
-
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path: str) -> "StrategySpec":
-        return cls.from_json_dict(read_json(path))
+
+def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
+    """Turn a strategy document of either form into a concrete spec.
+
+    A document with ``weights`` is taken as it stands; a constructor form is
+    resolved against ``dist``.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"strategy document must be an object, got {doc!r}")
+    params = _params(doc.get("params", {}))
+    if "weights" in doc:
+        n_alpha = doc_field(doc, "n_alpha", json_count)
+        weights = doc_field(doc, "weights", lambda ws: [json_number(w) for w in ws])
+        return StrategySpec(
+            kind=doc.get("kind", "custom"),
+            n_tau=doc_field(doc, "n_tau", json_count),
+            n_alpha=n_alpha,
+            allocation=Allocation(n_alpha=n_alpha, weights=np.array(weights)),
+            params=params,
+        )
+    kind = doc.get("kind")
+    if kind not in ("uniform", "proportional", "optimal"):
+        raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
+    n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
+    if kind == "optimal":
+        return optimal_strategy(dist, n_tau, params)[0]
+    n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass")
+    if kind == "uniform":
+        return uniform_strategy(dist, n_tau, n_alpha, params)
+    return proportional_strategy(dist, params, n_tau, n_alpha)
+
+
+def load_strategy(path: str, dist: NextPriceDistribution) -> StrategySpec:
+    """``resolve_strategy`` of the document in the JSON file ``path``."""
+    return resolve_strategy(read_json(path), dist)
+
+
+def _params(doc: dict) -> UtilityParams:
+    """A document's ``params`` as UtilityParams; absent fields keep their defaults."""
+    if not isinstance(doc, dict):
+        raise InputError(f"params must be an object, got {doc!r}")
+    given = [k for k in ("a", "kappa", "ell") if k in doc]
+    return UtilityParams(**{k: doc_field(doc, k, json_number) for k in given})
+
+
+def _window_field(
+    doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str
+) -> int:
+    """A window half-width, given in ``doc`` as a count or as a probability mass."""
+    if count_key in doc and mass_key in doc:
+        raise InputError(f"strategy document gives both {count_key} and {mass_key}")
+    if count_key in doc:
+        return doc_field(doc, count_key, json_count)
+    if mass_key in doc:
+        return window_for_mass(dist, doc_field(doc, mass_key, json_number))
+    raise InputError(f"strategy document needs {count_key} or {mass_key}")
 
 
 def doc_field(doc: dict, key: str, convert):
@@ -86,6 +141,20 @@ def doc_field(doc: dict, key: str, convert):
         return convert(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"strategy field {key!r}: bad value {doc[key]!r}") from exc
+
+
+def json_number(value) -> float:
+    """A JSON number as a float; a string or a bool is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def json_count(value) -> int:
+    """A JSON number with a whole value, as an int."""
+    if not json_number(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def window_for_mass(dist: NextPriceDistribution, mass: float) -> int:
@@ -123,26 +192,14 @@ def uniform_strategy(
 def proportional_strategy(
     dist: NextPriceDistribution,
     params: UtilityParams,
-    tau_mass: float | None = None,
-    alpha_mass: float | None = None,
-    n_tau: int | None = None,
-    n_alpha: int | None = None,
+    n_tau: int,
+    n_alpha: int,
 ) -> StrategySpec:
     """A(j) proportional to h(j), renormalized over B_alpha.
 
-    Windows may be given either as probability masses (tau_mass, alpha_mass)
-    or directly as half-widths (n_tau, n_alpha); alpha may be wider or
-    narrower than tau.
+    alpha may be wider or narrower than tau; a window given as a probability
+    mass is ``window_for_mass(dist, mass)``.
     """
-    if (tau_mass is None) == (n_tau is None):
-        raise InputError("specify exactly one of tau_mass or n_tau")
-    if (alpha_mass is None) == (n_alpha is None):
-        raise InputError("specify exactly one of alpha_mass or n_alpha")
-    if tau_mass is not None:
-        n_tau = window_for_mass(dist, tau_mass)
-    if alpha_mass is not None:
-        n_alpha = window_for_mass(dist, alpha_mass)
-    assert n_tau is not None and n_alpha is not None
     ks = np.arange(-n_alpha, n_alpha + 1)
     raw = dist.prob_array(ks)
     total = raw.sum()

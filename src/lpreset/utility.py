@@ -4,7 +4,8 @@ Reward of landing in relative bin j: kappa * ell * A(j), minus the fixed
 reset fee of 1 whenever j is outside B_tau. Utilities are evaluated on
 rewards shifted by +1 when a != 0 (the exponential form needs positive
 inputs); at a = 0 the utility is the raw reward, which reproduces the
-worked 5/18 example exactly.
+worked 5/18 example exactly. This module reads no documents: strategy
+documents, with their parameters and weights, are read in ``strategies``.
 
 Two evaluation modes:
 
@@ -45,20 +46,6 @@ _MODES = (MODE_STRICT, MODE_FULL)
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard
 
 
-def json_number(value) -> float:
-    """A JSON number as a float; a string or a bool is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def json_count(value) -> int:
-    """A JSON number with a whole value, as an int."""
-    if not json_number(value).is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class UtilityParams:
     """Risk aversion a, fee yield kappa per unit liquidity per step, total liquidity ell.
@@ -85,19 +72,6 @@ class UtilityParams:
 
     def to_json_dict(self) -> dict:
         return {"a": float(self.a), "kappa": float(self.kappa), "ell": float(self.ell)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "UtilityParams":
-        if not isinstance(doc, dict):
-            raise InputError(f"params must be an object, got {doc!r}")
-        try:
-            return cls(
-                a=json_number(doc.get("a", 0.0)),
-                kappa=json_number(doc.get("kappa", 1.0)),
-                ell=json_number(doc.get("ell", 100.0)),
-            )
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"bad params {doc!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -133,19 +107,6 @@ class Allocation:
         inside = np.abs(js) <= self.n_alpha
         out[inside] = self.weights[js[inside] + self.n_alpha]
         return out
-
-    def to_json_dict(self) -> dict:
-        return {"n_alpha": int(self.n_alpha), "weights": [float(w) for w in self.weights]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Allocation":
-        try:
-            return cls(
-                n_alpha=int(doc["n_alpha"]),
-                weights=np.asarray(doc["weights"], dtype=float),
-            )
-        except KeyError as exc:
-            raise InputError(f"allocation document missing field {exc}") from exc
 
 
 def exp_utility(c: float, params: UtilityParams) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from lpreset import NextPriceDistribution, UtilityParams
 
@@ -38,6 +39,22 @@ def make_eth_like(
     return NextPriceDistribution(
         k_max=k_max, probs=probs, bin_width_pct=6.0 / 128.0
     )
+
+
+@st.composite
+def dists(draw, max_k=8):
+    """Random h, with exact zero bins."""
+    k_max = draw(st.integers(1, max_k))
+    raw = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+            min_size=2 * k_max + 1,
+            max_size=2 * k_max + 1,
+        )
+    )
+    assume(sum(raw) > 0.0)
+    probs = np.array(raw) / sum(raw)
+    return NextPriceDistribution(k_max=k_max, probs=probs, bin_width_pct=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -154,10 +154,3 @@ class TestCompare:
         assert report.ratio == pytest.approx(
             report.mean_utility_per_step / report.v2_mean_utility_per_step
         )
-
-    def test_requires_baseline(self, toy_dist):
-        params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
-        series = series_from_prices([100.0, 101.5, 100.0])
-        report = replay(series, spec, grid_for(series), compare_v2=False)
-        assert math.isnan(report.ratio)

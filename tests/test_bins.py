@@ -136,3 +136,19 @@ def test_from_price_range_covers_low_one_ulp_below_an_edge():
         inside = 100.0 * 1.01 ** (k + 0.5)
         g = BinGrid.from_price_range(inside, inside * 2.0, 0.01, anchor=100.0)
         assert g.index_range[0] == k
+
+
+def test_from_price_range_covers_high_on_or_one_ulp_above_an_edge():
+    # the floor of the log ratio used to end the grid at bin k - 1, one bin
+    # below such a high, for 381 of these 800 cases; a high inside a bin
+    # still ends the grid at that bin
+    for k in range(-200, 200):
+        edge = 100.0 * 1.01**k
+        for high in (edge, math.nextafter(edge, math.inf)):
+            g = BinGrid.from_price_range(100.0 * 1.01 ** (k - 3), high, 0.01, anchor=100.0)
+            assert g.covered_span()[1] > high
+            assert g.index_range[1] == k
+            assert g.price_to_bin(high) == k
+        inside = 100.0 * 1.01 ** (k + 0.5)
+        g = BinGrid.from_price_range(inside / 2.0, inside, 0.01, anchor=100.0)
+        assert g.index_range[1] == k

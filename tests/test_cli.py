@@ -17,7 +17,8 @@ from lpreset import (
     sample_path,
     uniform_strategy,
 )
-from lpreset.cli import main, resolve_strategy
+from lpreset.cli import main
+from lpreset.strategies import resolve_strategy
 
 from conftest import write_price_csv
 
@@ -264,16 +265,6 @@ class TestBacktest:
         assert doc["steps"] == 5
         assert doc["grid_bins"] == 6  # bins -4 .. 1
 
-    def test_no_compare_flag(self, tmp_path, strategy_file, capsys):
-        csv_path, strat = self.make_inputs(tmp_path, strategy_file)
-        code = main(
-            ["backtest", csv_path, strat, "--bin-width-pct", "0.5", "--no-compare-v2"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert np.isnan(doc["ratio"])
-
-
 class TestErrorHandling:
     def test_domain_error_is_one_line_and_nonzero(self, dist_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -398,6 +389,12 @@ class TestParserReuse:
         with pytest.raises(SystemExit):
             main(argv + ["--mode", "full-coverage"])
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--compare-v2", "--no-compare-v2"])
+    def test_backtest_always_compares_with_v2(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["backtest", "x", "y", flag])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def malformed_documents():

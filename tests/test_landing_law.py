@@ -36,7 +36,7 @@ from lpreset import (
 from lpreset.simulate import execute
 from lpreset.utility import exp_utility_vec, landing_rewards
 
-from conftest import make_eth_like
+from conftest import dists, make_eth_like
 
 SOLVE_TOL = 1e-10  # solve()'s default KKT tolerance
 
@@ -102,22 +102,6 @@ def reference_water_filling(problem):
             hi = mid
     w = weights_at(0.5 * (lo + hi))
     return w / w.sum()
-
-
-@st.composite
-def dists(draw, max_k=8):
-    """Random h, with exact zero bins."""
-    k_max = draw(st.integers(1, max_k))
-    raw = draw(
-        st.lists(
-            st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
-            min_size=2 * k_max + 1,
-            max_size=2 * k_max + 1,
-        )
-    )
-    assume(sum(raw) > 0.0)
-    probs = np.array(raw) / sum(raw)
-    return NextPriceDistribution(k_max=k_max, probs=probs, bin_width_pct=1.0)
 
 
 def no_move(dist):

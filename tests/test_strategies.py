@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpreset import (
     MODE_FULL,
@@ -12,7 +15,9 @@ from lpreset import (
     uniform_strategy,
     window_for_mass,
 )
-from lpreset.strategies import StrategySpec
+from lpreset.strategies import StrategySpec, load_strategy, resolve_strategy
+
+from conftest import dists
 
 
 class TestWindowForMass:
@@ -73,15 +78,13 @@ class TestProportionalStrategy:
         np.testing.assert_allclose(spec.allocation.weights, [0.25, 0.5, 0.25])
 
     def test_mass_windows_nest_when_alpha_larger(self, eth_dist, neutral_params):
-        spec = proportional_strategy(
-            eth_dist, neutral_params, tau_mass=0.5, alpha_mass=0.9
-        )
+        n_tau, n_alpha = window_for_mass(eth_dist, 0.5), window_for_mass(eth_dist, 0.9)
+        spec = proportional_strategy(eth_dist, neutral_params, n_tau, n_alpha)
         assert spec.n_tau < spec.n_alpha
 
     def test_alpha_narrower_than_tau_supported(self, eth_dist, neutral_params):
-        spec = proportional_strategy(
-            eth_dist, neutral_params, tau_mass=0.9, alpha_mass=0.5
-        )
+        n_tau, n_alpha = window_for_mass(eth_dist, 0.9), window_for_mass(eth_dist, 0.5)
+        spec = proportional_strategy(eth_dist, neutral_params, n_tau, n_alpha)
         assert spec.n_alpha < spec.n_tau
 
     def test_scale_free_in_h(self, eth_dist, neutral_params):
@@ -89,14 +92,6 @@ class TestProportionalStrategy:
         spec = proportional_strategy(eth_dist, neutral_params, n_tau=2, n_alpha=4)
         raw = eth_dist.prob_array(np.arange(-4, 5))
         np.testing.assert_array_equal(spec.allocation.weights, raw / raw.sum())
-
-    def test_parameterization_is_exclusive(self, eth_dist, neutral_params):
-        with pytest.raises(InputError):
-            proportional_strategy(
-                eth_dist, neutral_params, tau_mass=0.5, n_tau=1, n_alpha=1
-            )
-        with pytest.raises(InputError):
-            proportional_strategy(eth_dist, neutral_params, n_tau=1)
 
 
 class TestOptimalStrategy:
@@ -133,9 +128,8 @@ class TestOptimalStrategy:
         e_uni = expected_utility(eth_dist, n_tau, uni.allocation, params, MODE_FULL)
         best_prop = -np.inf
         for alpha_mass in (0.2, 0.5, 0.8, 0.99):
-            prop = proportional_strategy(
-                eth_dist, params, n_tau=n_tau, alpha_mass=alpha_mass
-            )
+            n_alpha = window_for_mass(eth_dist, alpha_mass)
+            prop = proportional_strategy(eth_dist, params, n_tau, n_alpha)
             best_prop = max(
                 best_prop,
                 expected_utility(eth_dist, n_tau, prop.allocation, params, MODE_FULL),
@@ -149,7 +143,9 @@ class TestSimplexInvariant:
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
         specs = [
             uniform_strategy(eth_dist, 2, 5, params),
-            proportional_strategy(eth_dist, params, tau_mass=0.5, alpha_mass=0.9),
+            proportional_strategy(
+                eth_dist, params, window_for_mass(eth_dist, 0.5), window_for_mass(eth_dist, 0.9)
+            ),
             optimal_strategy(eth_dist, 2, params)[0],
         ]
         for spec in specs:
@@ -163,15 +159,15 @@ class TestStrategySpecIO:
         spec = proportional_strategy(eth_dist, neutral_params, n_tau=2, n_alpha=3)
         path = tmp_path / "spec.json"
         spec.save(str(path))
-        back = StrategySpec.load(str(path))
+        back = load_strategy(str(path), eth_dist)
         assert back.kind == "proportional"
         assert back.n_tau == 2
         np.testing.assert_array_equal(back.allocation.weights, spec.allocation.weights)
 
     @pytest.mark.parametrize("doc", [[1], "n_alpha", 3, None])
-    def test_document_that_is_not_an_object_rejected(self, doc):
+    def test_document_that_is_not_an_object_rejected(self, doc, toy_dist):
         with pytest.raises(InputError, match="must be an object"):
-            StrategySpec.from_json_dict(doc)
+            resolve_strategy(doc, toy_dist)
 
     def test_mismatched_alpha_rejected(self, neutral_params):
         from lpreset import Allocation
@@ -184,3 +180,72 @@ class TestStrategySpecIO:
                 allocation=Allocation(1, np.array([0.0, 1.0, 0.0])),
                 params=neutral_params,
             )
+
+
+def assert_same_spec(got, want):
+    assert (got.kind, got.n_tau, got.n_alpha, got.params) == (
+        want.kind, want.n_tau, want.n_alpha, want.params
+    )
+    assert np.array_equal(got.allocation.weights, want.allocation.weights)
+
+
+# a window is a count or a probability mass
+WINDOWS = st.one_of(st.integers(0, 10), st.floats(0.01, 1.0))
+PARAMS = st.builds(
+    UtilityParams,
+    a=st.sampled_from([0.0, 0.1, 15.0]),
+    kappa=st.floats(0.1, 10.0),
+    ell=st.floats(0.01, 1e4),
+)
+
+
+class TestDocumentProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(dist=dists(), kind=st.sampled_from(["uniform", "proportional", "optimal"]),
+           tau=WINDOWS, alpha=WINDOWS, params=PARAMS)
+    def test_constructor_form_is_the_constructor_at_window_for_mass(
+        self, dist, kind, tau, alpha, params
+    ):
+        doc = {"kind": kind, "params": params.to_json_dict()}
+
+        def window(count_key, mass_key, value):
+            if isinstance(value, int):
+                doc[count_key] = value
+                return value
+            doc[mass_key] = value
+            return window_for_mass(dist, value)
+
+        n_tau = window("n_tau", "tau_mass", tau)
+        doc = json.loads(json.dumps(doc))  # as read from a file
+        if kind == "optimal":
+            want = optimal_strategy(dist, n_tau, params)[0]
+        else:
+            n_alpha = window("n_alpha", "alpha_mass", alpha)
+            if kind == "uniform":
+                want = uniform_strategy(dist, n_tau, n_alpha, params)
+            elif dist.prob_array(np.arange(-n_alpha, n_alpha + 1)).sum() > 0.0:
+                want = proportional_strategy(dist, params, n_tau, n_alpha)
+            else:  # h has no mass over B_alpha
+                with pytest.raises(InputError):
+                    resolve_strategy(doc, dist)
+                return
+        assert_same_spec(resolve_strategy(doc, dist), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=dists(), kind=st.sampled_from(["uniform", "proportional", "optimal"]),
+           n_tau=st.integers(0, 10), n_alpha=st.integers(0, 10), params=PARAMS)
+    def test_save_then_load_is_the_same_spec(
+        self, dist, kind, n_tau, n_alpha, params, tmp_path_factory
+    ):
+        if kind == "optimal":
+            spec = optimal_strategy(dist, n_tau, params)[0]
+        elif kind == "uniform":
+            spec = uniform_strategy(dist, n_tau, n_alpha, params)
+        else:
+            try:
+                spec = proportional_strategy(dist, params, n_tau, n_alpha)
+            except InputError:  # h has no mass over B_alpha
+                return
+        path = str(tmp_path_factory.mktemp("spec") / "spec.json")
+        spec.save(path)
+        assert_same_spec(load_strategy(path, dist), spec)

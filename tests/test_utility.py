@@ -181,9 +181,3 @@ class TestAllocation:
     def test_overfull_rejected(self):
         with pytest.raises(InputError):
             Allocation(1, np.array([0.5, 0.6, 0.5]))
-
-    def test_json_round_trip(self):
-        alloc = Allocation(2, np.array([0.1, 0.2, 0.4, 0.2, 0.1]))
-        doc = alloc.to_json_dict()
-        back = Allocation.from_json_dict(doc)
-        np.testing.assert_array_equal(back.weights, alloc.weights)

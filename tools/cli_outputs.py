@@ -1,0 +1,160 @@
+"""Byte-identity check of the ``lpreset`` CLI: fixed commands, all outputs in one directory.
+
+    python3 tools/cli_outputs.py --src OLD/src --inputs IN --out out_old --seed 7
+    python3 tools/cli_outputs.py --src src --inputs IN --out out_new --seed 7
+    diff -r out_old out_new    # empty: no output byte moved
+
+When ``--inputs`` does not exist yet it is built from ``--seed`` with this
+checkout's ``perfbench/gen.py``, which fits with this checkout's ``lpreset
+fit``: two fitted distributions, one 10,000-row price CSV, and the strategy
+documents below. Later runs reuse the directory, so every tree reads the
+same files. The commands then run in one child process with ``--src`` as
+its PYTHONPATH and the BLAS threads pinned to 1; each writes its output
+with ``--out`` (and ``--trace-out``/``--band-out``) under ``--out``, and
+``exit_codes.txt`` lists each command with its exit code.
+
+The command set: ``fit`` (two settings), ``optimize`` (count and mass),
+``sweep`` (proportional, uniform, optimal and a mass grid), and ``eval`` in
+both modes, ``simulate --trace-out`` and ``backtest --band-out`` with both
+grid anchors for every strategy document. The documents are the
+constructor form with counts, the constructor form with masses and the
+weights form, each at risk aversion a in {0, 0.1, 15}.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+RISKS = (0.0, 0.1, 15.0)
+DOCUMENTS = {
+    "uniform_count": {"kind": "uniform", "n_tau": 2, "n_alpha": 5},
+    "proportional_count": {"kind": "proportional", "n_tau": 3, "n_alpha": 8},
+    "optimal_count": {"kind": "optimal", "n_tau": 4},
+    "uniform_mass": {"kind": "uniform", "tau_mass": 0.3, "alpha_mass": 0.8},
+    "proportional_mass": {"kind": "proportional", "tau_mass": 0.5, "alpha_mass": 0.9},
+    "optimal_mass": {"kind": "optimal", "tau_mass": 0.5},
+    "weights": {"kind": "custom", "n_tau": 1, "n_alpha": 2,
+                "weights": [0.1, 0.2, 0.4, 0.2, 0.1]},
+}
+GRID = ["--n-tau-grid", "0,1,2,4,8", "--n-alpha-grid", "0,1,3,6,12"]
+
+# the child: run every command of the JSON list on stdin through lpreset.cli.main
+CHILD = """
+import json, sys
+import lpreset.cli
+print(lpreset.cli.__file__, file=sys.stderr)
+json.dump([lpreset.cli.main(argv) for argv in json.load(sys.stdin)], sys.stdout)
+"""
+
+
+def child_env(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update({var: "1" for var in THREAD_VARS})
+    return env
+
+
+def build_inputs(inputs: Path, seed: int) -> None:
+    """Distributions and a price CSV from ``perfbench/gen.py``, and the documents."""
+    gen = ROOT / "perfbench" / "gen.py"
+    env = child_env(ROOT / "src")
+    for workload, sub in (("sweep", "dists"), ("backtest", "prices")):
+        subprocess.run(
+            [sys.executable, str(gen), "--workload", workload, "--seed", str(seed),
+             "--count", "2" if workload == "sweep" else "1", "--out", str(inputs / sub)],
+            env=env, check=True,
+        )
+    for name, doc in DOCUMENTS.items():
+        for a in RISKS:
+            path = inputs / "strategies" / f"{name}_a{a:g}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            doc_a = {**doc, "params": {"a": a}}
+            path.write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
+
+
+def commands(inputs: Path, out: Path) -> list[list[str]]:
+    """The fixed command set, with every output under ``out``."""
+    dists = sorted((inputs / "dists").glob("dist_*.json"))
+    prices = sorted((inputs / "prices").glob("prices_*.csv"))
+    docs = sorted((inputs / "strategies").glob("*.json"))
+    cmds = []
+    for csv_path in prices:
+        cmds.append(["fit", str(csv_path), "--out", str(out / f"fit_{csv_path.stem}.json")])
+        cmds.append(["fit", str(csv_path), "--k-max", "16", "--drop-tails",
+                     "--out", str(out / f"fit16_{csv_path.stem}.json")])
+    for dist in dists:
+        for a in map(str, RISKS):
+            tag = f"{dist.stem}_a{a}"
+            cmds += [
+                ["optimize", str(dist), "--n-tau", "3", "--a", a,
+                 "--out", str(out / f"optimize_count_{tag}.json")],
+                ["optimize", str(dist), "--tau-mass", "0.5", "--a", a, "--mode", "full-coverage",
+                 "--out", str(out / f"optimize_mass_{tag}.json")],
+                ["sweep", str(dist), "--strategy", "proportional", *GRID, "--a", a,
+                 "--out", str(out / f"sweep_proportional_{tag}.csv")],
+                ["sweep", str(dist), "--strategy", "uniform", *GRID, "--a", a,
+                 "--mode", "full-coverage", "--out", str(out / f"sweep_uniform_{tag}.csv")],
+                ["sweep", str(dist), "--strategy", "optimal", *GRID, "--a", a,
+                 "--out", str(out / f"sweep_optimal_{tag}.csv")],
+                ["sweep", str(dist), "--tau-mass-grid", "0.2,0.5,0.9,1.0", "--a", a,
+                 "--out", str(out / f"sweep_mass_{tag}.csv")],
+            ]
+        for doc in docs:
+            tag = f"{dist.stem}_{doc.stem}"
+            cmds += [
+                ["eval", str(dist), str(doc), "--out", str(out / f"eval_strict_{tag}.json")],
+                ["eval", str(dist), str(doc), "--mode", "full-coverage",
+                 "--out", str(out / f"eval_full_{tag}.json")],
+                ["simulate", str(dist), str(doc), "--steps", "5000", "--seed", "11",
+                 "--trace-out", str(out / f"trace_{tag}.csv"),
+                 "--out", str(out / f"simulate_{tag}.json")],
+            ]
+    for csv_path in prices:
+        for doc in docs:
+            for anchor in ("first", "low"):
+                tag = f"{csv_path.stem}_{doc.stem}_{anchor}"
+                cmds.append(["backtest", str(csv_path), str(doc), "--grid-anchor", anchor,
+                             "--band-out", str(out / f"band_{tag}.csv"),
+                             "--out", str(out / f"backtest_{tag}.json")])
+    return cmds
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, required=True, help="the tree's src directory")
+    parser.add_argument("--out", type=Path, required=True, help="new directory for the outputs")
+    parser.add_argument("--inputs", type=Path, required=True,
+                        help="input directory, built from --seed when it does not exist")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench/gen.py seed")
+    args = parser.parse_args(argv)
+    src, inputs, out = args.src.resolve(), args.inputs.resolve(), args.out.resolve()
+    if not inputs.exists():
+        build_inputs(inputs, args.seed)
+    out.mkdir(parents=True)
+    cmds = commands(inputs, out)
+    run = subprocess.run(
+        [sys.executable, "-c", CHILD], input=json.dumps(cmds), env=child_env(src),
+        capture_output=True, text=True, check=True,
+    )
+    ran_from = Path(run.stderr.splitlines()[0]).resolve()
+    if src not in ran_from.parents:
+        raise SystemExit(f"cli_outputs: ran {ran_from}, not a module under {src}")
+    codes = json.loads(run.stdout)
+    with open(out / "exit_codes.txt", "w") as fh:
+        for code, argv in zip(codes, cmds):
+            line = " ".join(argv).replace(str(out), "OUT").replace(str(inputs), "IN")
+            fh.write(f"{code} {line}\n")
+    failed = sum(code != 0 for code in codes)
+    print(f"{len(cmds)} commands, {failed} failed, outputs in {out}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
