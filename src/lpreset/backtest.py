@@ -14,9 +14,7 @@ reward-scale utilities the ratio is meaningful for every risk level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +25,30 @@ from .simulate import execute, payoffs
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
 
-__all__ = ["BacktestReport", "replay", "v2_baseline"]
+__all__ = ["Band", "BacktestReport", "replay", "v2_baseline"]
+
+BAND_BLOCK_ROWS = 4096  # band CSV rows formatted and written at once
+
+
+@dataclass(frozen=True, eq=False)
+class Band:
+    """The liquidity band of a replay, as columns.
+
+    Row i is step i + 1, at ``prices[i]``. The rows form runs under one
+    centre: the first run starts at row 0 and every other at a reset, so
+    run r covers rows ``starts[r]`` up to the next start. ``edges`` has one
+    row (alpha_low, alpha_high, tau_low, tau_high) per distinct centre, and
+    run r has the edges ``edges[edge_of_run[r]]``.
+    """
+
+    prices: np.ndarray
+    starts: np.ndarray
+    edge_of_run: np.ndarray
+    edges: np.ndarray
+
+    def edge_of_row(self) -> np.ndarray:
+        """The row of ``edges`` for each row."""
+        return np.repeat(self.edge_of_run, np.diff(self.starts, append=len(self.prices)))
 
 
 @dataclass(frozen=True)
@@ -38,7 +59,16 @@ class BacktestReport:
     v2_mean_utility_per_step: float
     ratio: float
     grid_bins: int
-    band_trace: list | None = None
+    band: Band | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def band_trace(self) -> list | None:
+        """One (step, price, alpha_low, alpha_high, tau_low, tau_high) tuple per step."""
+        band = self.band
+        if band is None:
+            return None
+        edges = band.edges[band.edge_of_row()].T.tolist()
+        return list(zip(range(1, len(band.prices) + 1), band.prices.tolist(), *edges))
 
     def to_json_dict(self) -> dict:
         return {
@@ -51,22 +81,28 @@ class BacktestReport:
         }
 
     def write_band_csv(self, path: str) -> None:
-        """Write the band trace as CSV, with the bytes ``csv.writer`` gives.
+        """Write the band as CSV, with the bytes ``csv.writer`` gives.
 
-        The four band edges change only at a reset, so each run of rows
-        shares them; each distinct edge quadruple is formatted once, and
-        each run is written as it is formatted.
+        The edge columns are formatted once per distinct centre; each row
+        adds its step and price. Rows are written ``BAND_BLOCK_ROWS`` at a
+        time.
         """
-        if self.band_trace is None:
+        band = self.band
+        if band is None:
             raise InputError("replay was run without band collection")
-        tails: dict[tuple, str] = {}
+        tails = [",%r,%r,%r,%r\r\n" % tuple(row) for row in band.edges.tolist()]
+        edge_of_row = band.edge_of_row()
+        n = len(band.prices)
         with open(path, "w", newline="") as fh:
             fh.write("step,price,alpha_low,alpha_high,tau_low,tau_high\r\n")
-            for edges, rows in groupby(self.band_trace, key=itemgetter(2, 3, 4, 5)):
-                tail = tails.get(edges)
-                if tail is None:
-                    tail = tails[edges] = ",%r,%r,%r,%r\r\n" % edges
-                fh.write("".join([f"{row[0]},{row[1]!r}{tail}" for row in rows]))
+            for lo in range(0, n, BAND_BLOCK_ROWS):
+                hi = min(lo + BAND_BLOCK_ROWS, n)
+                rows = zip(
+                    range(lo + 1, hi + 1),
+                    band.prices[lo:hi].tolist(),
+                    edge_of_row[lo:hi].tolist(),
+                )
+                fh.write("".join([f"{step},{price!r}{tails[e]}" for step, price, e in rows]))
 
 
 def v2_baseline(
@@ -111,9 +147,12 @@ def replay(
 
     band = None
     if collect_band:
-        steps = np.arange(1, len(bins))
-        centers = bins[np.maximum.accumulate(np.where(resets, steps, 0))]
-        distinct, which = np.unique(centers, return_inverse=True)
+        first = resets.copy()
+        first[0] = True  # row 0 starts the run under the series' first bin
+        starts = np.flatnonzero(first)
+        # a run that starts at a reset is centred on the bin it reset to
+        centres = bins[starts + resets[starts]]
+        distinct, edge_of_run = np.unique(centres, return_inverse=True)
         # band edges may poke past the grid's covered span near the series
         # extremes, so compute them directly rather than via bin_bounds
         edges = np.array(
@@ -127,9 +166,7 @@ def replay(
                 for c in distinct.tolist()
             ]
         )
-        band = list(
-            zip(steps.tolist(), series.prices[1:].tolist(), *edges[which].T.tolist())
-        )
+        band = Band(series.prices[1:], starts, edge_of_run, edges)
 
     mean = float(utilities.mean())
     v2_mean = v2_baseline(series, grid, params, apply_shift=False)
@@ -141,5 +178,5 @@ def replay(
         v2_mean_utility_per_step=v2_mean,
         ratio=ratio,
         grid_bins=grid.n_bins,
-        band_trace=band,
+        band=band,
     )

@@ -10,11 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from array import array
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,7 +29,9 @@ __all__ = [
 
 DEFAULT_K_MAX = 64
 DEFAULT_BIN_WIDTH_PCT = 6.0 / 128.0  # 129 bins spanning [-3%, 3%]
-CSV_BLOCK_ROWS = 256  # rows held as text at once while reading a price CSV
+# characters on which numpy's reader and ``csv`` + ``float`` could disagree: a
+# quote (csv quoting) and U+001C..U+001F (whitespace to numpy, not to float)
+NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -161,54 +161,71 @@ def _parse_timestamp(raw: str) -> float:
 def load_price_csv(path: str) -> PriceSeries:
     """Read a ``timestamp,price`` CSV (ISO-8601 or epoch-second timestamps).
 
-    The two columns are found by header name, in any order and among other
-    columns; blank lines are skipped. Each column of a block of rows is
-    converted in bulk with ``float``. A block with ISO-8601 timestamps or a
-    bad field takes the row-by-row pass of ``_parse_rows``, which reports
-    the first bad field in file order.
+    The header is read with ``csv``: the two columns are found by name, in
+    any order and among other columns. The data rows go through numpy's C
+    reader in one call; it converts a field with the same
+    ``PyOS_string_to_double`` as ``float``, so an accepted field has the
+    same value. A file it refuses (an ISO-8601 timestamp, a bad or missing
+    field) or whose text could split or convert otherwise under ``csv``
+    (see ``NOT_PLAIN``) takes the row-by-row ``_parse_rows``, which reports
+    the first bad field in file order. Blank lines are skipped either way.
     """
-    timestamps, prices = array("d"), array("d")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = csv.reader(fh)
+        header = next(rows, None)
         if header is None or not {"timestamp", "price"} <= set(header):
             raise InputError(f"{path}: expected header with 'timestamp,price'")
         # a repeated column name means its last column, as in a dict of the row
         column = {name: i for i, name in enumerate(header)}
         ti, pi = column["timestamp"], column["price"]
-        rows = filter(None, reader)  # a blank line reads as []
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            try:
-                block_ts = array("d", map(float, map(itemgetter(ti), block)))
-                block_px = array("d", map(float, map(itemgetter(pi), block)))
-            except (IndexError, ValueError):
-                block_ts, block_px = _parse_rows(path, block, len(prices), ti, pi)
-            timestamps.extend(block_ts)
-            prices.extend(block_px)
-    if len(prices) < 2:
+        data = _read_plain(fh, ti, pi)
+        if data is None:
+            fh.seek(0)
+            rows = filter(None, csv.reader(fh))  # a blank line reads as []
+            next(rows)  # the header
+            data = np.fromiter(_parse_rows(path, rows, ti, pi), dtype=np.float64)
+            data = data.reshape(-1, 2)
+    if len(data) < 2:
         raise InputError(f"{path}: need at least 2 rows")
-    return PriceSeries(np.asarray(timestamps), np.asarray(prices))
+    timestamps, prices = data.T.copy()
+    return PriceSeries(timestamps, prices)
 
 
-def _parse_rows(
-    path: str, rows: list[list[str]], skipped: int, ti: int, pi: int
-) -> tuple[list[float], list[float]]:
-    """Timestamps and prices of ``rows``, parsed one row at a time.
+def _read_plain(fh, ti: int, pi: int) -> np.ndarray | None:
+    """(timestamp, price) rows of the rest of ``fh`` by numpy's reader.
 
-    ``skipped`` counts the data rows before ``rows``, for error messages.
+    None when the reader refuses them or when the text holds one of
+    ``NOT_PLAIN``, which is looked for in bounded chunks.
     """
-    timestamps: list[float] = []
-    prices: list[float] = []
+    try:
+        with warnings.catch_warnings():  # a file without data rows is our error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(
+                fh, delimiter=",", comments=None, usecols=(ti, pi),
+                dtype=np.float64, ndmin=2,
+            )
+    except ValueError:  # UnicodeDecodeError too: the csv pass raises it in order
+        return None
+    fh.seek(0)
+    while chunk := fh.read(1 << 16):
+        if any(map(chunk.__contains__, NOT_PLAIN)):
+            return None
+    return data
+
+
+def _parse_rows(path: str, rows, ti: int, pi: int):
+    """The timestamp, then the price, of each data row, parsed one row at a time."""
     need = max(ti, pi) + 1
-    for n, row in enumerate(rows, start=skipped + 1):
+    for n, row in enumerate(rows, start=1):
         if len(row) < need:
             raise InputError(f"{path}: data row {n} has {len(row)} fields, need {need}")
-        timestamps.append(_parse_timestamp(row[ti]))
+        timestamp = _parse_timestamp(row[ti])
         try:
-            prices.append(float(row[pi]))
+            price = float(row[pi])
         except ValueError as exc:
             raise InputError(f"{path}: bad price {row[pi]!r}") from exc
-    return timestamps, prices
+        yield timestamp
+        yield price
 
 
 def percent_changes(series: PriceSeries) -> np.ndarray:

@@ -133,9 +133,12 @@ def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
     s = np.where(problem.tau_membership, p.shift, p.shift - 1.0)
     live = problem.q > 0.0  # bins the price never lands in get nothing
     w = np.zeros_like(problem.q)
-    w[live] = project_simplex(
-        (np.log(problem.q[live] * scale) - a * s[live]) / (a * scale)
-    )
+    with np.errstate(all="ignore"):  # a tiny a sends v past the float range
+        v = (np.log(problem.q[live] * scale) - a * s[live]) / (a * scale)
+        bound = (v.size + 2) * np.abs(v).sum()  # bounds every sum project_simplex forms
+    if not np.isfinite(bound):
+        raise NumericalError(f"risk aversion a={a!r} is too small: water-filling inputs overflow")
+    w[live] = project_simplex(v)
     w /= w.sum()  # exact simplex normalization
     return w, int(np.count_nonzero(w))
 
@@ -157,7 +160,7 @@ def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
         w = _one_hot(problem, _argmax_center_first(values, problem.n_alpha))
         iters, method = n, "vertex-enumeration"
     resid = kkt_residual(problem, w)
-    if a > 0 and resid > tol:
+    if a > 0 and not resid <= tol:  # a NaN residual certifies nothing
         raise NumericalError(f"water-filling KKT residual {resid:.3e} exceeds {tol:.1e}")
     return Solution(
         allocation=Allocation(n_alpha=problem.n_alpha, weights=w),
@@ -189,12 +192,23 @@ def kkt_residual(problem: OptimizationProblem, weights: np.ndarray) -> float:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    For the largest entry the threshold test u - (u - 1) > 0 holds exactly,
+    but it rounds to 0 once v passes 2**53. The projection is
+    translation-invariant, so such a v is projected as v - max(v).
+    """
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ind = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / ind > 0)[0][-1]
+    passing = np.nonzero(u - css / ind > 0)[0]
+    if passing.size == 0:
+        shifted = v - v.max()
+        if not np.all(np.isfinite(shifted)):  # NaN never passes the test above
+            raise NumericalError("simplex projection of a vector that is not finite")
+        return project_simplex(shifted)
+    rho = passing[-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

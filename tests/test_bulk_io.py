@@ -1,17 +1,18 @@
 """Bulk CSV ingest and output writers against the per-row code they replaced.
 
 ``reference_load_price_csv`` is the ``csv.DictReader`` loader that
-``load_price_csv`` used to be; ``reference_write_band_csv`` and
-``reference_write_trace`` are the ``csv.writer`` writers that
-``BacktestReport.write_band_csv`` and ``run_strategy(trace_out=...)`` used
-to be. The new code must give the same values and bytes, so every
-comparison here is ``==``, never approximate.
+``load_price_csv`` used to be, with the short-row rule it gained since;
+``reference_write_band_csv`` and ``reference_write_trace`` are the
+``csv.writer`` writers that ``BacktestReport.write_band_csv`` and
+``run_strategy(trace_out=...)`` used to be. The new code must give the same
+values and bytes, so every comparison here is ``==``, never approximate.
 """
 
 import csv
 import math
 import os
 import tempfile
+import warnings
 from unittest import mock
 from datetime import datetime, timedelta, timezone
 
@@ -32,7 +33,7 @@ from lpreset import (
     run_strategy,
     sample_path,
 )
-from lpreset.distribution import CSV_BLOCK_ROWS
+from lpreset.backtest import BAND_BLOCK_ROWS
 from lpreset.simulate import TRACE_BLOCK_ROWS, execute, payoffs
 from tests.conftest import make_eth_like
 
@@ -44,21 +45,29 @@ def reference_parse_timestamp(raw):
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(raw).timestamp()
+        stamp = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise InputError(f"unparseable timestamp {raw!r}") from exc
+    return stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
 
 
 def reference_load_price_csv(path):
     timestamps = []
     prices = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, open(path, newline="") as raw:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"timestamp", "price"} <= set(
             reader.fieldnames
         ):
             raise InputError(f"{path}: expected header with 'timestamp,price'")
-        for row in reader:
+        names = reader.fieldnames
+        need = max(max(i for i, n in enumerate(names) if n == name) + 1
+                   for name in ("timestamp", "price"))
+        fields = filter(None, csv.reader(raw))  # each row as DictReader sees it
+        next(fields)
+        for n, (row, split) in enumerate(zip(reader, fields), start=1):
+            if len(split) < need:
+                raise InputError(f"{path}: data row {n} has {len(split)} fields, need {need}")
             timestamps.append(reference_parse_timestamp(row["timestamp"]))
             try:
                 prices.append(float(row["price"]))
@@ -113,7 +122,15 @@ def written(writer, *args):
 
 
 START = datetime(2021, 3, 1, tzinfo=timezone.utc)
-BAD_PRICES = ["", "abc", "1..2", "-5", "0", "nan", "inf", "1e999"]
+# prices float() refuses, or that PriceSeries refuses once read
+BAD_PRICES = ["", "abc", "1..2", "-5", "0", "nan", "inf", "-inf", "Infinity", "1e999",
+              "1e-400", "0x1p3", "1d3", "1#", "#1", "1__0", "_1", "\u0661 \u0662"]
+# prices float() reads, some in ways numpy's reader does not
+ODD_PRICES = ["1_000", "2_500.5", "\u0661\u0662\u0663", "\uff11\uff12", "1e3", "+7.25",
+              ".5", "5.", "1" * 40 + ".25", "0." + "0" * 30 + "17", "0000123.5"]
+# whitespace for float(), numpy's reader or both; U+001C..U+001F is the one
+# numpy strips from a number and float does not
+SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000", "\x1c", "\x1f"]
 
 
 def timestamp_text(seconds, kind):
@@ -121,6 +138,8 @@ def timestamp_text(seconds, kind):
         return str(int(START.timestamp()) + seconds)
     if kind == "float":
         return repr(START.timestamp() + seconds + 0.25)
+    if kind == "sci":
+        return f"{START.timestamp() + seconds:.6e}"
     moment = START + timedelta(seconds=seconds)
     if kind == "iso":
         return moment.replace(tzinfo=None).isoformat()
@@ -129,9 +148,9 @@ def timestamp_text(seconds, kind):
 
 def decorated(draw, text):
     """``text`` as a CSV field: bare, padded with whitespace or quoted."""
-    style = draw(st.sampled_from(["bare", "bare", "pad", "quote", "quote-pad"]))
+    style = draw(st.sampled_from(["bare", "bare", "bare", "pad", "quote", "quote-pad"]))
     if style == "pad":
-        return draw(st.sampled_from([" ", "\t", "  "])) + text + " "
+        return draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(["", *SPACES]))
     if style == "quote":
         return '"' + text.replace('"', '""') + '"'
     if style == "quote-pad":
@@ -144,11 +163,13 @@ def price_csvs(draw):
     """CSV text with timestamp and price columns among others, in any order.
 
     A repeated column name means its last column (as in a dict of the row), so
-    earlier columns of that name carry junk. Rows may have extra trailing
-    fields, or lack trailing columns after the two that are read; blank lines
-    fall anywhere. Timestamps are epoch seconds, ISO-8601 or a mix. Half of
-    the files are clean; the others have some repeated or decreasing
-    timestamps and bad prices.
+    earlier columns of that name carry junk. Rows may have extra or trailing
+    empty fields, or miss fields; blank and whitespace-only lines fall
+    anywhere, and lines end in LF, CRLF or CR alone. Timestamps are epoch
+    seconds, ISO-8601 or a mix. Half of the files are clean, and most of
+    those are plain enough for numpy's reader; the others have repeated or
+    decreasing timestamps and prices that are bad or that only ``float``
+    reads.
     """
     extras = draw(
         st.lists(
@@ -160,10 +181,13 @@ def price_csvs(draw):
     need = max(used["timestamp"], used["price"]) + 1
     kinds = draw(
         st.sampled_from(
-            [["int"], ["float"], ["iso"], ["iso", "iso+tz"], ["int", "iso+tz", "float"]]
+            [["int"], ["float"], ["sci"], ["iso"], ["iso", "iso+tz"],
+             ["int", "iso+tz", "float"]]
         )
     )
     clean = draw(st.booleans())
+    plain = clean and draw(st.integers(0, 3)) > 0
+    field = (lambda text: text) if plain else (lambda text: decorated(draw, text))
     lines = [",".join(header)]
     seconds = 0
     for _ in range(draw(st.integers(0, 10))):
@@ -173,36 +197,80 @@ def price_csvs(draw):
             if i == used.get("timestamp"):
                 text = timestamp_text(seconds, draw(st.sampled_from(kinds)))
             elif i == used.get("price"):
-                if not clean and draw(st.integers(0, 4)) == 0:
-                    text = draw(st.sampled_from(BAD_PRICES))
+                if not clean and draw(st.integers(0, 3)) == 0:
+                    text = draw(st.sampled_from(BAD_PRICES + ODD_PRICES))
                 else:
                     text = repr(draw(st.floats(1e-3, 1e6)))
             else:
-                text = draw(st.sampled_from(["7", "x", "a,b", ""]))
-            fields.append(decorated(draw, text))
-        fields += draw(st.lists(st.sampled_from(["1", "z"]), max_size=2))
+                text = draw(st.sampled_from(["7", "x", "a,b", "3,4", "#", "\xa0", ""]))
+            fields.append(field(text))
+        fields += draw(st.lists(st.sampled_from(["1", "z", ""]), max_size=2))
         if draw(st.booleans()):
             fields = fields[: draw(st.integers(need, len(fields)))]
+        elif not clean and draw(st.integers(0, 5)) == 0:
+            fields = fields[: draw(st.integers(0, need - 1))]  # a short row
         lines.append(",".join(fields))
         if draw(st.integers(0, 4)) == 0:
-            lines.append("")
+            lines.append(draw(st.sampled_from(["", "", " ", "\t", "  \t"])))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def load_text(tmp, text):
+    path = os.path.join(tmp, "px.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 class TestLoadPriceCsv:
-    @settings(max_examples=300, deadline=None)
-    @given(price_csvs(), st.sampled_from([1, 3, CSV_BLOCK_ROWS]))
-    def test_equals_reference(self, text, block_rows):
+    @settings(max_examples=400, deadline=None)
+    @given(price_csvs())
+    def test_equals_reference(self, text):
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "px.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-            with mock.patch("lpreset.distribution.CSV_BLOCK_ROWS", block_rows):
-                got = loaded(load_price_csv, path)
-            assert got == loaded(reference_load_price_csv, path)
+            path = load_text(tmp, text)
+            assert loaded(load_price_csv, path) == loaded(reference_load_price_csv, path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a quoted comma before the columns: numpy would read 3 and 4
+            ['"a,b",3,1600000000,5', '"c,d",4,1600000600,6'],
+            # a quoted line break inside a row
+            ['"a\nb",3,1600000000,5', "x,4,1600000600,6"],
+            # U+001C..U+001F: whitespace to numpy, not to float
+            ["x,3,1600000000,\x1c5", "x,4,1600000600,6"],
+            ["x,3,\x1f1600000000,5", "x,4,1600000600,6\x1e"],
+            ['x,3,1600000000,"5"', "x,4,1600000600,6"],
+            ["x,3,1600000000,1_000", "x,4,1600000600,6"],
+            ["x,3,1600000000,\u0665", "x,4,1600000600,6"],
+            ["x,3,1600000000, 5\xa0", "x,4,1600000600,\u20036"],
+            ["x,3,1600000000,5", "   ", "x,4,1600000600,6"],
+            ["x,3,1600000000,5", "x,4,1600000600", "x,5,1600001200,7"],
+        ],
+    )
+    def test_files_numpy_could_misread(self, tmp_path, rows):
+        path = tmp_path / "px.csv"
+        path.write_text("note,other,timestamp,price\n" + "\n".join(rows) + "\n")
+        got = loaded(load_price_csv, str(path))
+        assert got == loaded(reference_load_price_csv, str(path))
+
+    def test_plain_file_is_read_by_numpy(self, tmp_path):
+        path = tmp_path / "px.csv"
+        path.write_text("price,timestamp\r\n\r\n5,1600000000\r\n 6 ,1600000600,x\r\n")
+        with mock.patch("lpreset.distribution._parse_rows", side_effect=AssertionError):
+            got = loaded(load_price_csv, str(path))
+        assert got == ([1600000000.0, 1600000600.0], [5.0, 6.0])
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "px.csv"
+        path.write_text("timestamp,price\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="need at least 2 rows"):
+                load_price_csv(str(path))
 
     def test_errors_past_the_first_block(self, tmp_path):
         rows = [f"{timestamp_text(600 * i, 'iso+tz')},{100.0 + i}" for i in range(3000)]
@@ -259,8 +327,11 @@ class TestWriteBandCsv:
         st.sampled_from(["first", "low"]),
         st.integers(0, 6),
         st.integers(0, 8),
+        st.sampled_from([1, 3, 16, BAND_BLOCK_ROWS]),
     )
-    def test_equals_reference(self, step, start, moves, kind, anchor, n_tau, n_alpha):
+    def test_equals_reference(
+        self, step, start, moves, kind, anchor, n_tau, n_alpha, block_rows
+    ):
         # prices in the middle of bins, on their edges, or on edges with the
         # lowest price moved one ulp below or above its edge
         levels = np.concatenate([[0], np.cumsum(moves)]).tolist()
@@ -271,8 +342,29 @@ class TestWriteBandCsv:
             prices[i] = math.nextafter(prices[i], 0.0 if kind == "<" else math.inf)
         report = band_report(prices, step, anchor, n_tau, n_alpha)
         assert len(report.band_trace) == len(moves)
-        got = written(write_band_csv, report)
+        with mock.patch("lpreset.backtest.BAND_BLOCK_ROWS", block_rows):
+            got = written(write_band_csv, report)
         assert got == written(reference_write_band_csv, report)
+
+    @pytest.mark.parametrize(
+        "levels, resets",
+        [
+            ([0, 1, 0, -1, 0, 1, 0, 1], 0),  # one run
+            ([0, 5, 5, 4, 5, 6], 1),  # a reset on the first step
+            ([0, 1, 0, -1, 0, 6], 1),  # a reset on the last step
+            ([0, 4, 8, 12, 16, 12, 8, 4], 7),  # every run one row long
+            ([0, 1, 5, 9, 9, 10, 14, 14, 14, 0], 4),
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, BAND_BLOCK_ROWS])
+    def test_edge_cases_and_blocks_inside_a_run(self, levels, resets, block_rows):
+        prices = [100.0 * 1.01 ** (level + 0.5) for level in levels]
+        report = band_report(prices, 0.01, "first", 2, 3)
+        assert report.resets == resets
+        with mock.patch("lpreset.backtest.BAND_BLOCK_ROWS", block_rows):
+            got = written(write_band_csv, report)
+        assert got == written(reference_write_band_csv, report)
+        assert got.count(b"\r\n") == len(levels)
 
     def test_single_row_trace(self):
         for anchor in ("first", "low"):

@@ -105,6 +105,22 @@ class TestOptimize:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_tau"] == 1
 
+    @pytest.mark.parametrize("a", ["1e-30", "1e-20", "1e-16", "1e-300"])
+    def test_tiny_risk_aversion_is_certified(self, dist_file, capsys, a):
+        # a*kappa*ell below about 1e-15 puts the water-filling inputs past 2**53
+        code = main(["optimize", dist_file, "--n-tau", "2", "--a", a])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["method"] == "water-filling"
+        assert doc["kkt_residual"] <= 1e-10
+        assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", ["5e-324", "1e-320"])
+    def test_risk_aversion_that_overflows_is_one_error_line(self, dist_file, capsys, a):
+        assert main(["optimize", dist_file, "--n-tau", "2", "--a", a]) == 1
+        assert_one_error_line(capsys, "risk aversion", "too small")
+
 
 class TestSweep:
     def test_grid_csv(self, dist_file, capsys, toy_dist):

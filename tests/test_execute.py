@@ -131,15 +131,15 @@ def reference_replay(series, spec, grid, collect_band=False):
     mean = float(np.mean(utilities))
     v2_mean = v2_baseline(series, grid, params, apply_shift=False)
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan
-    return BacktestReport(
+    report = BacktestReport(
         steps=len(utilities),
         resets=resets,
         mean_utility_per_step=mean,
         v2_mean_utility_per_step=v2_mean,
         ratio=ratio,
         grid_bins=grid.n_bins,
-        band_trace=band,
     )
+    return report, band
 
 
 def outcome(fn, *args, **kwargs):
@@ -229,21 +229,49 @@ def walks(draw):
     return step, anchor, prices
 
 
+def replayed(replayer, prices, step, anchor, spec, collect_band):
+    """The report and band trace of ``replayer``, or its package error."""
+    ts = 1_600_000_000.0 + 600.0 * np.arange(len(prices))
+    series = PriceSeries(ts, np.asarray(prices))
+    lo, hi = min(prices), max(prices)
+    grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
+    got = outcome(replayer, series, spec, grid, collect_band=collect_band)
+    if isinstance(got, BacktestReport):
+        return got, got.band_trace
+    return got
+
+
 class TestReplay:
     @settings(max_examples=150, deadline=None)
     @given(walks(), specs(), st.booleans())
     def test_report_and_band_equal_reference(self, walk, spec, collect_band):
         step, anchor, prices = walk
-        ts = 1_600_000_000.0 + 600.0 * np.arange(len(prices))
-        series = PriceSeries(ts, np.asarray(prices))
-        lo, hi = min(prices), max(prices)
-        grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
-        got = outcome(replay, series, spec, grid, collect_band=collect_band)
-        want = outcome(reference_replay, series, spec, grid, collect_band=collect_band)
-        assert got == want
-        if collect_band and isinstance(got, BacktestReport):
-            assert got.band_trace == want.band_trace
-            assert len(got.band_trace) == got.steps
+        got = replayed(replay, prices, step, anchor, spec, collect_band)
+        assert got == replayed(reference_replay, prices, step, anchor, spec, collect_band)
+        if collect_band and isinstance(got[0], BacktestReport):
+            assert len(got[1]) == got[0].steps
+
+    @pytest.mark.parametrize(
+        "levels, resets",
+        [
+            ([0, 1, 0, -1, 0, 1, 0, 1], 0),  # one run
+            ([0, 5, 5, 4, 5, 6], 1),  # a reset on the first step
+            ([0, 1, 0, -1, 0, 6], 1),  # a reset on the last step
+            ([0, 4, 8, 12, 16, 12, 8, 4], 7),  # every run one row long
+            ([0, 4], 1),  # one step, a reset
+            ([0, 1], 0),  # one step, no reset
+            ([0, 1, 5, 9, 9, 10, 14, 14, 14, 0], 4),
+        ],
+    )
+    def test_band_edge_cases_equal_reference(self, levels, resets):
+        prices = [100.0 * 1.01 ** (level + 0.5) for level in levels]
+        spec = StrategySpec(
+            "custom", 2, 3, Allocation(3, np.full(7, 1 / 7)), UtilityParams(a=0.1)
+        )
+        got = replayed(replay, prices, 0.01, 100.0, spec, True)
+        assert got == replayed(reference_replay, prices, 0.01, 100.0, spec, True)
+        assert got[0].resets == resets
+        assert len(got[1]) == len(levels) - 1
 
 
 class TestPricesToBins:

@@ -6,17 +6,21 @@
 
 When ``--inputs`` does not exist yet it is built from ``--seed`` with this
 checkout's ``perfbench/gen.py``, which fits with this checkout's ``lpreset
-fit``: two fitted distributions, one 10,000-row price CSV, and the strategy
-documents below. Later runs reuse the directory, so every tree reads the
-same files. The commands then run in one child process with ``--src`` as
+fit``: two fitted distributions, one 10,000-row price CSV, two variants of
+that CSV with the same prices, and the strategy documents below. The base
+CSV is plain epoch seconds and takes the loader's numpy path. The ``iso``
+variant has ISO-8601 timestamps; the ``crlf`` variant has CRLF line ends,
+fields padded with spaces and one quoted price. Both take the row-by-row
+path. Later runs reuse the directory, so every tree reads the same files. The commands then run in one child process with ``--src`` as
 its PYTHONPATH and the BLAS threads pinned to 1; each writes its output
 with ``--out`` (and ``--trace-out``/``--band-out``) under ``--out``, and
 ``exit_codes.txt`` lists each command with its exit code.
 
-The command set: ``fit`` (two settings), ``optimize`` (count and mass),
-``sweep`` (proportional, uniform, optimal and a mass grid), and ``eval`` in
-both modes, ``simulate --trace-out`` and ``backtest --band-out`` with both
-grid anchors for every strategy document. The documents are the
+The command set: ``fit`` (two settings) and ``backtest --band-out`` with
+both grid anchors for every price CSV and strategy document, ``optimize``
+(count and mass), ``sweep`` (proportional, uniform, optimal and a mass
+grid), and ``eval`` in both modes and ``simulate --trace-out`` for every
+strategy document. The documents are the
 constructor form with counts, the constructor form with masses and the
 weights form, each at risk aversion a in {0, 0.1, 15}.
 """
@@ -24,10 +28,12 @@ weights form, each at risk aversion a in {0, 0.1, 15}.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +68,7 @@ def child_env(src: Path) -> dict:
 
 
 def build_inputs(inputs: Path, seed: int) -> None:
-    """Distributions and a price CSV from ``perfbench/gen.py``, and the documents."""
+    """Distributions and a price CSV from ``perfbench/gen.py``, its variants and the documents."""
     gen = ROOT / "perfbench" / "gen.py"
     env = child_env(ROOT / "src")
     for workload, sub in (("sweep", "dists"), ("backtest", "prices")):
@@ -71,12 +77,26 @@ def build_inputs(inputs: Path, seed: int) -> None:
              "--count", "2" if workload == "sweep" else "1", "--out", str(inputs / sub)],
             env=env, check=True,
         )
+    write_variants(inputs / "prices" / "prices_00000.csv")
     for name, doc in DOCUMENTS.items():
         for a in RISKS:
             path = inputs / "strategies" / f"{name}_a{a:g}.json"
             path.parent.mkdir(parents=True, exist_ok=True)
             doc_a = {**doc, "params": {"a": a}}
             path.write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
+
+
+def write_variants(base: Path) -> None:
+    """The ``iso`` and ``crlf`` variants of the ``timestamp,price`` CSV ``base``."""
+    with open(base, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    iso = [f"{datetime.fromtimestamp(float(t), timezone.utc).isoformat()},{p}" for t, p in rows]
+    crlf = [f" {t},{p}  " for t, p in rows]
+    middle = len(rows) // 2
+    crlf[middle] = '{},"{}"'.format(*rows[middle])
+    for tag, lines, newline in (("iso", iso, "\n"), ("crlf", crlf, "\r\n")):
+        with open(base.with_name(f"{base.stem}_{tag}.csv"), "w", newline="") as fh:
+            fh.write(newline.join(["timestamp,price", *lines]) + newline)
 
 
 def commands(inputs: Path, out: Path) -> list[list[str]]:
