@@ -169,10 +169,15 @@ def load_price_csv(path: str) -> PriceSeries:
     field) or whose text could split or convert otherwise under ``csv``
     (see ``NOT_PLAIN``) takes the row-by-row ``_parse_rows``, which reports
     the first bad field in file order. Blank lines are skipped either way.
+    Bytes that the file's encoding cannot decode are an InputError that
+    names their position in the file.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, None)
+        try:
+            header = next(rows, None)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
         if header is None or not {"timestamp", "price"} <= set(header):
             raise InputError(f"{path}: expected header with 'timestamp,price'")
         # a repeated column name means its last column, as in a dict of the row
@@ -183,12 +188,30 @@ def load_price_csv(path: str) -> PriceSeries:
             fh.seek(0)
             rows = filter(None, csv.reader(fh))  # a blank line reads as []
             next(rows)  # the header
-            data = np.fromiter(_parse_rows(path, rows, ti, pi), dtype=np.float64)
+            try:
+                data = np.fromiter(_parse_rows(path, rows, ti, pi), dtype=np.float64)
+            except UnicodeDecodeError as exc:
+                raise _undecodable(path, exc) from exc
             data = data.reshape(-1, 2)
     if len(data) < 2:
         raise InputError(f"{path}: need at least 2 rows")
     timestamps, prices = data.T.copy()
     return PriceSeries(timestamps, prices)
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> InputError:
+    """The InputError for text of ``path`` that its encoding cannot decode.
+
+    A text file decodes chunk by chunk, so ``exc`` counts its position from
+    the start of a chunk; decoding the whole file again finds the same first
+    bad byte at its offset in the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+    return InputError(f"{path}: {exc}")
 
 
 def _read_plain(fh, ti: int, pi: int) -> np.ndarray | None:

@@ -19,6 +19,8 @@ __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
 TRACE_BLOCK_ROWS = 4096  # trace rows formatted before each write
+GUIDE_CELLS = 4096  # guide-table cells of sample_path; a power of two
+LOCKSTEP_MIN = 32  # fewer live stretches than this finish one step at a time
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,29 @@ class SimReport:
 
 
 def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarray:
-    """i.i.d. relative moves drawn from h via inverse-CDF over the bin table."""
+    """i.i.d. relative moves drawn from h via inverse-CDF over the bin table.
+
+    A uniform u draws move k - k_max for k = searchsorted(cdf, u, "right"),
+    the count of CDF entries <= u. A guide table over ``GUIDE_CELLS`` equal
+    cells of [0, 1) holds that count for each cell without a CDF entry
+    inside, where it is the same for every u of the cell; only draws in the
+    few cells that hold an entry are searched. ``GUIDE_CELLS`` is a power of
+    two, so u * GUIDE_CELLS is exact and its floor is the cell of u: every
+    k is the one the search gives.
+    """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0  # guard against cumulative rounding
     u = rng.random(steps)
-    return np.searchsorted(cdf, u, side="right") - dist.k_max
+    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")  # entries <= cell start
+    hi = np.searchsorted(cdf, edges[1:], side="left")  # entries < cell end
+    ks = np.where(lo == hi, lo, -1)[(u * GUIDE_CELLS).astype(np.intp)]
+    split = np.flatnonzero(ks < 0)
+    ks[split] = np.searchsorted(cdf, u[split], side="right")
+    return ks - dist.k_max
 
 
 def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
@@ -63,21 +80,51 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     j is measured from the centre in force before the step: the offset left
     by the previous step plus this step's move. The offset left after a step
     is j when |j| <= n_tau, and 0 when the step resets (re-centres).
+
+    A *sure reset* is a move with |m| > 2*n_tau: from any offset o in B_tau
+    it lands at |o + m| >= |m| - n_tau > n_tau, so it resets whatever the
+    offset. The walk therefore splits into stretches, each ending with a
+    sure reset (or the path's end), that all start at offset 0 and are
+    independent of one another. The stretches advance side by side, one
+    position per numpy step, longest first, until fewer than
+    ``LOCKSTEP_MIN`` are left; those finish one step at a time, as does the
+    whole walk of a path without sure resets. Every step is the same integer
+    arithmetic as the one-step loop, so the offsets are the same.
     """
     moves = np.asarray(moves, dtype=np.int64)
-    reach = n_tau + int(np.abs(moves).max(initial=0))
+    size = np.abs(moves)
+    reach = n_tau + int(size.max(initial=0))
     # settle[j] is the offset left after landing at j; negative j index from the end
-    settle = [0] * (2 * reach + 1)
-    for j in range(-n_tau, n_tau + 1):
-        settle[j] = j
-    js = array("q")
-    append = js.append
-    offset = 0
-    for move in moves.tolist():
-        j = offset + move
-        append(j)
-        offset = settle[j]
-    return np.frombuffer(js, dtype=np.int64)
+    settle = np.zeros(2 * reach + 1, dtype=np.int64)
+    kept = np.arange(-n_tau, n_tau + 1)
+    settle[kept] = kept
+    bounds = np.flatnonzero(size > 2 * n_tau) + 1
+    starts = np.concatenate(([0], bounds))
+    lengths = np.append(bounds, len(moves)) - starts
+    order = np.argsort(-lengths)
+    starts, lengths = starts[order], lengths[order]
+    js = np.empty(len(moves), dtype=np.int64)
+    # positions run side by side while LOCKSTEP_MIN stretches or more are live
+    lock = int(lengths[LOCKSTEP_MIN - 1]) if len(lengths) >= LOCKSTEP_MIN else 0
+    # live_at[pos]: the stretches longer than pos, which come first
+    live_at = np.searchsorted(-lengths, -np.arange(lock + 1), side="left").tolist()
+    state = np.zeros(live_at[0], dtype=np.int64)
+    for pos, live in enumerate(live_at[:-1]):
+        at = starts[:live] + pos
+        j = state[:live] + moves[at]
+        js[at] = j
+        state[:live] = settle[j]
+    live = live_at[-1]
+    settle_at = settle.tolist()
+    tails = zip(starts[:live].tolist(), lengths[:live].tolist(), state[:live].tolist())
+    for start, length, offset in tails:
+        tail = []
+        for move in moves[start + lock : start + length].tolist():
+            j = offset + move
+            tail.append(j)  # a list appends faster than an array("q")
+            offset = settle_at[j]
+        js[start + lock : start + length] = np.frombuffer(array("q", tail), np.int64)
+    return js
 
 
 def payoffs(

@@ -323,6 +323,27 @@ class TestErrorHandling:
         assert str(csv_path) in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    @pytest.mark.parametrize("where", ["header", "price", "late price"])
+    def test_undecodable_byte_is_one_line_and_nonzero(
+        self, command, where, strategy_file, tmp_path, capsys
+    ):
+        # a Latin-1 e-acute is not UTF-8; past the first 8 KiB the text reader
+        # decodes a later chunk, and the position must still count from byte 0
+        rows = [f"{t},{100 + t % 7}" for t in range(1, 3000 if where == "late price" else 4)]
+        text = "\n".join(["timestamp,price" + (",caf\xe9" if where == "header" else ""), *rows])
+        if where != "header":
+            text = text.replace("\n2,102", "\n2,10\xe92") if where == "price" else text + "\xe9"
+        data = text.encode("latin-1") + b"\n"
+        csv_path = tmp_path / "px.csv"
+        csv_path.write_bytes(data)
+        argv = [command, str(csv_path)]
+        if command == "backtest":
+            argv.append(strategy_file)
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+        assert_one_error_line(capsys, str(csv_path), f"position {data.index(0xE9)}")
+        assert not (tmp_path / "out.json").exists()
+
     def test_resolve_rejects_unknown_kind(self, toy_dist):
         from lpreset import InputError
 

@@ -1,9 +1,11 @@
 """The tau-reset execution kernel against the per-step scalar walks it replaced.
 
-``reference_run_strategy``, ``reference_replay`` and ``reference_price_to_bin``
-are the step-by-step loops that ``run_strategy``, ``replay`` and
-``BinGrid.price_to_bin`` used to be. The vectorized code must give the same
-bits, so every comparison here is ``==``, never approximate.
+``reference_run_strategy``, ``reference_replay``, ``reference_price_to_bin``,
+``reference_execute`` and ``reference_sample_path`` are the step-by-step
+loops and the plain search that ``run_strategy``, ``replay``,
+``BinGrid.price_to_bin``, ``execute`` and ``sample_path`` used to be. The
+vectorized code must give the same bits, so every comparison here is ``==``,
+never approximate.
 """
 
 import csv
@@ -32,7 +34,28 @@ from lpreset import (
     v2_baseline,
 )
 from lpreset.backtest import BacktestReport
-from lpreset.simulate import SimReport, execute
+from lpreset.simulate import LOCKSTEP_MIN, SimReport, execute
+
+
+def reference_execute(moves, n_tau):
+    reach = n_tau + int(np.abs(moves).max(initial=0))
+    settle = [0] * (2 * reach + 1)
+    for j in range(-n_tau, n_tau + 1):
+        settle[j] = j
+    js = []
+    offset = 0
+    for move in np.asarray(moves, dtype=np.int64).tolist():
+        j = offset + move
+        js.append(j)
+        offset = settle[j]
+    return np.array(js, dtype=np.int64)
+
+
+def reference_sample_path(dist, steps, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(steps), side="right") - dist.k_max
 
 
 def reference_run_strategy(path, spec, seed=0, trace_out=None):
@@ -205,6 +228,134 @@ class TestRunStrategy:
         )
         with pytest.raises(InputError):
             run_strategy(np.array([], dtype=np.int64), spec)
+
+
+def assert_execute_equals_reference(moves, n_tau):
+    got = execute(moves, n_tau)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_execute(moves, n_tau))
+
+
+def sure_resets(moves, n_tau):
+    return int(np.count_nonzero(np.abs(moves) > 2 * n_tau))
+
+
+@st.composite
+def move_paths(draw):
+    """Moves with |m| <= 3*n_tau + 2; a drawn share are sure resets, |m| > 2*n_tau."""
+    n_tau = draw(st.integers(0, 8))
+    bound = draw(st.integers(0, 3 * n_tau + 2))
+    n = draw(st.one_of(st.integers(0, 64), st.integers(0, 6000)))
+    sure_share = draw(st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = min(bound, 2 * n_tau)
+    moves = rng.integers(-inner, inner + 1, n)
+    if bound > 2 * n_tau:
+        sure = rng.integers(2 * n_tau + 1, bound + 1, n) * rng.choice([-1, 1], n)
+        moves = np.where(rng.random(n) < sure_share, sure, moves)
+    return moves, n_tau
+
+
+def stretched_path(rng, n_tau, lengths):
+    """Stretches of the given lengths, each but a zero-length one ending in a sure reset."""
+    parts = []
+    for length in lengths:
+        inside = rng.integers(-2 * n_tau, 2 * n_tau + 1, max(length - 1, 0))
+        sure = rng.choice([-1, 1]) * rng.integers(2 * n_tau + 1, 3 * n_tau + 3)
+        parts.append(np.append(inside, sure)[:length])
+    return np.concatenate(parts).astype(np.int64)
+
+
+class TestExecute:
+    @settings(max_examples=200, deadline=None)
+    @given(move_paths())
+    def test_equals_reference(self, case):
+        moves, n_tau = case
+        assert_execute_equals_reference(moves, n_tau)
+
+    @pytest.mark.parametrize("n_tau", range(9))
+    def test_moves_at_the_sure_reset_threshold(self, n_tau):
+        # |m| = 2*n_tau resets only from an offset on the far side; 2*n_tau + 1 always does
+        rng = np.random.default_rng(n_tau)
+        edge = [0, 1, -1, 2 * n_tau, -2 * n_tau, 2 * n_tau + 1, -(2 * n_tau + 1)]
+        for n in (1, 7, 200, 5000):
+            moves = rng.choice(edge, n)
+            assert_execute_equals_reference(moves, n_tau)
+            at_edge = rng.choice([m for m in edge if abs(m) <= 2 * n_tau], n)
+            assert sure_resets(at_edge, n_tau) == 0
+            assert_execute_equals_reference(at_edge, n_tau)
+
+    @pytest.mark.parametrize("n_tau", [0, 1, 2, 5, 8])
+    def test_path_without_sure_resets(self, n_tau):
+        rng = np.random.default_rng(100 + n_tau)
+        moves = rng.integers(-2 * n_tau, 2 * n_tau + 1, 6000)
+        assert sure_resets(moves, n_tau) == 0
+        assert_execute_equals_reference(moves, n_tau)
+
+    @pytest.mark.parametrize(
+        "stretches", [LOCKSTEP_MIN - 2, LOCKSTEP_MIN - 1, LOCKSTEP_MIN, LOCKSTEP_MIN + 1]
+    )
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("last_empty", [False, True])
+    def test_live_stretch_counts_around_the_lockstep_bound(self, stretches, tied, last_empty):
+        rng = np.random.default_rng(stretches)
+        for n_tau in (0, 1, 3):
+            lengths = [7] * stretches if tied else rng.integers(1, 60, stretches).tolist()
+            moves = stretched_path(rng, n_tau, lengths + [0] if last_empty else lengths)
+            assert sure_resets(moves, n_tau) == stretches
+            assert_execute_equals_reference(moves, n_tau)
+            # one step more or less in the longest stretches
+            for cut in (1, len(moves) - 1):
+                assert_execute_equals_reference(moves[:cut], n_tau)
+
+
+@st.composite
+def bin_tables(draw):
+    """h over k_max in 1..300: random with zero bins, a point mass, dyadic, or trailing zeros."""
+    kind = draw(st.sampled_from(["random", "point", "dyadic", "trailing"]))
+    k_max = draw(st.integers(1, 300))
+    size = 2 * k_max + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "point":
+        probs = np.zeros(size)
+        probs[draw(st.integers(0, size - 1))] = 1.0
+        return NextPriceDistribution(k_max, probs, bin_width_pct=1.0)
+    if kind == "dyadic":
+        # every CDF entry a multiple of 1/4096: on a guide-table cell edge
+        counts = np.bincount(rng.integers(0, size, 4096), minlength=size)
+        counts[rng.random(size) < 0.5] = 0
+        counts[rng.integers(0, size)] += 4096 - counts.sum()
+        return NextPriceDistribution(k_max, counts / 4096, bin_width_pct=1.0)
+    counts = rng.integers(0, draw(st.integers(1, 9)), size).astype(float)
+    counts[rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if kind == "trailing":
+        counts[size - draw(st.integers(1, size - 1)) :] = 0.0
+    counts[rng.integers(0, size if kind == "random" else 1)] += 1.0
+    return NextPriceDistribution(k_max, counts / counts.sum(), bin_width_pct=1.0)
+
+
+class TestSamplePath:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bin_tables(),
+        st.one_of(st.integers(1, 100), st.integers(1, 50_000)),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_equals_reference(self, dist, steps, seed):
+        got = sample_path(dist, steps, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_sample_path(dist, steps, seed))
+
+    def test_cdf_rounding_past_one_before_the_last_bin(self):
+        # the running sum of these tenths ends at 1 + 2**-52, so the guard's
+        # cdf[-1] = 1.0 sits below the entries before it
+        probs = np.array([0, 2, 4, 3, 1, 0, 0]) / 10
+        assert np.cumsum(probs)[-2] > 1.0
+        dist = NextPriceDistribution(3, probs, bin_width_pct=1.0)
+        for seed in range(5):
+            got = sample_path(dist, 50_000, seed)
+            assert np.array_equal(got, reference_sample_path(dist, 50_000, seed))
+            assert got.max() == 1
 
 
 @st.composite

@@ -11,18 +11,24 @@ that CSV with the same prices, and the strategy documents below. The base
 CSV is plain epoch seconds and takes the loader's numpy path. The ``iso``
 variant has ISO-8601 timestamps; the ``crlf`` variant has CRLF line ends,
 fields padded with spaces and one quoted price. Both take the row-by-row
-path. Later runs reuse the directory, so every tree reads the same files. The commands then run in one child process with ``--src`` as
-its PYTHONPATH and the BLAS threads pinned to 1; each writes its output
-with ``--out`` (and ``--trace-out``/``--band-out``) under ``--out``, and
-``exit_codes.txt`` lists each command with its exit code.
+path. Later runs reuse the directory, so every tree reads the same files;
+a directory that lacks any of them (one an older checkout built) stops the
+run with the list of what is missing. The commands then run in one child
+process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1;
+each writes its output with ``--out`` (and ``--trace-out``/``--band-out``)
+under ``--out``, and ``exit_codes.txt`` lists each command with its exit
+code.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, ``optimize``
 (count and mass), ``sweep`` (proportional, uniform, optimal and a mass
 grid), and ``eval`` in both modes and ``simulate --trace-out`` for every
 strategy document. The documents are the
-constructor form with counts, the constructor form with masses and the
-weights form, each at risk aversion a in {0, 0.1, 15}.
+constructor form with counts, the constructor form with masses, the
+weights form, and two uniform documents at n_tau 0 and 40 (every move a
+sure reset of ``simulate.execute``, and none), each at risk aversion a in
+{0, 0.1, 15}: 27 documents, 366 commands and 583 files with
+``exit_codes.txt``.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ DOCUMENTS = {
     "optimal_mass": {"kind": "optimal", "tau_mass": 0.5},
     "weights": {"kind": "custom", "n_tau": 1, "n_alpha": 2,
                 "weights": [0.1, 0.2, 0.4, 0.2, 0.1]},
+    # the two regimes of simulate.execute: every non-zero move is a sure reset
+    # (|m| > 2*n_tau), and at k_max 64 no move is
+    "uniform_tau0": {"kind": "uniform", "n_tau": 0, "n_alpha": 3},
+    "uniform_tau40": {"kind": "uniform", "n_tau": 40, "n_alpha": 48},
 }
 GRID = ["--n-tau-grid", "0,1,2,4,8", "--n-alpha-grid", "0,1,3,6,12"]
 
@@ -78,12 +88,24 @@ def build_inputs(inputs: Path, seed: int) -> None:
             env=env, check=True,
         )
     write_variants(inputs / "prices" / "prices_00000.csv")
+    (inputs / "strategies").mkdir()
     for name, doc in DOCUMENTS.items():
         for a in RISKS:
-            path = inputs / "strategies" / f"{name}_a{a:g}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
             doc_a = {**doc, "params": {"a": a}}
+            path = inputs / document_name(name, a)
             path.write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
+
+
+def document_name(name: str, a: float) -> str:
+    return f"strategies/{name}_a{a:g}.json"
+
+
+def missing_inputs(inputs: Path) -> list[str]:
+    """The files of ``build_inputs`` that ``inputs`` lacks, say when an older checkout built it."""
+    need = [f"dists/dist_{i:05d}.json" for i in range(2)]
+    need += [f"prices/prices_00000{tag}.csv" for tag in ("", "_iso", "_crlf")]
+    need += [document_name(name, a) for name in DOCUMENTS for a in RISKS]
+    return [name for name in need if not (inputs / name).is_file()]
 
 
 def write_variants(base: Path) -> None:
@@ -157,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     src, inputs, out = args.src.resolve(), args.inputs.resolve(), args.out.resolve()
     if not inputs.exists():
         build_inputs(inputs, args.seed)
+    missing = missing_inputs(inputs)
+    if missing:
+        raise SystemExit(f"cli_outputs: {inputs} lacks {', '.join(missing)}; "
+                         "give a new --inputs directory to build them")
     out.mkdir(parents=True)
     cmds = commands(inputs, out)
     run = subprocess.run(
