@@ -36,7 +36,8 @@ from .strategies import (
     uniform_strategy,
     window_for_mass,
 )
-from .utility import MODE_FULL, MODE_STRICT, UtilityParams, expected_utility
+from .utility import MODE_FULL, MODE_STRICT, UtilityParams
+from .utility import expected_utilities, expected_utility
 
 __all__ = ["main"]
 
@@ -115,25 +116,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         n_taus = _parse_grid(args.n_tau_grid, int)
         strategy, n_alphas = args.strategy, _parse_grid(args.n_alpha_grid, int)
+    # one law per distinct n_tau, so a bad n_tau is reported before any n_alpha
+    laws = {n_tau: landing_law(dist, n_tau) for n_tau in dict.fromkeys(n_taus)}
+    if strategy == "proportional":  # allocations independent of n_tau (given as 0)
+        allocs = [proportional_strategy(dist, params, 0, a).allocation for a in n_alphas]
+    elif strategy == "uniform":
+        allocs = [uniform_strategy(dist, 0, a, params).allocation for a in n_alphas]
+    rows = {}
+    for n_tau, law in laws.items():
+        if strategy == "optimal":  # one allocation over the reach, on every row
+            spec = optimal_strategy(dist, n_tau, params, law=law)[0]
+            allocs = [spec.allocation] * len(n_alphas)
+        values = expected_utilities(dist, n_tau, allocs, params, args.mode, law)
+        rows[n_tau] = [(law.reach if a is None else a, v) for a, v in zip(n_alphas, values)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n_tau", "n_alpha", "expected_utility"])
     for n_tau in n_taus:
-        law = landing_law(dist, n_tau)  # serves every n_alpha of the row
-        if strategy == "optimal":
-            optimal = optimal_strategy(dist, n_tau, params, law=law)[0]
-        for n_alpha in n_alphas:
-            if strategy == "proportional":
-                spec = proportional_strategy(dist, params, n_tau, n_alpha)
-            elif strategy == "uniform":
-                spec = uniform_strategy(dist, n_tau, n_alpha, params)
-            else:
-                spec = optimal
-            value = expected_utility(
-                dist, n_tau, spec.allocation, params, args.mode, law=law
-            )
-            row_alpha = spec.n_alpha if n_alpha is None else n_alpha
-            writer.writerow([n_tau, row_alpha, repr(value)])
+        writer.writerows([n_tau, a, repr(value)] for a, value in rows[n_tau])
     _emit(buf.getvalue(), args.out, args.quiet)
     return 0
 
@@ -142,9 +142,12 @@ def _parse_grid(raw: str | None, typ) -> list:
     if not raw:
         raise InputError("missing sweep grid specification")
     try:
-        return [typ(tok) for tok in raw.split(",") if tok.strip()]
+        values = [typ(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"bad grid {raw!r}") from exc
+    if not values:
+        raise InputError(f"grid {raw!r} has no values")
+    return values
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -234,12 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["proportional", "uniform", "optimal"],
         default="proportional",
     )
-    p.add_argument("--n-tau-grid", help="comma-separated n_tau values")
-    p.add_argument("--n-alpha-grid", help="comma-separated n_alpha values")
-    p.add_argument(
+    # --tau-mass-grid excludes both window grids, which go together
+    taus = p.add_mutually_exclusive_group()
+    mass = taus.add_argument(
         "--tau-mass-grid",
         help="comma-separated tau masses (optimal strategy per mass)",
     )
+    taus.add_argument("--n-tau-grid", help="comma-separated n_tau values")
+    alphas = p.add_mutually_exclusive_group()
+    alphas._group_actions.append(mass)
+    alphas.add_argument("--n-alpha-grid", help="comma-separated n_alpha values")
     _add_params(p)
     p.set_defaults(func=cmd_sweep)
     _add_common(p, mode=True)

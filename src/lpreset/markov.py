@@ -86,10 +86,20 @@ class OutcomeMatrix:
 
 
 def _f_block(dist: NextPriceDistribution, n_rows: int, n_cols: int) -> np.ndarray:
-    """Matrix of f(i, j) for i in [-n_rows, n_rows], j in [-n_cols, n_cols]."""
-    i = np.arange(-n_rows, n_rows + 1)[:, None]
-    j = np.arange(-n_cols, n_cols + 1)[None, :]
-    return dist.prob_array(j - i)
+    """Matrix of f(i, j) for i in [-n_rows, n_rows], j in [-n_cols, n_cols].
+
+    f(i, j) = h(j - i) is Toeplitz: a read-only view of one zero-padded h.
+    """
+    k, reach = dist.k_max, n_rows + n_cols
+    pad = max(k, reach)
+    h = np.zeros(2 * pad + 1)
+    h[pad - k : pad + k + 1] = dist.probs
+    return np.lib.stride_tricks.as_strided(  # row i + 1 starts one offset back
+        h[pad - reach + 2 * n_rows :],
+        shape=(2 * n_rows + 1, 2 * n_cols + 1),
+        strides=(-h.itemsize, h.itemsize),
+        writeable=False,
+    )
 
 
 def _cycle_visits(F: np.ndarray) -> np.ndarray | None:
@@ -112,7 +122,12 @@ def landing_law(dist: NextPriceDistribution, n_tau: int) -> LandingLaw:
     """The stationary and landing laws of the reset chain, in closed form."""
     if n_tau < 0:
         raise InputError(f"n_tau must be >= 0, got {n_tau}")
-    visits = _cycle_visits(_f_block(dist, n_tau, n_tau))
+    try:
+        visits = _cycle_visits(_f_block(dist, n_tau, n_tau))
+    except MemoryError:
+        raise InputError(
+            f"n_tau {n_tau} is too large: its {2 * n_tau + 1}-state chain does not fit in memory"
+        ) from None
     if visits is None:  # only the no-move h (h(0) = 1) never leaves the center
         p, cycle = np.zeros(2 * n_tau + 1), math.inf
         p[n_tau] = 1.0
@@ -126,7 +141,7 @@ def landing_law(dist: NextPriceDistribution, n_tau: int) -> LandingLaw:
 
 def build_reset_chain(dist: NextPriceDistribution, n_tau: int) -> ResetChain:
     p = landing_law(dist, n_tau).stationary
-    M = _f_block(dist, n_tau, n_tau)
+    M = _f_block(dist, n_tau, n_tau).copy()
     M[:, n_tau] += np.maximum(1.0 - M.sum(axis=1), 0.0)
     return ResetChain(n_tau=n_tau, M=M, stationary=p)
 

@@ -37,6 +37,7 @@ __all__ = [
     "reward",
     "landing_rewards",
     "expected_utility",
+    "expected_utilities",
 ]
 
 MODE_STRICT = "strict-paper"
@@ -164,16 +165,36 @@ def expected_utility(
     mode: str = MODE_STRICT,
     law: LandingLaw | None = None,
 ) -> float:
-    """Exact expected per-step utility E_u = sum_j q(j) u(R(j) + shift).
+    """Exact expected per-step utility E_u = sum_j q(j) u(R(j) + shift)."""
+    return expected_utilities(dist, n_tau, [alloc], params, mode, law)[0]
 
-    ``law`` is ``landing_law(dist, n_tau)`` when the caller already holds
-    it; E_u is then a slice of its q and one dot product.
+
+def expected_utilities(
+    dist: NextPriceDistribution,
+    n_tau: int,
+    allocs: list[Allocation],
+    params: UtilityParams,
+    mode: str = MODE_STRICT,
+    law: LandingLaw | None = None,
+) -> list[float]:
+    """``expected_utility`` of each allocation: one utility matrix, one dot each.
+
+    ``law`` is ``landing_law(dist, n_tau)`` when the caller holds it. E_u sums
+    over |j| <= n_alpha (strict) or the reach (full coverage), zero-padding q.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
     law = landing_law(dist, n_tau) if law is None else law
     if law.n_tau != n_tau:
         raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
-    n = alloc.n_alpha if mode == MODE_STRICT else law.reach
-    rewards = landing_rewards(alloc, np.arange(-n, n + 1), n_tau, params)
-    return float(law.over(n) @ exp_utility_vec(rewards + params.shift, params))
+    ms = [alloc.n_alpha if mode == MODE_STRICT else law.reach for alloc in allocs]
+    n = max(ms, default=0)
+    weights = np.zeros((len(allocs), 2 * n + 1))
+    for row, alloc in zip(weights, allocs):  # A(j) for |j| <= n, as weight_array
+        m = min(alloc.n_alpha, n)
+        row[n - m : n + m + 1] = alloc.weights[alloc.n_alpha - m : alloc.n_alpha + m + 1]
+    rewards = params.kappa * params.ell * weights  # then as in landing_rewards
+    rewards[:, np.abs(np.arange(-n, n + 1)) > n_tau] -= 1.0
+    utils = exp_utility_vec(rewards + params.shift, params)
+    q = law.over(n)
+    return [float(q[n - m : n + m + 1] @ u[n - m : n + m + 1]) for m, u in zip(ms, utils)]

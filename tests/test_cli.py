@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lpreset import (
     MODE_FULL,
     MODE_STRICT,
+    LpresetError,
     NextPriceDistribution,
     UtilityParams,
     expected_utility,
@@ -20,7 +21,7 @@ from lpreset import (
 from lpreset.cli import main
 from lpreset.strategies import resolve_strategy
 
-from conftest import write_price_csv
+from conftest import dists, write_price_csv
 
 
 @pytest.fixture
@@ -185,6 +186,123 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            ["--n-tau-grid", ",", "--n-alpha-grid", "1"],
+            ["--n-tau-grid", "1", "--n-alpha-grid", " , "],
+            ["--tau-mass-grid", ","],
+        ],
+    )
+    def test_grid_without_values_is_an_error(self, grids, dist_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", dist_file, "--strategy", "uniform", *grids, "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "has no values")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-tau-grid", "--n-alpha-grid"])
+    def test_tau_mass_grid_excludes_the_window_grids(self, flag, dist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", dist_file, "--tau-mass-grid", "0.5", flag, "1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not allowed with argument --tau-mass-grid" in (
+            capsys.readouterr().err
+        )
+
+    def test_window_grids_go_together(self, dist_file, capsys):
+        argv = ["sweep", dist_file, "--n-tau-grid", "0,1", "--n-alpha-grid", "4,8",
+                "--a", "0.1", "--mode", MODE_FULL]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform"])
+    @pytest.mark.parametrize("n_taus", ["-1", "2,-1", "1,2,-3"])
+    def test_bad_n_tau_is_reported_before_bad_n_alpha(self, strategy, n_taus, dist_file, capsys):
+        argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", n_taus,
+                "--n-alpha-grid", "-1"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "n_tau must be >= 0")
+
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform"])
+    def test_bad_n_alpha_is_an_error(self, strategy, dist_file, capsys):
+        argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", "0,1",
+                "--n-alpha-grid", "1,-1"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys)
+
+    def test_n_tau_too_large_for_memory_is_one_error_line(self, dist_file, monkeypatch, capsys):
+        eye = np.eye
+
+        def small_eye(n, *args, **kwargs):  # never allocates the (2 n_tau + 1)^2 block
+            if n > 10_001:
+                raise MemoryError(f"Unable to allocate an array of shape ({n}, {n})")
+            return eye(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", small_eye)
+        argv = ["sweep", dist_file, "--strategy", "uniform", "--n-tau-grid", "1,100000",
+                "--n-alpha-grid", "3"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "n_tau 100000", "memory")
+
+
+class TestSweepCells:
+    """Each sweep cell is ``repr`` of the library E_u of that cell's own strategy."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        dist=dists(),
+        strategy=st.sampled_from(["proportional", "uniform", "optimal"]),
+        n_taus=st.lists(st.integers(0, 10), min_size=1, max_size=3).map(
+            lambda taus: [*taus, taus[0]]  # a repeated n_tau
+        ),
+        # 0, past k_max (at most 8) and past the reach (at most 18)
+        n_alphas=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        mode=st.sampled_from([MODE_STRICT, MODE_FULL]),
+        a=st.sampled_from([0.0, 0.1, 15.0, -0.05]),
+    )
+    @example(
+        dist=NextPriceDistribution(k_max=2, probs=np.array([0.0, 0.5, 0.0, 0.5, 0.0]),
+                                   bin_width_pct=1.0),
+        strategy="proportional", n_taus=[1, 3, 1], n_alphas=[0, 2, 9, 30],
+        mode=MODE_FULL, a=15.0,
+    )
+    def test_every_cell_is_its_own_expected_utility(
+        self, dist, strategy, n_taus, n_alphas, mode, a, tmp_path_factory, capsys
+    ):
+        path = tmp_path_factory.mktemp("sweep") / "dist.json"
+        dist.save(str(path))
+        params = UtilityParams(a=a)
+        try:
+            want = []
+            for n_tau in n_taus:
+                for n_alpha in n_alphas:
+                    if strategy == "proportional":
+                        spec = proportional_strategy(dist, params, n_tau, n_alpha)
+                    elif strategy == "uniform":
+                        spec = uniform_strategy(dist, n_tau, n_alpha, params)
+                    else:
+                        spec = optimal_strategy(dist, n_tau, params)[0]
+                    value = expected_utility(dist, n_tau, spec.allocation, params, mode)
+                    want.append([str(n_tau), str(n_alpha), repr(value)])
+        except LpresetError:
+            want = None
+        capsys.readouterr()
+        argv = ["sweep", str(path), "--strategy", strategy,
+                "--n-tau-grid", ",".join(map(str, n_taus)),
+                "--n-alpha-grid", ",".join(map(str, n_alphas)), "--a", repr(a), "--mode", mode]
+        code = main(argv)
+        if want is None:
+            assert code == 1
+            assert_one_error_line(capsys)
+        else:
+            assert code == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+            assert rows == [["n_tau", "n_alpha", "expected_utility"], *want]
 
 
 class TestSimulate:

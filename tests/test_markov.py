@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpreset import (
     InputError,
     build_reset_chain,
     landing_distribution,
+    landing_law,
     outcome_matrix,
     stationary_distribution,
 )
-from lpreset.markov import landing_over
+from lpreset.markov import _f_block, landing_over
+
+from conftest import dists
 
 
 def power_iteration(M, iters=10_000):
@@ -178,3 +182,37 @@ class TestOutcomeAndLanding:
         q = landing_over(five_dist, chain, js)
         O = outcome_matrix(five_dist, 1, 3)
         np.testing.assert_allclose(q, chain.stationary @ O.O, atol=1e-15)
+
+
+class TestFBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(dist=dists(), n_rows=st.integers(0, 20), n_cols=st.integers(0, 20))
+    def test_equals_the_index_matrix_lookup(self, dist, n_rows, n_cols):
+        # rows and columns past k_max, and r + c beyond it, hit the zero padding
+        i = np.arange(-n_rows, n_rows + 1)[:, None]
+        j = np.arange(-n_cols, n_cols + 1)[None, :]
+        want = dist.prob_array(j - i)
+        got = _f_block(dist, n_rows, n_cols)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+    def test_reset_chain_gets_its_own_copy(self, toy_dist):
+        M = build_reset_chain(toy_dist, 1).M
+        assert M.flags.writeable and M.flags.c_contiguous
+        np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-15)
+
+
+class TestLandingLawMemory:
+    def test_block_too_large_for_memory_is_an_input_error(self, toy_dist, monkeypatch):
+        eye = np.eye
+
+        def small_eye(n, *args, **kwargs):  # never allocates the (2 n_tau + 1)^2 block
+            if n > 10_001:
+                raise MemoryError(f"Unable to allocate an array of shape ({n}, {n})")
+            return eye(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", small_eye)
+        with pytest.raises(InputError, match="n_tau 100000 is too large"):
+            landing_law(toy_dist, 100_000)
+        assert landing_law(toy_dist, 2).n_tau == 2

@@ -22,12 +22,13 @@ code.
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, ``optimize``
 (count and mass), ``sweep`` (proportional, uniform, optimal and a mass
-grid), and ``eval`` in both modes and ``simulate --trace-out`` for every
+grid, plus proportional and uniform in both modes over an n_alpha grid
+that passes k_max and the reach, with a repeated n_tau), and ``eval`` in both modes and ``simulate --trace-out`` for every
 strategy document. The documents are the
 constructor form with counts, the constructor form with masses, the
 weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{0, 0.1, 15}: 27 documents, 366 commands and 583 files with
+{0, 0.1, 15}: 27 documents, 390 commands and 607 files with
 ``exit_codes.txt``.
 """
 
@@ -61,6 +62,9 @@ DOCUMENTS = {
     "uniform_tau40": {"kind": "uniform", "n_tau": 40, "n_alpha": 48},
 }
 GRID = ["--n-tau-grid", "0,1,2,4,8", "--n-alpha-grid", "0,1,3,6,12"]
+# n_alpha past k_max (64) and past the reach n_tau + 64, with a repeated n_tau
+WIDE_GRID = ["--n-tau-grid", "0,2,8,2", "--n-alpha-grid", "0,70,200"]
+MODES = ("strict-paper", "full-coverage")
 
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
 CHILD = """
@@ -147,6 +151,11 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                  "--out", str(out / f"sweep_optimal_{tag}.csv")],
                 ["sweep", str(dist), "--tau-mass-grid", "0.2,0.5,0.9,1.0", "--a", a,
                  "--out", str(out / f"sweep_mass_{tag}.csv")],
+            ]
+            cmds += [
+                ["sweep", str(dist), "--strategy", strategy, *WIDE_GRID, "--a", a,
+                 "--mode", mode, "--out", str(out / f"sweep_wide_{strategy}_{mode}_{tag}.csv")]
+                for strategy in ("proportional", "uniform") for mode in MODES
             ]
         for doc in docs:
             tag = f"{dist.stem}_{doc.stem}"
