@@ -134,7 +134,7 @@ def payoffs(
 
     ``utility_of`` maps a reward to a utility. It is called once per distinct
     offset, on a Python float, so each step gets the bits of a scalar
-    per-step evaluation (np.exp and math.exp can differ in the last bit).
+    per-step evaluation (np.expm1 and math.expm1 can differ in the last bit).
     """
     lo = int(js.min())
     table = landing_rewards(

@@ -111,17 +111,22 @@ class Allocation:
 
 
 def exp_utility(c: float, params: UtilityParams) -> float:
-    """u(c) = (1 - exp(-a c)) / a for a != 0, and c at a = 0."""
+    """u(c) = (1 - exp(-a c)) / a for a != 0, and c at a = 0.
+
+    It is computed as -expm1(-a c) / a, which keeps every digit when a*c is
+    tiny; 1 - exp(-a c) cancels to 0 below a*c of about 1e-16.
+    """
     a = params.a
     if a == 0.0:
         return float(c)
     arg = -a * c
     if arg > _EXP_ARG_LIMIT:
         raise NumericalError(f"exp_utility overflow: a={a}, c={c} (exp arg {arg:.1f})")
-    return (1.0 - math.exp(arg)) / a
+    return -math.expm1(arg) / a
 
 
 def exp_utility_vec(c: np.ndarray, params: UtilityParams) -> np.ndarray:
+    """``exp_utility`` of each element of ``c``."""
     a = params.a
     c = np.asarray(c, dtype=float)
     if a == 0.0:
@@ -130,7 +135,7 @@ def exp_utility_vec(c: np.ndarray, params: UtilityParams) -> np.ndarray:
     if np.any(arg > _EXP_ARG_LIMIT):
         bad = float(c.flat[np.argmax(arg)])
         raise NumericalError(f"exp_utility overflow: a={a}, c={bad}")
-    return (1.0 - np.exp(arg)) / a
+    return -np.expm1(arg) / a
 
 
 def reward(alloc: Allocation, j: int, n_tau: int, params: UtilityParams) -> float:

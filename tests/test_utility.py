@@ -16,6 +16,7 @@ from lpreset import (
     expected_utility,
     reward,
 )
+from lpreset.utility import exp_utility_vec
 
 
 def uniform_alloc(n_alpha):
@@ -63,6 +64,14 @@ class TestExpUtility:
         c = 2.5
         assert exp_utility(c, UtilityParams(a=1e-10)) == pytest.approx(c, rel=1e-6)
 
+    @pytest.mark.parametrize("a", [1e-20, -1e-20, 1e-300])
+    def test_tiny_a_keeps_every_digit(self, a):
+        params = UtilityParams(a=a)
+        assert exp_utility(2.5, params) == pytest.approx(2.5, rel=1e-15)
+        np.testing.assert_allclose(
+            exp_utility_vec(np.array([2.5, 0.5]), params), [2.5, 0.5], rtol=1e-15
+        )
+
     def test_strictly_increasing(self):
         p = UtilityParams(a=3.0)
         values = [exp_utility(c, p) for c in np.linspace(-2, 5, 40)]
@@ -107,6 +116,14 @@ class TestExpectedUtility:
         alloc = Allocation(1, np.zeros(3))
         p = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
         assert expected_utility(toy_dist, 1, alloc, p, MODE_STRICT) == 0.0
+
+    @pytest.mark.parametrize("a", [1e-20, -1e-20])
+    def test_tiny_risk_aversion_is_the_shifted_risk_neutral_value(self, eth_dist, a):
+        # a != 0 adds the reward shift of 1; full coverage sums q to 1
+        alloc = uniform_alloc(5)
+        tiny = expected_utility(eth_dist, 2, alloc, UtilityParams(a=a), MODE_FULL)
+        neutral = expected_utility(eth_dist, 2, alloc, UtilityParams(a=0.0), MODE_FULL)
+        assert tiny == pytest.approx(neutral + 1.0, rel=1e-12)
 
     def test_unknown_mode_rejected(self, toy_dist):
         with pytest.raises(InputError):
