@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["proportional", "uniform", "optimal"],
         default="proportional",
     )
-    # --tau-mass-grid excludes both window grids, which go together
+    # --tau-mass-grid excludes both window grids, which go together; argparse
+    # has no public call that puts one flag in two groups
     taus = p.add_mutually_exclusive_group()
     mass = taus.add_argument(
         "--tau-mass-grid",
