@@ -83,14 +83,16 @@ class BacktestReport:
     def write_band_csv(self, path: str) -> None:
         """Write the band as CSV, with the bytes ``csv.writer`` gives.
 
-        The edge columns are formatted once per distinct centre; each row
-        adds its step and price. Rows are written ``BAND_BLOCK_ROWS`` at a
-        time.
+        Each distinct edge value is formatted once and each centre's edge
+        columns are joined once; each row adds its step and price. Rows are
+        written ``BAND_BLOCK_ROWS`` at a time.
         """
         band = self.band
         if band is None:
             raise InputError("replay was run without band collection")
-        tails = [",%r,%r,%r,%r\r\n" % tuple(row) for row in band.edges.tolist()]
+        values, at = np.unique(band.edges, return_inverse=True)
+        text = np.array(["," + repr(v) for v in values.tolist()], dtype=object)[at]
+        tails = [a + b + c + d + "\r\n" for a, b, c, d in text.reshape(-1, 4).tolist()]
         edge_of_row = band.edge_of_row()
         n = len(band.prices)
         with open(path, "w", newline="") as fh:
@@ -155,17 +157,7 @@ def replay(
         distinct, edge_of_run = np.unique(centres, return_inverse=True)
         # band edges may poke past the grid's covered span near the series
         # extremes, so compute them directly rather than via bin_bounds
-        edges = np.array(
-            [
-                (
-                    grid._edge(c - n_alpha),
-                    grid._edge(c + n_alpha + 1),
-                    grid._edge(c - n_tau),
-                    grid._edge(c + n_tau + 1),
-                )
-                for c in distinct.tolist()
-            ]
-        )
+        edges = grid.edges_at(distinct[:, None] + [-n_alpha, n_alpha + 1, -n_tau, n_tau + 1])
         band = Band(series.prices[1:], starts, edge_of_run, edges)
 
     mean = float(utilities.mean())

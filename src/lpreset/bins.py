@@ -32,10 +32,12 @@ class BinGrid:
     index_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.reference_price <= 0:
-            raise RangeError(f"reference_price must be > 0, got {self.reference_price}")
-        if self.step <= 0:
-            raise RangeError(f"step must be > 0, got {self.step}")
+        if not 0 < self.reference_price < math.inf:
+            raise RangeError(
+                f"reference_price must be finite and > 0, got {self.reference_price}"
+            )
+        if not 0 < self.step < math.inf:
+            raise RangeError(f"step must be finite and > 0, got {self.step}")
         lo, hi = self.index_range
         if lo > hi:
             raise RangeError(f"index_range is empty: {self.index_range}")
@@ -51,14 +53,14 @@ class BinGrid:
         both ends are checked against ``_edge`` and widened where they miss.
         Only a ``high`` just under an edge gets one bin more than it needs.
         """
-        if low <= 0 or high < low:
+        if not 0 < low <= high < math.inf:
             raise RangeError(f"invalid price range [{low}, {high}]")
         if anchor is None:
             anchor = low
+        edge = cls(reference_price=anchor, step=step, index_range=(0, 0))._edge
         base = math.log1p(step)
         lo = math.floor(math.log(low / anchor) / base)
         hi = math.floor(math.log(high / anchor) / base)
-        edge = cls(reference_price=anchor, step=step, index_range=(lo, hi))._edge
         lo -= low < edge(lo)
         hi += high >= edge(hi + 1)
         return cls(reference_price=anchor, step=step, index_range=(lo, hi))
@@ -87,6 +89,13 @@ class BinGrid:
     def _edge(self, index: int) -> float:
         return self.reference_price * (1.0 + self.step) ** index
 
+    def edges_at(self, indices) -> np.ndarray:
+        """``_edge(i)`` for each i of the int array ``indices``, of any shape: one
+        scalar call per distinct i, as a vectorized power can differ in the last bit."""
+        distinct, inverse = np.unique(indices, return_inverse=True)
+        edges = np.array([self._edge(i) for i in distinct.tolist()], dtype=float)
+        return edges[inverse].reshape(np.shape(indices))
+
     def price_to_bin(self, price: float) -> int:
         """Index of the bin whose interval contains ``price`` (see prices_to_bins)."""
         return int(self.prices_to_bins([price])[0])
@@ -110,17 +119,16 @@ class BinGrid:
         idx = np.floor(
             np.log(prices / self.reference_price) / math.log1p(self.step)
         ).astype(np.int64)
-        # scalar edges of every candidate bin i - 1 .. i + 1 and of its upper end
-        known = np.unique(np.unique(idx)[:, None] + np.arange(-1, 3))
-        edges = np.array([self._edge(i) for i in known.tolist()])
-
-        def edge(indices: np.ndarray) -> np.ndarray:
-            return edges[np.searchsorted(known, indices)]
-
-        idx -= prices < edge(idx)
-        idx += prices >= edge(idx + 1)
+        # edges of bins i - 1 .. i + 2 for each distinct i, flat: for a price
+        # with i = distinct[r], the edge of bin i + d sits at 4 r + 1 + d
+        distinct, row = np.unique(idx, return_inverse=True)
+        edges = self.edges_at(distinct[:, None] + np.arange(-1, 3)).ravel()
+        base = 4 * row.reshape(idx.shape) + 1
+        at = base - (prices < edges[base])
+        at += prices >= edges[at + 1]
+        idx += at - base
         located = (idx >= lo) & (idx <= hi)
-        located &= (edge(idx) <= prices) & (prices < edge(idx + 1))
+        located &= (edges[at] <= prices) & (prices < edges[at + 1])
         if not located.all():
             price = float(prices[np.argmin(located)])
             raise RangeError(f"price {price} could not be located on the grid")

@@ -115,7 +115,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         strategy, n_alphas = "optimal", [None]
     else:
         n_taus = _parse_grid(args.n_tau_grid, int)
-        strategy, n_alphas = args.strategy, _parse_grid(args.n_alpha_grid, int)
+        strategy = args.strategy or "proportional"
+        n_alphas = _parse_grid(args.n_alpha_grid, int)
     # one law per distinct n_tau, so a bad n_tau is reported before any n_alpha
     laws = {n_tau: landing_law(dist, n_tau) for n_tau in dict.fromkeys(n_taus)}
     if strategy == "proportional":  # allocations independent of n_tau (given as 0)
@@ -161,14 +162,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     series = load_price_csv(args.prices)
+    # resolve the strategy against the distribution fitted from this series;
+    # the fit also rejects a bin width that is not finite and > 0
+    dist = fit_distribution(
+        percent_changes(series), k_max=args.k_max, bin_width_pct=args.bin_width_pct
+    )
     step = args.bin_width_pct / 100.0
     lo, hi = float(series.prices.min()), float(series.prices.max())
     anchor = float(series.prices[0]) if args.grid_anchor == "first" else lo
     grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
-    # resolve the strategy against the distribution fitted from this series
-    dist = fit_distribution(
-        percent_changes(series), k_max=args.k_max, bin_width_pct=args.bin_width_pct
-    )
     spec = load_strategy(args.strategy, dist)
     report = bt.replay(series, spec, grid, collect_band=args.band_out is not None)
     if args.band_out:
@@ -232,13 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="expected-utility sweep over window grids")
     p.add_argument("distribution")
-    p.add_argument(
-        "--strategy",
-        choices=["proportional", "uniform", "optimal"],
-        default="proportional",
-    )
-    # --tau-mass-grid excludes both window grids, which go together; argparse
-    # has no public call that puts one flag in two groups
+    # --tau-mass-grid excludes --strategy and both window grids (which go
+    # together); argparse has no public call that puts one flag in three groups
     taus = p.add_mutually_exclusive_group()
     mass = taus.add_argument(
         "--tau-mass-grid",
@@ -248,6 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     alphas = p.add_mutually_exclusive_group()
     alphas._group_actions.append(mass)
     alphas.add_argument("--n-alpha-grid", help="comma-separated n_alpha values")
+    strategies = p.add_mutually_exclusive_group()
+    strategies._group_actions.append(mass)
+    strategies.add_argument(
+        "--strategy",
+        choices=["proportional", "uniform", "optimal"],
+        help="strategy on the window grids (default: proportional)",
+    )
     _add_params(p)
     p.set_defaults(func=cmd_sweep)
     _add_common(p, mode=True)

@@ -77,8 +77,8 @@ class NextPriceDistribution:
         object.__setattr__(self, "probs", p)
         if self.k_max < 1:
             raise InputError(f"k_max must be >= 1, got {self.k_max}")
-        if self.bin_width_pct <= 0:
-            raise InputError("bin_width_pct must be > 0")
+        if not 0 < self.bin_width_pct < math.inf:
+            raise InputError(f"bin_width_pct must be finite and > 0, got {self.bin_width_pct}")
         if p.shape != (2 * self.k_max + 1,):
             raise InputError(
                 f"probs must have length {2 * self.k_max + 1}, got {p.shape}"
@@ -274,8 +274,8 @@ def fit_distribution(
         raise InputError("no percent changes to fit")
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    if bin_width_pct <= 0:
-        raise InputError("bin_width_pct must be > 0")
+    if not 0 < bin_width_pct < math.inf:
+        raise InputError(f"bin_width_pct must be finite and > 0, got {bin_width_pct}")
     if not np.all(np.isfinite(changes)):
         raise InputError("percent changes must be finite")
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +110,20 @@ def test_invalid_construction():
         BinGrid(reference_price=1.0, step=0.01, index_range=(3, 1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_reference_price_or_step_is_an_error(bad):
+    with pytest.raises(RangeError, match="reference_price must be finite and > 0"):
+        BinGrid(reference_price=bad, step=0.01, index_range=(0, 1))
+    with pytest.raises(RangeError, match="step must be finite and > 0"):
+        BinGrid(reference_price=1.0, step=bad, index_range=(0, 1))
+    with pytest.raises(RangeError, match="step must be finite and > 0"):
+        BinGrid.from_price_range(90.0, 110.0, bad, anchor=100.0)
+    with pytest.raises(RangeError, match="reference_price must be finite and > 0"):
+        BinGrid.from_price_range(90.0, 110.0, 0.01, anchor=bad)
+    with pytest.raises(RangeError, match="invalid price range"):
+        BinGrid.from_price_range(90.0, abs(bad), 0.01)
+
+
 def test_grid_anchor_alignment():
     anchored = BinGrid.from_price_range(90.0, 200.0, 0.01, anchor=100.0)
     assert anchored.price_to_bin(100.0) == 0
@@ -152,3 +167,44 @@ def test_from_price_range_covers_high_on_or_one_ulp_above_an_edge():
         inside = 100.0 * 1.01 ** (k + 0.5)
         g = BinGrid.from_price_range(inside / 2.0, inside, 0.01, anchor=100.0)
         assert g.index_range[1] == k
+
+
+@given(
+    ref=st.floats(0.01, 1e4),
+    step=st.floats(1e-6, 0.05),
+    rows=st.integers(0, 30),
+    width=st.sampled_from([None, 4]),
+    data=st.data(),
+)
+def test_edges_at_equals_scalar_edges(ref, step, rows, width, data):
+    # few distinct values so that indices repeat; shapes (n,), (n, 4) and (0, 4)
+    g = grid(ref=ref, step=step)
+    pool = data.draw(st.lists(st.integers(-2000, 2000), min_size=1, max_size=6))
+    shape = (rows,) if width is None else (rows, width)
+    size = rows * (width or 1)
+    flat = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    indices = np.array(flat, dtype=np.int64).reshape(shape)
+    got = g.edges_at(indices)
+    assert got.dtype == np.float64
+    assert got.shape == shape
+    assert got.ravel().tolist() == [g._edge(i) for i in flat]
+
+
+def test_prices_to_bins_of_no_prices():
+    got = grid().prices_to_bins([])
+    assert got.dtype == np.int64
+    assert got.shape == (0,)
+
+
+def test_prices_to_bins_computes_edges_per_distinct_bin(monkeypatch):
+    # about 55,000 bins between two prices: a table over the whole span of the
+    # prices would compute each of their edges
+    g = BinGrid.from_price_range(1e-6, 1e6, 5e-4)
+    prices = [1e-6, 1e6]
+    floors = np.floor(np.log(np.divide(prices, g.reference_price)) / math.log1p(g.step))
+    calls = []
+    edge = BinGrid._edge
+    monkeypatch.setattr(BinGrid, "_edge", lambda self, i: calls.append(i) or edge(self, i))
+    assert g.prices_to_bins(prices).tolist() == [g.index_range[0], g.index_range[1]]
+    assert g.n_bins > 50_000
+    assert len(calls) <= 4 * len(set(floors.tolist())) + 2

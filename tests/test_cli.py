@@ -190,14 +190,14 @@ class TestSweep:
     @pytest.mark.parametrize(
         "grids",
         [
-            ["--n-tau-grid", ",", "--n-alpha-grid", "1"],
-            ["--n-tau-grid", "1", "--n-alpha-grid", " , "],
+            ["--strategy", "uniform", "--n-tau-grid", ",", "--n-alpha-grid", "1"],
+            ["--strategy", "uniform", "--n-tau-grid", "1", "--n-alpha-grid", " , "],
             ["--tau-mass-grid", ","],
         ],
     )
     def test_grid_without_values_is_an_error(self, grids, dist_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", dist_file, "--strategy", "uniform", *grids, "--out", str(out)]) == 1
+        assert main(["sweep", dist_file, *grids, "--out", str(out)]) == 1
         assert_one_error_line(capsys, "has no values")
         assert not out.exists()
 
@@ -209,6 +209,24 @@ class TestSweep:
         assert f"argument {flag}: not allowed with argument --tau-mass-grid" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform", "optimal"])
+    def test_tau_mass_grid_excludes_the_strategy(self, strategy, dist_file, capsys):
+        # the mass grid always sweeps the optimal strategy, so a --strategy
+        # given with it would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", dist_file, "--strategy", strategy, "--tau-mass-grid", "0.5"])
+        assert exc.value.code == 2
+        assert "argument --tau-mass-grid: not allowed with argument --strategy" in (
+            capsys.readouterr().err
+        )
+
+    def test_window_grids_default_to_the_proportional_strategy(self, dist_file, capsys):
+        grids = ["--n-tau-grid", "0,2", "--n-alpha-grid", "1,3", "--a", "0.1"]
+        assert main(["sweep", dist_file, *grids]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["sweep", dist_file, "--strategy", "proportional", *grids]) == 0
+        assert capsys.readouterr().out == implicit
 
     def test_window_grids_go_together(self, dist_file, capsys):
         argv = ["sweep", dist_file, "--n-tau-grid", "0,1", "--n-alpha-grid", "4,8",
@@ -424,6 +442,21 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
+    def test_bin_width_not_finite_and_positive_is_one_line_and_nonzero(
+        self, command, width, strategy_file, tmp_path, capsys
+    ):
+        csv_path = write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 100.9])
+        argv = [command, csv_path]
+        if command == "backtest":
+            argv += [strategy_file, "--band-out", str(tmp_path / "band.csv")]
+        out = tmp_path / "out.json"
+        assert main(argv + [f"--bin-width-pct={width}", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "bin_width_pct must be finite and > 0")
+        assert not out.exists()
+        assert not (tmp_path / "band.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit", "backtest"])
     def test_short_row_is_one_line_and_nonzero(

@@ -72,6 +72,14 @@ class TestFitDistribution:
                 clamp_tails=clamp_tails,
             )
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bin_width_not_finite_and_positive_is_an_error(self, width):
+        # a NaN width used to put all the mass at -k_max
+        with pytest.raises(InputError, match="bin_width_pct must be finite and > 0"):
+            fit_distribution(np.array([0.0, 1.0]), k_max=2, bin_width_pct=width)
+        with pytest.raises(InputError, match="bin_width_pct must be finite and > 0"):
+            NextPriceDistribution(1, np.array([0.25, 0.5, 0.25]), bin_width_pct=width)
+
     def test_all_dropped_is_an_error(self):
         with pytest.raises(InputError, match="outside the binned range"):
             fit_distribution(np.array([50.0]), k_max=2, bin_width_pct=1.0, clamp_tails=False)
@@ -178,6 +186,15 @@ class TestSeriesAndIO:
     def test_non_monotone_timestamps(self):
         with pytest.raises(InputError):
             PriceSeries(np.array([1.0, 1.0]), np.array([100.0, 101.0]))
+
+    def test_non_finite_bin_width_in_a_document_is_an_error(self, tmp_path, eth_dist):
+        path = tmp_path / "dist.json"
+        eth_dist.save(str(path))
+        path.write_text(path.read_text().replace(
+            f'"bin_width_pct": {eth_dist.bin_width_pct!r}', '"bin_width_pct": NaN'
+        ))
+        with pytest.raises(InputError, match="bin_width_pct must be finite and > 0"):
+            NextPriceDistribution.load(str(path))
 
     def test_distribution_json_round_trip(self, tmp_path, eth_dist):
         path = tmp_path / "dist.json"

@@ -424,6 +424,20 @@ class TestReplay:
         assert got[0].resets == resets
         assert len(got[1]) == len(levels) - 1
 
+    @pytest.mark.parametrize("n_tau, n_alpha", [(1, 6), (6, 1)])
+    def test_band_of_a_long_walk_equals_reference(self, n_tau, n_alpha):
+        # many centres, revisited, whose alpha and tau edges share some values
+        rng = np.random.default_rng(n_tau)
+        levels = np.concatenate([[0], np.cumsum(rng.integers(-4, 5, 600))])
+        prices = [100.0 * 1.01 ** (level + 0.5) for level in levels.tolist()]
+        weights = np.full(2 * n_alpha + 1, 1 / (2 * n_alpha + 1))
+        spec = StrategySpec(
+            "custom", n_tau, n_alpha, Allocation(n_alpha, weights), UtilityParams(a=0.1)
+        )
+        got = replayed(replay, prices, 0.01, 100.0, spec, True)
+        assert got == replayed(reference_replay, prices, 0.01, 100.0, spec, True)
+        assert len(got[0].band.edges) > 20
+
 
 class TestPricesToBins:
     @settings(max_examples=200, deadline=None)

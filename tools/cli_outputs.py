@@ -20,7 +20,10 @@ under ``--out``, and ``exit_codes.txt`` lists each command with its exit
 code.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
-both grid anchors for every price CSV and strategy document, ``optimize``
+both grid anchors for every price CSV and strategy document, the same
+``fit`` and, for one document, ``backtest --band-out`` with both anchors on
+the base CSV at ``--bin-width-pct 1e-6`` (a grid of about 20 million bins
+for 10,000 rows), ``optimize``
 (count and mass), ``sweep`` (proportional, uniform, optimal and a mass
 grid, plus proportional and uniform in both modes over an n_alpha grid
 that passes k_max and the reach, with a repeated n_tau), and ``eval`` in both modes and ``simulate --trace-out`` for every
@@ -28,7 +31,7 @@ strategy document. The documents are the
 constructor form with counts, the constructor form with masses, the
 weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{0, 0.1, 15}: 27 documents, 390 commands and 607 files with
+{0, 0.1, 15}: 27 documents, 393 commands and 612 files with
 ``exit_codes.txt``.
 """
 
@@ -65,6 +68,10 @@ GRID = ["--n-tau-grid", "0,1,2,4,8", "--n-alpha-grid", "0,1,3,6,12"]
 # n_alpha past k_max (64) and past the reach n_tau + 64, with a repeated n_tau
 WIDE_GRID = ["--n-tau-grid", "0,2,8,2", "--n-alpha-grid", "0,70,200"]
 MODES = ("strict-paper", "full-coverage")
+FINE_WIDTH = ["--bin-width-pct", "1e-6"]
+# at this width nearly every move passes k_max, so h has its mass at the two
+# tails and a proportional document finds none over its B_alpha
+FINE_DOCUMENT = ("uniform_count", 0.1)
 
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
 CHILD = """
@@ -174,6 +181,13 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                 cmds.append(["backtest", str(csv_path), str(doc), "--grid-anchor", anchor,
                              "--band-out", str(out / f"band_{tag}.csv"),
                              "--out", str(out / f"backtest_{tag}.json")])
+    # a grid of about 20 million bins for 10,000 rows: work must follow the rows
+    base, doc = inputs / "prices" / "prices_00000.csv", inputs / document_name(*FINE_DOCUMENT)
+    cmds.append(["fit", str(base), *FINE_WIDTH, "--out", str(out / "fit_fine.json")])
+    for anchor in ("first", "low"):
+        cmds.append(["backtest", str(base), str(doc), *FINE_WIDTH, "--grid-anchor", anchor,
+                     "--band-out", str(out / f"band_fine_{anchor}.csv"),
+                     "--out", str(out / f"backtest_fine_{anchor}.json")])
     return cmds
 
 
