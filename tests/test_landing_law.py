@@ -82,6 +82,10 @@ def reference_water_filling(problem):
     s = np.where(problem.tau_membership, p.shift, p.shift - 1.0)
     with np.errstate(divide="ignore"):
         top = np.log(problem.q * scale) - a * s
+        # the same logs taken relative to the largest: near a * scale = 1e-3
+        # the absolute ones (about -7) round weights by up to 1e-12 each
+        m = int(np.argmax(top))
+        top = np.log(problem.q / problem.q[m]) - a * (s - s[m])
     top[problem.q == 0.0] = -np.inf
 
     def weights_at(log_lam):
