@@ -52,7 +52,6 @@ from .utility import (
     UtilityParams,
     exp_utility,
     expected_utility,
-    reward,
 )
 
 __version__ = "0.1.0"

@@ -107,23 +107,17 @@ class BacktestReport:
                 fh.write("".join([f"{step},{price!r}{tails[e]}" for step, price, e in rows]))
 
 
-def v2_baseline(
-    series: PriceSeries,
-    grid: BinGrid,
-    params: UtilityParams,
-    apply_shift: bool = True,
-) -> float:
+def v2_baseline(series: PriceSeries, grid: BinGrid, params: UtilityParams) -> float:
     """Guaranteed per-step utility of uniform liquidity over all N grid bins.
 
-    With ``apply_shift`` the standard a != 0 shift convention is applied;
-    replay() disables it on both sides of its ratio (see module docstring).
+    The utility is unshifted, u(kappa*ell/N), as on the strategy side of
+    replay()'s ratio (see module docstring).
     """
     span_lo, span_hi = grid.covered_span()
     lo, hi = float(series.prices.min()), float(series.prices.max())
     if lo < span_lo or hi >= span_hi:
         raise InputError("grid does not span the series' full price range")
-    shift = params.shift if apply_shift else 0.0
-    return exp_utility(params.kappa * params.ell / grid.n_bins + shift, params)
+    return exp_utility(params.kappa * params.ell / grid.n_bins, params)
 
 
 def replay(
@@ -161,7 +155,7 @@ def replay(
         band = Band(series.prices[1:], starts, edge_of_run, edges)
 
     mean = float(utilities.mean())
-    v2_mean = v2_baseline(series, grid, params, apply_shift=False)
+    v2_mean = v2_baseline(series, grid, params)
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan  # u may underflow to 0
     return BacktestReport(
         steps=len(js),

@@ -38,6 +38,8 @@ class BinGrid:
             )
         if not 0 < self.step < math.inf:
             raise RangeError(f"step must be finite and > 0, got {self.step}")
+        if 1.0 + self.step == 1.0:
+            raise RangeError(f"step {self.step} is too small: 1 + step == 1, every edge equal")
         lo, hi = self.index_range
         if lo > hi:
             raise RangeError(f"index_range is empty: {self.index_range}")
@@ -87,7 +89,10 @@ class BinGrid:
         return self._edge(index), self._edge(index + 1)
 
     def _edge(self, index: int) -> float:
-        return self.reference_price * (1.0 + self.step) ** index
+        try:
+            return self.reference_price * (1.0 + self.step) ** index
+        except OverflowError as exc:
+            raise RangeError(f"edge of bin {index} overflows at step {self.step}") from exc
 
     def edges_at(self, indices) -> np.ndarray:
         """``_edge(i)`` for each i of the int array ``indices``, of any shape: one

@@ -279,13 +279,17 @@ def fit_distribution(
     if not np.all(np.isfinite(changes)):
         raise InputError("percent changes must be finite")
 
-    ks = np.floor(changes / bin_width_pct + 0.5).astype(int)
+    # clamped or dropped in float: at a tiny width a bin number passes the
+    # int range (or the float range, as inf), where the cast gives INT_MIN
+    with np.errstate(over="ignore"):
+        ks = np.floor(changes / bin_width_pct + 0.5)
     if clamp_tails:
         ks = np.clip(ks, -k_max, k_max)
     else:
         ks = ks[np.abs(ks) <= k_max]
         if ks.size == 0:
             raise InputError("all samples fell outside the binned range")
+    ks = ks.astype(int)
     counts = np.bincount(ks + k_max, minlength=2 * k_max + 1).astype(float)
     return NextPriceDistribution(
         k_max=k_max,

@@ -5,13 +5,15 @@ attitude:
 
 * a > 0 (strictly concave): the KKT equalization condition inverts in closed
   form. On an active bin A_j = v_j - theta, and A_j = 0 where v_j <= theta,
-  with v_j = (log(q_j*kappa*ell) - a*s_j) / (a*kappa*ell) (s_j is the reward
-  shift less the reset fee). Those weights are the Euclidean projection of v
-  onto the simplex, found by one sort (Duchi et al. 2008).
-* a = 0 (linear): the optimum is the vertex with the largest landing
-  probability.
-* a < 0 (convex): the maximum lies at a vertex of the simplex; all vertices
-  are enumerated.
+  with v_j = (log(q_j/q_m) - a*(s_j - s_m)) / (a*kappa*ell) (s_j is the reward
+  shift less the reset fee, m the bin with the largest log(q_j) - a*s_j).
+  Those weights are the Euclidean projection of v onto the simplex, found by
+  one sort (Duchi et al. 2008).
+* a <= 0 (linear or convex): the maximum lies at a vertex of the simplex.
+  Vertex i adds q_i * (u(s_i + kappa*ell) - u(s_i)) = q_i * e^(-a*s_i) *
+  u(kappa*ell) to the all-zero allocation's E_u, and s_i takes one value
+  inside B_tau and that value less 1 outside, so the optimum is the argmax
+  of q_i, times e^a outside B_tau (just q at a = 0).
 
 A projected-gradient ascent is provided as an independent verifier for
 a >= 0.
@@ -90,7 +92,8 @@ class OptimizationProblem:
 @dataclass(frozen=True)
 class Solution:
     """A solver's allocation and certificate. ``iterations`` counts the active
-    bins (water-filling), the vertices (enumeration) or the ascent steps."""
+    bins (water-filling), the vertices the a <= 0 rule chose among (method
+    ``vertex-enumeration``) or the ascent steps."""
 
     allocation: Allocation
     objective: float
@@ -111,12 +114,6 @@ class Solution:
         }
 
 
-def _one_hot(problem: OptimizationProblem, hot: int) -> np.ndarray:
-    w = np.zeros_like(problem.q)
-    w[hot] = 1.0
-    return w
-
-
 def _argmax_center_first(values: np.ndarray, n_alpha: int) -> int:
     """Index of the maximum; ties go to the lowest |j|, negative before positive."""
     best = float(np.max(values))
@@ -132,9 +129,14 @@ def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
     a, scale = p.a, p.kappa * p.ell
     s = np.where(problem.tau_membership, p.shift, p.shift - 1.0)
     live = problem.q > 0.0  # bins the price never lands in get nothing
+    q, s = problem.q[live], s[live]
     w = np.zeros_like(problem.q)
+    # v relative to the top bin m (v_m = 0): the projection is
+    # translation-invariant, and absolute logs near a*kappa*ell = 1e-3 put v
+    # near -7,000, where v - theta rounds each weight by up to 1e-12
+    m = int(np.argmax(np.log(q) - a * s))
     with np.errstate(all="ignore"):  # a tiny a sends v past the float range
-        v = (np.log(problem.q[live] * scale) - a * s[live]) / (a * scale)
+        v = (np.log(q / q[m]) - a * (s - s[m])) / (a * scale)
         bound = (v.size + 2) * np.abs(v).sum()  # bounds every sum project_simplex forms
     if not np.isfinite(bound):
         raise NumericalError(f"risk aversion a={a!r} is too small: water-filling inputs overflow")
@@ -146,25 +148,23 @@ def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
 def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
     """Exact maximizer of the CARA objective on the probability simplex."""
     a = problem.params.a
-    n = problem.q.shape[0]
     if a > 0:
         w, iters = _water_filling(problem)
         method = "water-filling"
-    elif a == 0.0:
-        w = _one_hot(problem, _argmax_center_first(problem.q, problem.n_alpha))
-        iters, method = n, "vertex-enumeration"
-    else:
-        values = np.array(
-            [problem.objective(_one_hot(problem, i)) for i in range(n)]
-        )
-        w = _one_hot(problem, _argmax_center_first(values, problem.n_alpha))
-        iters, method = n, "vertex-enumeration"
+    else:  # the vertex rule of the module docstring; np.exp(0.0) == 1.0
+        gain = np.where(problem.tau_membership, problem.q, problem.q * np.exp(a))
+        w = np.zeros_like(problem.q)
+        w[_argmax_center_first(gain, problem.n_alpha)] = 1.0
+        iters, method = w.shape[0], "vertex-enumeration"
+    # before the residual: where |a|*kappa*ell overflows the exp, the objective
+    # raises NumericalError and the gradient's exp would warn first
+    objective = problem.objective(w)
     resid = kkt_residual(problem, w)
     if a > 0 and not resid <= tol:  # a NaN residual certifies nothing
         raise NumericalError(f"water-filling KKT residual {resid:.3e} exceeds {tol:.1e}")
     return Solution(
         allocation=Allocation(n_alpha=problem.n_alpha, weights=w),
-        objective=problem.objective(w),
+        objective=objective,
         kkt_residual=resid,
         iterations=iters,
         method=method,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import NextPriceDistribution
-from .errors import InputError, NumericalError, RangeError
+from .errors import InputError, NumericalError
 from .markov import LandingLaw, landing_law
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Allocation",
     "exp_utility",
     "exp_utility_vec",
-    "reward",
     "landing_rewards",
     "expected_utility",
     "expected_utilities",
@@ -138,24 +137,11 @@ def exp_utility_vec(c: np.ndarray, params: UtilityParams) -> np.ndarray:
     return -np.expm1(arg) / a
 
 
-def reward(alloc: Allocation, j: int, n_tau: int, params: UtilityParams) -> float:
-    """Per-step reward of landing in bin j: fee income minus the reset cost."""
-    if abs(j) > alloc.n_alpha:
-        raise RangeError(f"offset {j} outside B_alpha (n_alpha={alloc.n_alpha})")
-    r = params.kappa * params.ell * alloc.weight(j)
-    if abs(j) > n_tau:
-        r -= 1.0
-    return r
-
-
 def landing_rewards(
     alloc: Allocation, js: np.ndarray, n_tau: int, params: UtilityParams
 ) -> np.ndarray:
-    """Rewards of landing at each offset in ``js``, zero allocation beyond B_alpha.
-
-    Elementwise the same arithmetic as ``reward``: kappa*ell*A(j), less the
-    reset fee of 1 outside B_tau.
-    """
+    """Rewards of landing at each offset in ``js``: kappa*ell*A(j), with zero
+    allocation beyond B_alpha, less the reset fee of 1 outside B_tau."""
     js = np.asarray(js)
     rewards = params.kappa * params.ell * alloc.weight_array(js)
     rewards[np.abs(js) > n_tau] -= 1.0

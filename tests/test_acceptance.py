@@ -355,7 +355,7 @@ class TestAcceptance:
                 reference_price=lo, step=coarse_step, index_range=(0, n_bins - 1)
             )
             assert coarse.n_bins == n_bins
-            v2 = v2_baseline(series, coarse, params, apply_shift=False)
+            v2 = v2_baseline(series, coarse, params)
             ratios.append(report.mean_utility_per_step / v2)
         mono_ok = ratios[0] < ratios[1] < ratios[2]
         elapsed = time.perf_counter() - t0

@@ -42,12 +42,8 @@ class TestV2Baseline:
         grid = BinGrid(reference_price=100.0, step=0.0005, index_range=(-500, 499))
         params = UtilityParams(a=1.0, kappa=1.0, ell=100.0)
         c = 100.0 / 1000
-        assert v2_baseline(series, grid, params) == pytest.approx(
-            1.0 - math.exp(-(c + 1.0))
-        )
-        assert v2_baseline(series, grid, params, apply_shift=False) == pytest.approx(
-            1.0 - math.exp(-c)
-        )
+        # unshifted, u(c) and not u(c + 1), like the strategy side of the ratio
+        assert v2_baseline(series, grid, params) == pytest.approx(1.0 - math.exp(-c))
 
     def test_single_bin_grid_earns_full_fee(self):
         series = series_from_prices([100.0, 100.0])

@@ -124,6 +124,25 @@ def test_non_finite_reference_price_or_step_is_an_error(bad):
         BinGrid.from_price_range(90.0, abs(bad), 0.01)
 
 
+@pytest.mark.parametrize("step", [1e-302, 1e-19, 1e-16])
+def test_step_lost_against_one_is_an_error(step):
+    # 1 + step == 1 would make every edge the reference price
+    with pytest.raises(RangeError, match="1 \\+ step == 1"):
+        BinGrid(reference_price=100.0, step=step, index_range=(0, 1))
+    with pytest.raises(RangeError, match="1 \\+ step == 1"):
+        BinGrid.from_price_range(100.0, 100.0, step)
+
+
+def test_edge_past_the_float_range_is_an_error():
+    # (1 + step) ** index raises OverflowError past the float range
+    g = grid(step=1e298, lo=0, hi=1)
+    assert g.bin_bounds(0) == (100.0, 100.0 * (1.0 + 1e298))
+    with pytest.raises(RangeError, match="edge of bin 2 overflows"):
+        g.bin_bounds(1)
+    with pytest.raises(RangeError, match="overflows"):
+        BinGrid.from_price_range(100.0, 1e300, 1e298)
+
+
 def test_grid_anchor_alignment():
     anchored = BinGrid.from_price_range(90.0, 200.0, 0.01, anchor=100.0)
     assert anchored.price_to_bin(100.0) == 0

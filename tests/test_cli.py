@@ -122,6 +122,15 @@ class TestOptimize:
         assert main(["optimize", dist_file, "--n-tau", "2", "--a", a]) == 1
         assert_one_error_line(capsys, "risk aversion", "too small")
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_risk_seeking_that_overflows_is_one_error_line(self, tmp_path, eth_dist, capsys):
+        # |a| * kappa * ell = 1,500 overflows exp: the objective raises before
+        # the gradient's exp in the KKT residual can warn
+        path = tmp_path / "dist.json"
+        eth_dist.save(str(path))
+        assert main(["optimize", str(path), "--n-tau", "3", "--a", "-15"]) == 1
+        assert_one_error_line(capsys, "overflow")
+
 
 class TestSweep:
     def test_grid_csv(self, dist_file, capsys, toy_dist):
@@ -442,6 +451,21 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "width, message",
+        [("1e300", "overflows"), ("1e-300", "1 + step == 1"), ("1e-17", "1 + step == 1")],
+    )
+    def test_extreme_bin_width_backtest_is_one_line_and_nonzero(
+        self, width, message, strategy_file, tmp_path, capsys
+    ):
+        csv_path = write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 100.9])
+        out = tmp_path / "out.json"
+        argv = ["backtest", csv_path, strategy_file, f"--bin-width-pct={width}"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert_one_error_line(capsys, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "backtest"])
     @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])

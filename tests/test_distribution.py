@@ -80,6 +80,18 @@ class TestFitDistribution:
         with pytest.raises(InputError, match="bin_width_pct must be finite and > 0"):
             NextPriceDistribution(1, np.array([0.25, 0.5, 0.25]), bin_width_pct=width)
 
+    @pytest.mark.filterwarnings("error")  # the int cast of a huge bin number warned
+    @pytest.mark.parametrize("width", [1e-300, 5e-324])
+    def test_tiny_width_puts_each_change_in_its_tail(self, width):
+        # changes / width pass the int range (at 5e-324 the float range too)
+        d = fit_distribution(np.array([1.0, -1.0, 1.0, 0.0]), k_max=2, bin_width_pct=width)
+        assert d.probs.tolist() == [0.25, 0.0, 0.25, 0.0, 0.5]
+        d = fit_distribution(
+            np.array([1.0, -1.0, 0.0]), k_max=2, bin_width_pct=width, clamp_tails=False
+        )
+        assert d.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert d.source_rows == 1
+
     def test_all_dropped_is_an_error(self):
         with pytest.raises(InputError, match="outside the binned range"):
             fit_distribution(np.array([50.0]), k_max=2, bin_width_pct=1.0, clamp_tails=False)

@@ -152,7 +152,7 @@ def reference_replay(series, spec, grid, collect_band=False):
             )
 
     mean = float(np.mean(utilities))
-    v2_mean = v2_baseline(series, grid, params, apply_shift=False)
+    v2_mean = v2_baseline(series, grid, params)
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan
     report = BacktestReport(
         steps=len(utilities),

@@ -2,9 +2,10 @@
 
 ``reference_stationary`` is the old normalization-row solve with its
 power-iteration fallback, ``reference_landing`` the old dense landing path
-(one h lookup per (i, j) pair) and ``reference_water_filling`` the old
-bisection on the log multiplier. The new code must agree with them to a few
-ulps: it solves the same equations in a different order.
+(one h lookup per (i, j) pair), ``reference_water_filling`` the old
+bisection on the log multiplier and ``reference_vertex_objectives`` the old
+a <= 0 enumeration of every vertex's objective. The new code must agree with
+them to a few ulps: it solves the same equations in a different order.
 """
 
 import math
@@ -106,6 +107,31 @@ def reference_water_filling(problem):
             hi = mid
     w = weights_at(0.5 * (lo + hi))
     return w / w.sum()
+
+
+def reference_vertex_objectives(problem):
+    """The objective of each one-hot allocation, one full evaluation each."""
+    return np.array([problem.objective(vertex) for vertex in np.eye(problem.q.shape[0])])
+
+
+@st.composite
+def vertex_problems(draw):
+    """Problems for a <= 0: q with exact zeros and, half the time, exact mirror ties."""
+    n_alpha = draw(st.integers(0, 12))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    half = np.array(draw(st.lists(weight, min_size=n_alpha, max_size=n_alpha)))
+    center = draw(weight)
+    right = half[::-1] if draw(st.booleans()) else np.array(
+        draw(st.lists(weight, min_size=n_alpha, max_size=n_alpha))
+    )
+    q = np.concatenate([half, [center], right])
+    assume(q.sum() > 0.0)
+    n_tau = draw(st.integers(0, n_alpha))
+    params = UtilityParams(
+        a=draw(st.floats(-5.0, 0.0)), kappa=1.0, ell=draw(st.floats(0.01, 100.0))
+    )
+    js = np.arange(-n_alpha, n_alpha + 1)
+    return OptimizationProblem(q=q / q.sum(), tau_membership=np.abs(js) <= n_tau, params=params)
 
 
 def no_move(dist):
@@ -242,3 +268,20 @@ class TestSortWaterFilling:
         assert kkt_residual(problem, w) == sol.kkt_residual
         assert sol.iterations == np.count_nonzero(w)
         assert np.all(w[law.q == 0.0] == 0.0)
+
+
+class TestVertexRule:
+    @settings(max_examples=500, deadline=None)
+    @given(problem=vertex_problems())
+    def test_equals_enumeration(self, problem):
+        sol = solve(problem)
+        w = sol.allocation.weights
+        assert np.count_nonzero(w) == 1 and w.sum() == 1.0
+        values = reference_vertex_objectives(problem)
+        best = float(values.max())
+        tol = 1e-12 * float(np.max(np.abs(values)))
+        assert sol.objective >= best - tol
+        assert sol.objective == values[np.argmax(w)]
+        if np.sum(values >= best - tol) == 1:  # a unique best vertex
+            assert np.argmax(w) == np.argmax(values)
+        assert (sol.method, sol.iterations) == ("vertex-enumeration", w.shape[0])

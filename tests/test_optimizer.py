@@ -74,6 +74,16 @@ class TestSolve:
         sol = solve(prob)
         assert sol.allocation.weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
+    def test_risk_seeking_tie_breaks_toward_center_negative_first(self):
+        # an exact tie in the vertex gain, which n-term objective sums round apart
+        prob = OptimizationProblem(
+            q=np.array([0.3, 0.2, 0.3]),
+            tau_membership=np.ones(3, bool),
+            params=UtilityParams(a=-1.0, kappa=1.0, ell=37.0),
+        )
+        sol = solve(prob)
+        assert sol.allocation.weights.tolist() == [1.0, 0.0, 0.0]
+
     def test_water_filling_certificate(self, toy_dist):
         sol = solve(toy_full_problem(toy_dist, a=1.0))
         assert sol.method == "water-filling"

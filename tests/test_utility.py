@@ -9,14 +9,12 @@ from lpreset import (
     Allocation,
     InputError,
     NumericalError,
-    RangeError,
     UtilityParams,
     build_reset_chain,
     exp_utility,
     expected_utility,
-    reward,
 )
-from lpreset.utility import exp_utility_vec
+from lpreset.utility import exp_utility_vec, landing_rewards
 
 
 def uniform_alloc(n_alpha):
@@ -85,20 +83,16 @@ class TestExpUtility:
 class TestReward:
     def test_worked_example_center(self):
         p = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        assert reward(uniform_alloc(1), 0, 1, p) == pytest.approx(1 / 3)
+        assert landing_rewards(uniform_alloc(1), [0], 1, p).tolist() == [pytest.approx(1 / 3)]
 
     def test_unallocated_bin_inside_window(self):
         alloc = Allocation(1, np.array([0.5, 0.0, 0.5]))
-        assert reward(alloc, 0, 1, UtilityParams()) == 0.0
+        assert landing_rewards(alloc, [0], 1, UtilityParams()).tolist() == [0.0]
 
     def test_reset_fee_outside_window(self):
         alloc = Allocation(1, np.array([0.2, 0.6, 0.2]))
         p = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
-        assert reward(alloc, 1, 0, p) == pytest.approx(19.0)
-
-    def test_outside_alpha_raises(self):
-        with pytest.raises(RangeError):
-            reward(uniform_alloc(1), 2, 1, UtilityParams())
+        assert landing_rewards(alloc, [1], 0, p).tolist() == [pytest.approx(19.0)]
 
 
 class TestExpectedUtility:

@@ -31,7 +31,7 @@ strategy document. The documents are the
 constructor form with counts, the constructor form with masses, the
 weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{0, 0.1, 15}: 27 documents, 393 commands and 612 files with
+{-1, 0, 0.1, 15}: 36 documents, 521 commands and 812 files with
 ``exit_codes.txt``.
 """
 
@@ -49,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-RISKS = (0.0, 0.1, 15.0)
+RISKS = (-1.0, 0.0, 0.1, 15.0)
 DOCUMENTS = {
     "uniform_count": {"kind": "uniform", "n_tau": 2, "n_alpha": 5},
     "proportional_count": {"kind": "proportional", "n_tau": 3, "n_alpha": 8},
