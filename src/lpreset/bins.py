@@ -60,7 +60,7 @@ class BinGrid:
         if anchor is None:
             anchor = low
         edge = cls(reference_price=anchor, step=step, index_range=(0, 0))._edge
-        base = math.log1p(step)
+        base = math.log(1.0 + step)  # the rounded base that _edge raises
         lo = math.floor(math.log(low / anchor) / base)
         hi = math.floor(math.log(high / anchor) / base)
         lo -= low < edge(lo)
@@ -109,8 +109,9 @@ class BinGrid:
         """Index of the bin whose interval contains each of ``prices``.
 
         A price exactly on an edge belongs to the higher bin. The floor of the
-        log ratio can land one index off near an edge, so each result is
-        moved to the neighbour whose ``_edge`` interval holds the price.
+        log ratio over log(1 + step), the rounded base that ``_edge`` raises,
+        can land one index off near an edge, so each result is moved to the
+        neighbour whose ``_edge`` interval holds the price.
         """
         prices = np.asarray(prices, dtype=float)
         lo, hi = self.index_range
@@ -122,7 +123,7 @@ class BinGrid:
                 f"price {price} outside covered span [{span_lo}, {span_hi})"
             )
         idx = np.floor(
-            np.log(prices / self.reference_price) / math.log1p(self.step)
+            np.log(prices / self.reference_price) / math.log(1.0 + self.step)
         ).astype(np.int64)
         # edges of bins i - 1 .. i + 2 for each distinct i, flat: for a price
         # with i = distinct[r], the edge of bin i + d sits at 4 r + 1 + d

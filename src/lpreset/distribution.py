@@ -114,10 +114,10 @@ class NextPriceDistribution:
     def from_json_dict(cls, doc: dict) -> "NextPriceDistribution":
         try:
             return cls(
-                k_max=int(doc["k_max"]),
-                probs=np.asarray(doc["probs"], dtype=float),
-                bin_width_pct=float(doc["bin_width_pct"]),
-                source_rows=int(doc.get("source_rows", 0)),
+                k_max=json_count(doc["k_max"]),
+                probs=np.array([json_number(p) for p in doc["probs"]]),
+                bin_width_pct=json_number(doc["bin_width_pct"]),
+                source_rows=json_count(doc.get("source_rows", 0)),
             )
         except KeyError as exc:
             raise InputError(f"distribution document missing field {exc}") from exc
@@ -141,6 +141,20 @@ def read_json(path: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise InputError(f"{path}: not a JSON document ({exc})") from exc
+
+
+def json_number(value) -> float:
+    """A JSON number as a float; a string or a bool is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def json_count(value) -> int:
+    """A JSON number with a whole value, as an int."""
+    if not json_number(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def _parse_timestamp(raw: str) -> float:

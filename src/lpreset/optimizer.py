@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .utility import Allocation, UtilityParams, exp_utility_vec
+from .utility import Allocation, UtilityParams, exp_utility_vec, landing_rewards
 
 __all__ = [
     "OptimizationProblem",
@@ -69,24 +69,20 @@ class OptimizationProblem:
     def n_alpha(self) -> int:
         return (self.q.shape[0] - 1) // 2
 
-    def _consumption(self, weights: np.ndarray) -> np.ndarray:
-        """Utility argument per bin: reward plus the a != 0 shift."""
-        p = self.params
-        c = p.kappa * p.ell * weights + p.shift
-        c[~self.tau_membership] -= 1.0
-        return c
-
     def objective(self, weights: np.ndarray) -> float:
         """Expected utility of the weights under this problem's landing law."""
-        return float(self.q @ exp_utility_vec(self._consumption(weights), self.params))
+        p = self.params
+        c = landing_rewards(weights, ~self.tau_membership, p) + p.shift
+        return float(self.q @ exp_utility_vec(c, p))
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
-        """dE_u/dA_j = q_j * kappa * ell * u'(c_j)."""
+        """dE_u/dA_j = q_j * kappa * ell * u'(c_j), c_j the reward plus the shift."""
         p = self.params
         scale = p.kappa * p.ell
         if p.a == 0.0:
             return self.q * scale
-        return self.q * scale * np.exp(-p.a * self._consumption(weights))
+        c = landing_rewards(weights, ~self.tau_membership, p) + p.shift
+        return self.q * scale * np.exp(-p.a * c)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -83,8 +82,10 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
 
     A *sure reset* is a move with |m| > 2*n_tau: from any offset o in B_tau
     it lands at |o + m| >= |m| - n_tau > n_tau, so it resets whatever the
-    offset. The walk therefore splits into stretches, each ending with a
-    sure reset (or the path's end), that all start at offset 0 and are
+    offset. It is walked as +-(2*n_tau + 1), which resets the same way, and
+    the rest of it is added back to its landing offset, so no table grows
+    with the move. The walk splits into stretches, each ending with a sure
+    reset (or the path's end), that all start at offset 0 and are
     independent of one another. The stretches advance side by side, one
     position per numpy step, longest first, until fewer than
     ``LOCKSTEP_MIN`` are left; those finish one step at a time, as does the
@@ -92,13 +93,14 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     arithmetic as the one-step loop, so the offsets are the same.
     """
     moves = np.asarray(moves, dtype=np.int64)
-    size = np.abs(moves)
-    reach = n_tau + int(size.max(initial=0))
+    sure = 2 * n_tau + 1
+    walk = np.clip(moves, -sure, sure)
+    reach = n_tau + int(np.abs(walk).max(initial=0))
     # settle[j] is the offset left after landing at j; negative j index from the end
     settle = np.zeros(2 * reach + 1, dtype=np.int64)
     kept = np.arange(-n_tau, n_tau + 1)
     settle[kept] = kept
-    bounds = np.flatnonzero(size > 2 * n_tau) + 1
+    bounds = np.flatnonzero(np.abs(walk) == sure) + 1
     starts = np.concatenate(([0], bounds))
     lengths = np.append(bounds, len(moves)) - starts
     order = np.argsort(-lengths)
@@ -111,7 +113,7 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     state = np.zeros(live_at[0], dtype=np.int64)
     for pos, live in enumerate(live_at[:-1]):
         at = starts[:live] + pos
-        j = state[:live] + moves[at]
+        j = state[:live] + walk[at]
         js[at] = j
         state[:live] = settle[j]
     live = live_at[-1]
@@ -119,31 +121,33 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     tails = zip(starts[:live].tolist(), lengths[:live].tolist(), state[:live].tolist())
     for start, length, offset in tails:
         tail = []
-        for move in moves[start + lock : start + length].tolist():
+        for move in walk[start + lock : start + length].tolist():
             j = offset + move
             tail.append(j)  # a list appends faster than an array("q")
             offset = settle_at[j]
         js[start + lock : start + length] = np.frombuffer(array("q", tail), np.int64)
+    js += moves  # in place: a path-sized temporary here slowed the walk measurably
+    js -= walk
     return js
 
 
-def payoffs(
-    js: np.ndarray, spec: StrategySpec, utility_of: Callable[[float], float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reward and utility of each step, given its landing offset in ``js``.
+def payoffs(js: np.ndarray, spec: StrategySpec, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reward and utility u(reward + shift) of each step, given its landing offset in ``js``.
 
-    ``utility_of`` maps a reward to a utility. It is called once per distinct
-    offset, on a Python float, so each step gets the bits of a scalar
-    per-step evaluation (np.expm1 and math.expm1 can differ in the last bit).
+    Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1, so the
+    offsets are clipped to +-far. The scalar ``exp_utility`` runs once per
+    distinct clipped offset, so each step gets the bits of a per-step
+    evaluation (np.expm1 and math.expm1 can differ in the last bit).
     """
-    lo = int(js.min())
-    table = landing_rewards(
-        spec.allocation, np.arange(lo, int(js.max()) + 1), spec.n_tau, spec.params
-    )
+    far = max(spec.n_tau, spec.n_alpha) + 1
+    resets = np.abs(np.arange(-far, far + 1)) > spec.n_tau
+    table = landing_rewards(spec.allocation.over(far), resets, spec.params)
+    at = np.clip(js, -far, far)
+    at += far  # in place, as in execute
     utility = np.zeros(len(table))
-    for k in np.flatnonzero(np.bincount(js - lo)).tolist():
-        utility[k] = utility_of(float(table[k]))
-    return table[js - lo], utility[js - lo]
+    for k in np.flatnonzero(np.bincount(at)).tolist():
+        utility[k] = exp_utility(float(table[k]) + shift, spec.params)
+    return table[at], utility[at]
 
 
 def run_strategy(
@@ -163,11 +167,8 @@ def run_strategy(
     n = len(path)
     if n < 1:
         raise InputError("path must have at least one move")
-    params = spec.params
     js = execute(path, spec.n_tau)
-    rewards, utilities = payoffs(
-        js, spec, lambda r: exp_utility(r + params.shift, params)
-    )
+    rewards, utilities = payoffs(js, spec, spec.params.shift)
     resets = (js < -spec.n_tau) | (js > spec.n_tau)
 
     if trace_out is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution, read_json
+from .distribution import NextPriceDistribution, json_count, json_number, read_json
 from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
@@ -141,20 +141,6 @@ def doc_field(doc: dict, key: str, convert):
         return convert(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"strategy field {key!r}: bad value {doc[key]!r}") from exc
-
-
-def json_number(value) -> float:
-    """A JSON number as a float; a string or a bool is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def json_count(value) -> int:
-    """A JSON number with a whole value, as an int."""
-    if not json_number(value).is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 def window_for_mass(dist: NextPriceDistribution, mass: float) -> int:

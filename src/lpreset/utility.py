@@ -101,11 +101,11 @@ class Allocation:
             return 0.0
         return float(self.weights[j + self.n_alpha])
 
-    def weight_array(self, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js)
-        out = np.zeros(js.shape, dtype=float)
-        inside = np.abs(js) <= self.n_alpha
-        out[inside] = self.weights[js[inside] + self.n_alpha]
+    def over(self, n: int) -> np.ndarray:
+        """A(j) for |j| <= n, zero beyond B_alpha."""
+        m = min(n, self.n_alpha)
+        out = np.zeros(2 * n + 1)
+        out[n - m : n + m + 1] = self.weights[self.n_alpha - m : self.n_alpha + m + 1]
         return out
 
 
@@ -138,14 +138,15 @@ def exp_utility_vec(c: np.ndarray, params: UtilityParams) -> np.ndarray:
 
 
 def landing_rewards(
-    alloc: Allocation, js: np.ndarray, n_tau: int, params: UtilityParams
+    weights: np.ndarray, resets: np.ndarray, params: UtilityParams
 ) -> np.ndarray:
-    """Rewards of landing at each offset in ``js``: kappa*ell*A(j), with zero
-    allocation beyond B_alpha, less the reset fee of 1 outside B_tau."""
-    js = np.asarray(js)
-    rewards = params.kappa * params.ell * alloc.weight_array(js)
-    rewards[np.abs(js) > n_tau] -= 1.0
-    return rewards
+    """Rewards of landings with allocations ``weights``: kappa*ell*A, less the
+    reset fee of 1 where ``resets`` (the landing leaves B_tau) is true.
+
+    ``weights`` may have any leading shape; ``resets`` broadcasts against it.
+    This is the one place the reward rule is decided.
+    """
+    return params.kappa * params.ell * np.asarray(weights, dtype=float) - resets
 
 
 def expected_utility(
@@ -180,12 +181,8 @@ def expected_utilities(
         raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
     ms = [alloc.n_alpha if mode == MODE_STRICT else law.reach for alloc in allocs]
     n = max(ms, default=0)
-    weights = np.zeros((len(allocs), 2 * n + 1))
-    for row, alloc in zip(weights, allocs):  # A(j) for |j| <= n, as weight_array
-        m = min(alloc.n_alpha, n)
-        row[n - m : n + m + 1] = alloc.weights[alloc.n_alpha - m : alloc.n_alpha + m + 1]
-    rewards = params.kappa * params.ell * weights  # then as in landing_rewards
-    rewards[:, np.abs(np.arange(-n, n + 1)) > n_tau] -= 1.0
+    resets = np.abs(np.arange(-n, n + 1)) > n_tau
+    rewards = landing_rewards([alloc.over(n) for alloc in allocs], resets, params)
     utils = exp_utility_vec(rewards + params.shift, params)
     q = law.over(n)
     return [float(q[n - m : n + m + 1] @ u[n - m : n + m + 1]) for m, u in zip(ms, utils)]

@@ -215,6 +215,18 @@ class TestSeriesAndIO:
         assert loaded.k_max == eth_dist.k_max
         np.testing.assert_array_equal(loaded.probs, eth_dist.probs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_max", 1.9), ("k_max", "1"), ("k_max", True),
+        ("bin_width_pct", True), ("bin_width_pct", "1.0"),
+        ("probs", ["0.25", "0.5", "0.25"]), ("probs", [0, True, 0]), ("probs", 1.0),
+        ("source_rows", 2.5), ("source_rows", False),
+    ])
+    def test_document_fields_follow_the_strategy_field_rules(self, field, value):
+        doc = {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25], "source_rows": 4}
+        assert NextPriceDistribution.from_json_dict(doc).k_max == 1
+        with pytest.raises(InputError, match="bad distribution document"):
+            NextPriceDistribution.from_json_dict({**doc, field: value})
+
 
 @pytest.fixture
 def set_tz(monkeypatch):

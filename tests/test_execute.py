@@ -34,7 +34,7 @@ from lpreset import (
     v2_baseline,
 )
 from lpreset.backtest import BacktestReport
-from lpreset.simulate import LOCKSTEP_MIN, SimReport, execute
+from lpreset.simulate import LOCKSTEP_MIN, SimReport, execute, payoffs
 
 
 def reference_execute(moves, n_tau):
@@ -307,6 +307,26 @@ class TestExecute:
             # one step more or less in the longest stretches
             for cut in (1, len(moves) - 1):
                 assert_execute_equals_reference(moves[:cut], n_tau)
+
+    def test_moves_of_a_trillion_bins(self):
+        # tables sized by the largest move would need terabytes
+        moves = np.array([1, 10**12, -1, -(10**12), 2, 0, 5, -3])
+        js = execute(moves, 2)
+        assert js.tolist() == [1, 1 + 10**12, -1, -1 - 10**12, 2, 2, 7, -3]
+        params = UtilityParams(a=0.1, ell=10.0)
+        alloc = Allocation(3, np.array([0.0, 0.1, 0.2, 0.4, 0.2, 0.1, 0.0]))
+        rewards, utilities = payoffs(js, StrategySpec("custom", 2, 3, alloc, params), 1.0)
+        assert rewards.tolist() == [2.0, -1.0, 2.0, -1.0, 1.0, 1.0, -1.0, -1.0]
+        assert utilities.tolist() == [exp_utility(r + 1.0, params) for r in rewards.tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(move_paths(), st.sampled_from([10**6, 10**12]))
+    def test_a_larger_sure_reset_moves_only_its_own_offset(self, case, extra):
+        moves, n_tau = case
+        sure = np.abs(moves) > 2 * n_tau
+        far = moves + np.where(sure, np.sign(moves) * extra, 0)
+        got = execute(far, n_tau)
+        assert np.array_equal(got, reference_execute(moves, n_tau) + (far - moves))
 
 
 @st.composite

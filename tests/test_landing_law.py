@@ -179,7 +179,7 @@ class TestLandingLaw:
         law = landing_law(dist, n_tau)
         for mode, n in ((MODE_STRICT, n_alpha), (MODE_FULL, law.reach)):
             js = np.arange(-n, n + 1)
-            rewards = landing_rewards(alloc, js, n_tau, params)
+            rewards = landing_rewards(alloc.over(n), np.abs(js) > n_tau, params)
             try:
                 u = exp_utility_vec(rewards + params.shift, params)
             except NumericalError:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpreset import (
     MODE_FULL,
@@ -9,12 +10,19 @@ from lpreset import (
     Allocation,
     InputError,
     NumericalError,
+    OptimizationProblem,
+    StrategySpec,
     UtilityParams,
     build_reset_chain,
     exp_utility,
     expected_utility,
+    landing_law,
+    sample_path,
 )
+from lpreset.simulate import execute, payoffs
 from lpreset.utility import exp_utility_vec, landing_rewards
+
+from conftest import dists
 
 
 def uniform_alloc(n_alpha):
@@ -83,16 +91,26 @@ class TestExpUtility:
 class TestReward:
     def test_worked_example_center(self):
         p = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        assert landing_rewards(uniform_alloc(1), [0], 1, p).tolist() == [pytest.approx(1 / 3)]
+        assert landing_rewards(uniform_alloc(1).over(0), [False], p).tolist() == [
+            pytest.approx(1 / 3)
+        ]
 
     def test_unallocated_bin_inside_window(self):
         alloc = Allocation(1, np.array([0.5, 0.0, 0.5]))
-        assert landing_rewards(alloc, [0], 1, UtilityParams()).tolist() == [0.0]
+        assert landing_rewards(alloc.over(0), [False], UtilityParams()).tolist() == [0.0]
 
     def test_reset_fee_outside_window(self):
         alloc = Allocation(1, np.array([0.2, 0.6, 0.2]))
         p = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
-        assert landing_rewards(alloc, [1], 0, p).tolist() == [pytest.approx(19.0)]
+        rewards = landing_rewards(alloc.over(1), [True, False, True], p)
+        assert rewards.tolist() == pytest.approx([19.0, 60.0, 19.0])
+
+    def test_fee_applies_across_leading_axes(self):
+        weights = np.array([[0.25, 0.5, 0.25], [0.0, 1.0, 0.0]])
+        resets = np.array([True, False, True])
+        p = UtilityParams(a=0.0, kappa=2.0, ell=10.0)
+        rewards = landing_rewards(weights, resets, p)
+        assert rewards.tolist() == [[4.0, 10.0, 4.0], [-1.0, 20.0, -1.0]]
 
 
 class TestExpectedUtility:
@@ -192,3 +210,53 @@ class TestAllocation:
     def test_overfull_rejected(self):
         with pytest.raises(InputError):
             Allocation(1, np.array([0.5, 0.6, 0.5]))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    def test_over_slices_inside_and_pads_beyond_b_alpha(self, n):
+        alloc = Allocation(3, np.arange(1.0, 8.0) / 28.0)
+        assert alloc.over(n).tolist() == [alloc.weight(j) for j in range(-n, n + 1)]
+
+
+@st.composite
+def allocations(draw, max_n_alpha=20):
+    """Random A over B_alpha with exact zero bins, summing to 0, 1/2 or 1."""
+    n_alpha = draw(st.integers(0, max_n_alpha))
+    raw = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+        min_size=2 * n_alpha + 1, max_size=2 * n_alpha + 1,
+    )))
+    total = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return Allocation(n_alpha, raw / raw.sum() * total if raw.sum() > 0 else raw)
+
+
+RULE_RISKS = st.sampled_from([-1.0, -1e-6, 0.0, 1e-20, 0.1, 15.0])
+
+
+class TestOnePayoffRule:
+    """Every caller prices a landing by ``landing_rewards``, so they agree exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 12), alloc=allocations(), a=RULE_RISKS,
+           ell=st.sampled_from([0.01, 1.0, 37.0, 100.0]))
+    def test_objective_is_full_coverage_expected_utility(self, dist, n_tau, alloc, a, ell):
+        params = UtilityParams(a=a, ell=ell)
+        law = landing_law(dist, n_tau)
+        js = np.arange(-law.reach, law.reach + 1)
+        problem = OptimizationProblem(q=law.q, tau_membership=np.abs(js) <= n_tau, params=params)
+        got = problem.objective(alloc.over(law.reach))
+        assert got == expected_utility(dist, n_tau, alloc, params, MODE_FULL, law=law)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 12), alloc=allocations(), a=RULE_RISKS,
+           steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           stretch=st.sampled_from([1, 3, 10**9]))
+    def test_payoffs_price_each_step_at_its_own_offset(
+        self, dist, n_tau, alloc, a, steps, seed, stretch
+    ):
+        params = UtilityParams(a=a)
+        spec = StrategySpec("custom", n_tau, alloc.n_alpha, alloc, params)
+        js = execute(sample_path(dist, steps, seed) * stretch, n_tau)
+        rewards, utilities = payoffs(js, spec, params.shift)
+        own = landing_rewards([alloc.weight(j) for j in js.tolist()], np.abs(js) > n_tau, params)
+        assert rewards.tolist() == own.tolist()
+        assert utilities.tolist() == [exp_utility(r + params.shift, params) for r in own.tolist()]

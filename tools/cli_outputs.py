@@ -23,7 +23,8 @@ The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, the same
 ``fit`` and, for one document, ``backtest --band-out`` with both anchors on
 the base CSV at ``--bin-width-pct 1e-6`` (a grid of about 20 million bins
-for 10,000 rows), ``optimize``
+for 10,000 rows), the same ``backtest --band-out`` at ``--bin-width-pct
+1e-8`` (about 2 billion bins, moves of up to 3e8 bins), ``optimize``
 (count and mass), ``sweep`` (proportional, uniform, optimal and a mass
 grid, plus proportional and uniform in both modes over an n_alpha grid
 that passes k_max and the reach, with a repeated n_tau), and ``eval`` in both modes and ``simulate --trace-out`` for every
@@ -31,7 +32,7 @@ strategy document. The documents are the
 constructor form with counts, the constructor form with masses, the
 weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{-1, 0, 0.1, 15}: 36 documents, 521 commands and 812 files with
+{-1, 0, 0.1, 15}: 36 documents, 523 commands and 816 files with
 ``exit_codes.txt``.
 """
 
@@ -72,6 +73,8 @@ FINE_WIDTH = ["--bin-width-pct", "1e-6"]
 # at this width nearly every move passes k_max, so h has its mass at the two
 # tails and a proportional document finds none over its B_alpha
 FINE_DOCUMENT = ("uniform_count", 0.1)
+# a grid of about 2 billion bins, whose moves span up to 3e8 bins
+TINY_WIDTH = ["--bin-width-pct", "1e-8"]
 
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
 CHILD = """
@@ -184,10 +187,11 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
     # a grid of about 20 million bins for 10,000 rows: work must follow the rows
     base, doc = inputs / "prices" / "prices_00000.csv", inputs / document_name(*FINE_DOCUMENT)
     cmds.append(["fit", str(base), *FINE_WIDTH, "--out", str(out / "fit_fine.json")])
-    for anchor in ("first", "low"):
-        cmds.append(["backtest", str(base), str(doc), *FINE_WIDTH, "--grid-anchor", anchor,
-                     "--band-out", str(out / f"band_fine_{anchor}.csv"),
-                     "--out", str(out / f"backtest_fine_{anchor}.json")])
+    for name, width in (("fine", FINE_WIDTH), ("tiny", TINY_WIDTH)):
+        for anchor in ("first", "low"):
+            cmds.append(["backtest", str(base), str(doc), *width, "--grid-anchor", anchor,
+                         "--band-out", str(out / f"band_{name}_{anchor}.csv"),
+                         "--out", str(out / f"backtest_{name}_{anchor}.json")])
     return cmds
 
 
