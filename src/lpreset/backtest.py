@@ -138,8 +138,7 @@ def replay(
 
     bins = grid.prices_to_bins(series.prices)
     js = execute(np.diff(bins), n_tau)
-    _, utilities = payoffs(js, spec, 0.0)
-    resets = (js < -n_tau) | (js > n_tau)
+    _, utilities, resets = payoffs(js, spec, 0.0)
 
     band = None
     if collect_band:

@@ -293,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an input or output path that cannot be opened
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
     return 1
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution
+from .distribution import NextPriceDistribution, at_offsets, centred
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -62,9 +62,7 @@ class LandingLaw:
 
     def over(self, n: int) -> np.ndarray:
         """q(j) for |j| <= n, zero beyond the reach."""
-        if n > self.reach:
-            return np.pad(self.q, n - self.reach)
-        return self.q[self.reach - n : self.reach + n + 1]
+        return centred(self.q, n)
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,9 @@ def _f_block(dist: NextPriceDistribution, n_rows: int, n_cols: int) -> np.ndarra
 
     f(i, j) = h(j - i) is Toeplitz: a read-only view of one zero-padded h.
     """
-    k, reach = dist.k_max, n_rows + n_cols
-    pad = max(k, reach)
-    h = np.zeros(2 * pad + 1)
-    h[pad - k : pad + k + 1] = dist.probs
+    reach = n_rows + n_cols
+    pad = max(dist.k_max, reach)
+    h = centred(dist.probs, pad)
     return np.lib.stride_tricks.as_strided(  # row i + 1 starts one offset back
         h[pad - reach + 2 * n_rows :],
         shape=(2 * n_rows + 1, 2 * n_cols + 1),
@@ -191,7 +188,4 @@ def landing_over(
     dist: NextPriceDistribution, chain: ResetChain, js: np.ndarray
 ) -> np.ndarray:
     """q(j) over arbitrary relative offsets js (zero beyond the reach)."""
-    reach = chain.n_tau + dist.k_max
-    js = np.asarray(js)
-    pad = max(int(np.abs(js).max(initial=0)) - reach, 0)
-    return np.pad(np.convolve(chain.stationary, dist.probs), pad)[js + reach + pad]
+    return at_offsets(np.convolve(chain.stationary, dist.probs), js)

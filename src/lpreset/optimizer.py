@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .utility import Allocation, UtilityParams, exp_utility_vec, landing_rewards
+from .utility import Allocation, UtilityParams, exp_utility, landing_rewards
 
 __all__ = [
     "OptimizationProblem",
@@ -73,7 +73,7 @@ class OptimizationProblem:
         """Expected utility of the weights under this problem's landing law."""
         p = self.params
         c = landing_rewards(weights, ~self.tau_membership, p) + p.shift
-        return float(self.q @ exp_utility_vec(c, p))
+        return float(self.q @ exp_utility(c, p))
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
         """dE_u/dA_j = q_j * kappa * ell * u'(c_j), c_j the reward plus the shift."""

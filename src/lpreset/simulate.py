@@ -131,23 +131,23 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     return js
 
 
-def payoffs(js: np.ndarray, spec: StrategySpec, shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reward and utility u(reward + shift) of each step, given its landing offset in ``js``.
+def payoffs(
+    js: np.ndarray, spec: StrategySpec, shift: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reward, utility u(reward + shift) and reset flag of each step, given its
+    landing offset in ``js``.
 
-    Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1, so the
-    offsets are clipped to +-far. The scalar ``exp_utility`` runs once per
-    distinct clipped offset, so each step gets the bits of a per-step
-    evaluation (np.expm1 and math.expm1 can differ in the last bit).
+    Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1 and
+    resets, so the offsets are clipped to +-far and each step reads its
+    entries of one table per quantity. This is the one place a step's reset
+    flag is decided.
     """
     far = max(spec.n_tau, spec.n_alpha) + 1
     resets = np.abs(np.arange(-far, far + 1)) > spec.n_tau
     table = landing_rewards(spec.allocation.over(far), resets, spec.params)
     at = np.clip(js, -far, far)
     at += far  # in place, as in execute
-    utility = np.zeros(len(table))
-    for k in np.flatnonzero(np.bincount(at)).tolist():
-        utility[k] = exp_utility(float(table[k]) + shift, spec.params)
-    return table[at], utility[at]
+    return table[at], exp_utility(table + shift, spec.params)[at], resets[at]
 
 
 def run_strategy(
@@ -168,11 +168,10 @@ def run_strategy(
     if n < 1:
         raise InputError("path must have at least one move")
     js = execute(path, spec.n_tau)
-    rewards, utilities = payoffs(js, spec, spec.params.shift)
-    resets = (js < -spec.n_tau) | (js > spec.n_tau)
+    rewards, utilities, resets = payoffs(js, spec, spec.params.shift)
 
     if trace_out is not None:
-        _write_trace(trace_out, js, rewards, spec.n_tau)
+        _write_trace(trace_out, js, rewards, resets)
 
     mean = float(utilities.mean())
     std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -187,7 +186,7 @@ def run_strategy(
     )
 
 
-def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, n_tau: int) -> None:
+def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, resets: np.ndarray) -> None:
     """Write the per-step trace CSV, with the bytes ``csv.writer`` gives.
 
     A step's reward and reset flag depend only on its landing offset, so
@@ -195,10 +194,8 @@ def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, n_tau: int) -> 
     formatted and written a block at a time.
     """
     offsets = js.tolist()
-    tails = {
-        j: f",{j},{r!r},{int(abs(j) > n_tau)}\r\n"
-        for j, r in dict(zip(offsets, rewards.tolist())).items()
-    }
+    steps = zip(rewards.tolist(), resets.tolist())
+    tails = {j: f",{j},{r!r},{int(f)}\r\n" for j, (r, f) in dict(zip(offsets, steps)).items()}
     with open(path, "w", newline="") as fh:
         fh.write("step,offset,reward,reset_flag\r\n")
         for start in range(0, len(offsets), TRACE_BLOCK_ROWS):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution, json_count, json_number, read_json
+from .distribution import NextPriceDistribution, centred, json_count, json_number, read_json
 from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
@@ -186,8 +186,9 @@ def proportional_strategy(
     alpha may be wider or narrower than tau; a window given as a probability
     mass is ``window_for_mass(dist, mass)``.
     """
-    ks = np.arange(-n_alpha, n_alpha + 1)
-    raw = dist.prob_array(ks)
+    if n_alpha < 0:
+        raise InputError(f"n_alpha must be >= 0, got {n_alpha}")
+    raw = centred(dist.probs, n_alpha)
     total = raw.sum()
     if total <= 0:
         raise InputError("next-price distribution has zero mass over B_alpha")

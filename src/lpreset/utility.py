@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution
+from .distribution import NextPriceDistribution, centred
 from .errors import InputError, NumericalError
 from .markov import LandingLaw, landing_law
 
@@ -33,7 +33,6 @@ __all__ = [
     "UtilityParams",
     "Allocation",
     "exp_utility",
-    "exp_utility_vec",
     "landing_rewards",
     "expected_utility",
     "expected_utilities",
@@ -97,44 +96,32 @@ class Allocation:
 
     def weight(self, j: int) -> float:
         """A(j); zero outside B_alpha."""
-        if abs(j) > self.n_alpha:
-            return 0.0
-        return float(self.weights[j + self.n_alpha])
+        return float(self.weights[j + self.n_alpha]) if abs(j) <= self.n_alpha else 0.0
 
     def over(self, n: int) -> np.ndarray:
         """A(j) for |j| <= n, zero beyond B_alpha."""
-        m = min(n, self.n_alpha)
-        out = np.zeros(2 * n + 1)
-        out[n - m : n + m + 1] = self.weights[self.n_alpha - m : self.n_alpha + m + 1]
-        return out
+        return centred(self.weights, n)
 
 
-def exp_utility(c: float, params: UtilityParams) -> float:
+def exp_utility(c: float | np.ndarray, params: UtilityParams) -> float | np.ndarray:
     """u(c) = (1 - exp(-a c)) / a for a != 0, and c at a = 0.
 
-    It is computed as -expm1(-a c) / a, which keeps every digit when a*c is
-    tiny; 1 - exp(-a c) cancels to 0 below a*c of about 1e-16.
+    ``c`` is a number, which gives a float, or an array, which gives the
+    utility of each element. It is computed as -expm1(-a c) / a, which keeps
+    every digit when a*c is tiny; 1 - exp(-a c) cancels to 0 below a*c of
+    about 1e-16. np.expm1 gives an element the same bits alone as in an array.
     """
-    a = params.a
-    if a == 0.0:
-        return float(c)
-    arg = -a * c
-    if arg > _EXP_ARG_LIMIT:
-        raise NumericalError(f"exp_utility overflow: a={a}, c={c} (exp arg {arg:.1f})")
-    return -math.expm1(arg) / a
-
-
-def exp_utility_vec(c: np.ndarray, params: UtilityParams) -> np.ndarray:
-    """``exp_utility`` of each element of ``c``."""
     a = params.a
     c = np.asarray(c, dtype=float)
     if a == 0.0:
-        return c.copy()
-    arg = -a * c
-    if np.any(arg > _EXP_ARG_LIMIT):
-        bad = float(c.flat[np.argmax(arg)])
-        raise NumericalError(f"exp_utility overflow: a={a}, c={bad}")
-    return -np.expm1(arg) / a
+        u = c.copy()
+    else:
+        arg = -a * c
+        if np.any(arg > _EXP_ARG_LIMIT):
+            bad = float(c.flat[np.argmax(arg)])
+            raise NumericalError(f"exp_utility overflow: a={a}, c={bad}")
+        u = -np.expm1(arg) / a
+    return float(u) if u.ndim == 0 else u
 
 
 def landing_rewards(
@@ -183,6 +170,6 @@ def expected_utilities(
     n = max(ms, default=0)
     resets = np.abs(np.arange(-n, n + 1)) > n_tau
     rewards = landing_rewards([alloc.over(n) for alloc in allocs], resets, params)
-    utils = exp_utility_vec(rewards + params.shift, params)
+    utils = exp_utility(rewards + params.shift, params)
     q = law.over(n)
     return [float(q[n - m : n + m + 1] @ u[n - m : n + m + 1]) for m, u in zip(ms, utils)]

@@ -404,7 +404,7 @@ class TestWriteTrace:
         spec = StrategySpec("custom", n_tau, n_alpha, alloc, params)
         path = sample_path(dist, steps, seed)
         js = execute(path, n_tau)
-        rewards, _ = payoffs(js, spec, params.shift)
+        rewards, _, _ = payoffs(js, spec, params.shift)
         with mock.patch("lpreset.simulate.TRACE_BLOCK_ROWS", block_rows):
             got = written(lambda out: run_strategy(path, spec, seed=seed, trace_out=out))
         assert got == written(reference_write_trace, js, rewards, n_tau)

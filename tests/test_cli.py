@@ -256,7 +256,7 @@ class TestSweep:
         argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", "0,1",
                 "--n-alpha-grid", "1,-1"]
         assert main(argv) == 1
-        assert_one_error_line(capsys)
+        assert_one_error_line(capsys, "n_alpha must be >= 0, got -1")
 
     def test_n_tau_too_large_for_memory_is_one_error_line(self, dist_file, monkeypatch, capsys):
         eye = np.eye
@@ -427,6 +427,41 @@ class TestBacktest:
         assert doc["grid_bins"] == 6  # bins -4 .. 1
 
 class TestErrorHandling:
+    NUMPY_MESSAGE = "Unable to allocate 14.9 GiB for an array with shape (2000000001,) and data type int64"
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize(
+        "message, shown",
+        [(NUMPY_MESSAGE, NUMPY_MESSAGE), ("", "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_one_error_line(
+        self, command, message, shown, dist_file, strategy_file, tmp_path, monkeypatch, capsys
+    ):
+        # the allocators refuse an array past a million entries; none is ever requested
+        bincount = np.bincount
+
+        def small_bincount(x, weights=None, minlength=0):
+            if minlength > 10**6:
+                raise MemoryError(message)
+            return bincount(x, weights=weights, minlength=minlength)
+
+        class SmallGenerator(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                if size is not None and size > 10**6:
+                    raise MemoryError(message)
+                return super().random(size, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", small_bincount)
+        monkeypatch.setattr(np.random, "Generator", SmallGenerator)
+        if command == "fit":
+            csv_path = write_price_csv(tmp_path / "px.csv", [100.0, 100.3, 100.1])
+            argv = ["fit", csv_path, "--k-max", "1000000000"]
+        else:
+            argv = ["simulate", dist_file, strategy_file, "--steps", "10000000000"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, f"error: {shown}")
+
     def test_domain_error_is_one_line_and_nonzero(self, dist_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "mystery"}))

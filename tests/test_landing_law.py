@@ -35,7 +35,7 @@ from lpreset import (
     uniform_strategy,
 )
 from lpreset.simulate import execute
-from lpreset.utility import exp_utility_vec, landing_rewards
+from lpreset.utility import exp_utility, landing_rewards
 
 from conftest import dists, make_eth_like
 
@@ -181,7 +181,7 @@ class TestLandingLaw:
             js = np.arange(-n, n + 1)
             rewards = landing_rewards(alloc.over(n), np.abs(js) > n_tau, params)
             try:
-                u = exp_utility_vec(rewards + params.shift, params)
+                u = exp_utility(rewards + params.shift, params)
             except NumericalError:
                 with pytest.raises(NumericalError):
                     expected_utility(dist, n_tau, alloc, params, mode)

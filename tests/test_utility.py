@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lpreset import (
     MODE_FULL,
@@ -19,8 +19,10 @@ from lpreset import (
     landing_law,
     sample_path,
 )
+from lpreset.distribution import centred
+from lpreset.markov import landing_over
 from lpreset.simulate import execute, payoffs
-from lpreset.utility import exp_utility_vec, landing_rewards
+from lpreset.utility import landing_rewards
 
 from conftest import dists
 
@@ -75,7 +77,7 @@ class TestExpUtility:
         params = UtilityParams(a=a)
         assert exp_utility(2.5, params) == pytest.approx(2.5, rel=1e-15)
         np.testing.assert_allclose(
-            exp_utility_vec(np.array([2.5, 0.5]), params), [2.5, 0.5], rtol=1e-15
+            exp_utility(np.array([2.5, 0.5]), params), [2.5, 0.5], rtol=1e-15
         )
 
     def test_strictly_increasing(self):
@@ -256,7 +258,99 @@ class TestOnePayoffRule:
         params = UtilityParams(a=a)
         spec = StrategySpec("custom", n_tau, alloc.n_alpha, alloc, params)
         js = execute(sample_path(dist, steps, seed) * stretch, n_tau)
-        rewards, utilities = payoffs(js, spec, params.shift)
+        rewards, utilities, resets = payoffs(js, spec, params.shift)
         own = landing_rewards([alloc.weight(j) for j in js.tolist()], np.abs(js) > n_tau, params)
         assert rewards.tolist() == own.tolist()
+        assert resets.tolist() == (np.abs(js) > n_tau).tolist()
         assert utilities.tolist() == [exp_utility(r + params.shift, params) for r in own.tolist()]
+
+
+def half_widths(m):
+    """n = 0, and n below, at and above a stored half-width m."""
+    return st.one_of(st.just(0), st.integers(0, m), st.just(m), st.integers(m + 1, m + 10))
+
+
+def reference_centred(values, n):
+    """v(j) for |j| <= n by a dict lookup, 0.0 where v is not stored."""
+    m = (len(values) - 1) // 2
+    stored = {j: float(values[j + m]) for j in range(-m, m + 1)}
+    return [stored.get(j, 0.0) for j in range(-n, n + 1)]
+
+
+class TestOneWindowReader:
+    """Every zero-padding read of a centred vector is ``distribution.centred``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.integers(0, 12).flatmap(lambda m: st.lists(
+               st.floats(-1e3, 1e3), min_size=2 * m + 1, max_size=2 * m + 1)),
+           data=st.data())
+    def test_centred_equals_a_dict_lookup_and_never_aliases(self, values, data):
+        values = np.array(values)
+        n = data.draw(half_widths((len(values) - 1) // 2))
+        got = centred(values, n)
+        assert got.tolist() == reference_centred(values, n)
+        assert not np.shares_memory(got, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 6), alloc=allocations(), data=st.data())
+    def test_readers_equal_centred(self, dist, n_tau, alloc, data):
+        law = landing_law(dist, n_tau)
+        n = data.draw(half_widths(law.reach))
+        assert law.over(n).tolist() == centred(law.q, n).tolist()
+        js = np.arange(-n, n + 1)
+        chain = build_reset_chain(dist, n_tau)
+        assert landing_over(dist, chain, js).tolist() == centred(law.q, n).tolist()
+        n = data.draw(half_widths(dist.k_max))
+        assert dist.prob_array(np.arange(-n, n + 1)).tolist() == centred(dist.probs, n).tolist()
+        n = data.draw(half_widths(alloc.n_alpha))
+        assert alloc.over(n).tolist() == centred(alloc.weights, n).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=dists(), ks=st.lists(st.integers(-(10**12), 10**12), max_size=20))
+    def test_arbitrary_offsets_read_as_their_scalar_view(self, dist, ks):
+        # offsets far past the support allocate nothing of their size
+        assert dist.prob_array(np.array(ks, dtype=np.int64)).tolist() == [dist.prob(k) for k in ks]
+
+
+SAFE_C = st.floats(-40.0, 600.0)  # -a*c <= 600 for every a of FORM_RISKS
+FORM_RISKS = [-1.0, 0.0, 1e-12, 0.1, 15.0]
+
+
+class TestOneUtilityForm:
+    """``exp_utility`` of an array is ``exp_utility`` of each element, bit for bit."""
+
+    @pytest.mark.parametrize("a", FORM_RISKS)
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.lists(st.one_of(SAFE_C, st.floats(-1e-12, 1e-12)), max_size=40))
+    @example(c=[0.0, -0.0, 1e-300, -5e-324])
+    def test_array_equals_each_element_bit_for_bit(self, a, c):
+        params = UtilityParams(a=a)
+        u = exp_utility(np.array(c), params)
+        each = [exp_utility(x, params) for x in c]
+        assert all(type(v) is float for v in each)
+        assert u.dtype == np.float64
+        assert u.view(np.int64).tolist() == np.array(each).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("a", [a for a in FORM_RISKS if a != 0.0])
+    @settings(max_examples=100, deadline=None)
+    @given(excess=st.floats(1.0, 1e6), safe=st.lists(SAFE_C, max_size=10), at=st.integers(0, 10))
+    def test_both_forms_raise_the_same_overflow(self, a, excess, safe, at):
+        params = UtilityParams(a=a)
+        bad = -(700.0 + excess) / a
+        with pytest.raises(NumericalError) as scalar:
+            exp_utility(bad, params)
+        c = safe[:at] + [bad] + safe[at:]
+        with pytest.raises(NumericalError) as array:
+            exp_utility(np.array(c), params)
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == f"exp_utility overflow: a={a}, c={bad}"
+
+    def test_payoffs_overflow_does_not_depend_on_the_path(self, toy_dist):
+        # the whole table is evaluated, so an offset no step lands on still
+        # overflows, as it does in E_u
+        params = UtilityParams(a=-1.0, ell=1000.0)
+        spec = StrategySpec("custom", 0, 5, Allocation(5, np.eye(11)[10]), params)
+        with pytest.raises(NumericalError, match="overflow"):
+            payoffs(np.array([1, -1, 0]), spec, params.shift)
+        with pytest.raises(NumericalError, match="overflow"):
+            expected_utility(toy_dist, 0, spec.allocation, params, MODE_STRICT)

@@ -2,7 +2,7 @@
 
     python3 tools/cli_outputs.py --src OLD/src --inputs IN --out out_old --seed 7
     python3 tools/cli_outputs.py --src src --inputs IN --out out_new --seed 7
-    diff -r out_old out_new    # empty: no output byte moved
+    python3 tools/cli_diff.py out_old out_new    # exit 0: no output byte moved
 
 When ``--inputs`` does not exist yet it is built from ``--seed`` with this
 checkout's ``perfbench/gen.py``, which fits with this checkout's ``lpreset
