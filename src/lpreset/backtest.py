@@ -27,7 +27,7 @@ from .utility import UtilityParams, exp_utility
 
 __all__ = ["Band", "BacktestReport", "replay", "v2_baseline"]
 
-BAND_BLOCK_ROWS = 4096  # band CSV rows formatted and written at once
+BAND_BLOCK_ROWS = 512  # band CSV rows formatted and written at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +46,6 @@ class Band:
     edge_of_run: np.ndarray
     edges: np.ndarray
 
-    def edge_of_row(self) -> np.ndarray:
-        """The row of ``edges`` for each row."""
-        return np.repeat(self.edge_of_run, np.diff(self.starts, append=len(self.prices)))
-
 
 @dataclass(frozen=True)
 class BacktestReport:
@@ -60,15 +56,6 @@ class BacktestReport:
     ratio: float
     grid_bins: int
     band: Band | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def band_trace(self) -> list | None:
-        """One (step, price, alpha_low, alpha_high, tau_low, tau_high) tuple per step."""
-        band = self.band
-        if band is None:
-            return None
-        edges = band.edges[band.edge_of_row()].T.tolist()
-        return list(zip(range(1, len(band.prices) + 1), band.prices.tolist(), *edges))
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,7 +72,8 @@ class BacktestReport:
 
         Each distinct edge value is formatted once and each centre's edge
         columns are joined once; each row adds its step and price. Rows are
-        written ``BAND_BLOCK_ROWS`` at a time.
+        written ``BAND_BLOCK_ROWS`` at a time, and each block finds its rows'
+        runs in ``starts``, so the writer holds one block, never the path.
         """
         band = self.band
         if band is None:
@@ -93,16 +81,16 @@ class BacktestReport:
         values, at = np.unique(band.edges, return_inverse=True)
         text = np.array(["," + repr(v) for v in values.tolist()], dtype=object)[at]
         tails = [a + b + c + d + "\r\n" for a, b, c, d in text.reshape(-1, 4).tolist()]
-        edge_of_row = band.edge_of_row()
         n = len(band.prices)
         with open(path, "w", newline="") as fh:
             fh.write("step,price,alpha_low,alpha_high,tau_low,tau_high\r\n")
             for lo in range(0, n, BAND_BLOCK_ROWS):
                 hi = min(lo + BAND_BLOCK_ROWS, n)
+                run = np.searchsorted(band.starts, np.arange(lo, hi), side="right") - 1
                 rows = zip(
                     range(lo + 1, hi + 1),
                     band.prices[lo:hi].tolist(),
-                    edge_of_row[lo:hi].tolist(),
+                    band.edge_of_run[run].tolist(),
                 )
                 fh.write("".join([f"{step},{price!r}{tails[e]}" for step, price, e in rows]))
 

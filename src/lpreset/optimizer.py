@@ -82,7 +82,8 @@ class OptimizationProblem:
         if p.a == 0.0:
             return self.q * scale
         c = landing_rewards(weights, ~self.tau_membership, p) + p.shift
-        return self.q * scale * np.exp(-p.a * c)
+        with np.errstate(over="ignore"):  # at a huge a > 0, u' saturates at 0
+            return self.q * scale * np.exp(-p.a * c)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .utility import exp_utility, landing_rewards
 __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
-TRACE_BLOCK_ROWS = 4096  # trace rows formatted before each write
+TRACE_BLOCK_ROWS = 512  # trace rows formatted before each write
 GUIDE_CELLS = 4096  # guide-table cells of sample_path; a power of two
 LOCKSTEP_MIN = 32  # fewer live stretches than this finish one step at a time
 
@@ -60,6 +60,8 @@ def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarra
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0  # guard against cumulative rounding
@@ -190,14 +192,17 @@ def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, resets: np.ndar
     """Write the per-step trace CSV, with the bytes ``csv.writer`` gives.
 
     A step's reward and reset flag depend only on its landing offset, so
-    the rest of a row is formatted once per distinct offset. Rows are
-    formatted and written a block at a time.
+    the rest of a row is formatted once per distinct offset, when a block
+    first holds it. Rows are read, formatted and written a block at a time,
+    so the writer holds one block, never the path.
     """
-    offsets = js.tolist()
-    steps = zip(rewards.tolist(), resets.tolist())
-    tails = {j: f",{j},{r!r},{int(f)}\r\n" for j, (r, f) in dict(zip(offsets, steps)).items()}
+    tails = {}
     with open(path, "w", newline="") as fh:
         fh.write("step,offset,reward,reset_flag\r\n")
-        for start in range(0, len(offsets), TRACE_BLOCK_ROWS):
-            block = offsets[start : start + TRACE_BLOCK_ROWS]
-            fh.write("".join([f"{t}{tails[j]}" for t, j in enumerate(block, start)]))
+        for lo in range(0, len(js), TRACE_BLOCK_ROWS):
+            block = js[lo : lo + TRACE_BLOCK_ROWS]
+            offsets, first = np.unique(block, return_index=True)
+            for j, i in zip(offsets.tolist(), (first + lo).tolist()):
+                if j not in tails:
+                    tails[j] = f",{j},{float(rewards[i])!r},{int(resets[i])}\r\n"
+            fh.write("".join([f"{t}{tails[j]}" for t, j in enumerate(block.tolist(), lo)]))

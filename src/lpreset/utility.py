@@ -110,13 +110,15 @@ def exp_utility(c: float | np.ndarray, params: UtilityParams) -> float | np.ndar
     utility of each element. It is computed as -expm1(-a c) / a, which keeps
     every digit when a*c is tiny; 1 - exp(-a c) cancels to 0 below a*c of
     about 1e-16. np.expm1 gives an element the same bits alone as in an array.
+    At a huge a > 0, a*c may overflow to inf, where u saturates at its limit 1/a.
     """
     a = params.a
     c = np.asarray(c, dtype=float)
     if a == 0.0:
         u = c.copy()
     else:
-        arg = -a * c
+        with np.errstate(over="ignore"):  # -inf at a > 0 gives 1/a; +inf is refused below
+            arg = -a * c
         if np.any(arg > _EXP_ARG_LIMIT):
             bad = float(c.flat[np.argmax(arg)])
             raise NumericalError(f"exp_utility overflow: a={a}, c={bad}")

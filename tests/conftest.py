@@ -73,3 +73,15 @@ def write_price_csv(path, prices, start_ts: int = 1_600_000_000, step_s: int = 6
         for i, p in enumerate(prices):
             fh.write(f"{start_ts + i * step_s},{p!r}\n")
     return str(path)
+
+
+def band_rows(band):
+    """One (step, price, alpha_low, alpha_high, tau_low, tau_high) tuple per row
+    of a ``Band``, read run by run from its columns."""
+    prices = band.prices.tolist()
+    bounds = band.starts.tolist() + [len(prices)]
+    rows = []
+    for run, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        edges = band.edges[band.edge_of_run[run]].tolist()
+        rows += [(i + 1, prices[i], *edges) for i in range(lo, hi)]
+    return rows

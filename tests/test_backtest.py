@@ -15,6 +15,8 @@ from lpreset import (
     v2_baseline,
 )
 
+from conftest import band_rows
+
 
 def series_from_prices(prices):
     ts = 1_600_000_000 + 600 * np.arange(len(prices))
@@ -116,9 +118,10 @@ class TestReplay:
         series = series_from_prices([100.0, 101.5, 103.0, 101.5, 100.0])
         grid = grid_for(series)
         report = replay(series, spec, grid, collect_band=True)
-        assert len(report.band_trace) == report.steps
-        for _, price, alpha_lo, alpha_hi, tau_lo, tau_hi in report.band_trace:
-            assert alpha_lo <= tau_lo < tau_hi <= alpha_hi
+        rows = band_rows(report.band)
+        assert [row[:2] for row in rows] == list(enumerate(series.prices[1:].tolist(), 1))
+        for _, price, alpha_lo, alpha_hi, tau_lo, tau_hi in rows:
+            assert alpha_lo <= tau_lo <= price < tau_hi <= alpha_hi
             assert tau_hi / tau_lo == pytest.approx((1.01) ** 3)
 
     def test_band_csv(self, toy_dist, tmp_path):

@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 from datetime import datetime, timedelta, timezone
@@ -33,8 +34,8 @@ from lpreset import (
     sample_path,
 )
 from lpreset.backtest import BAND_BLOCK_ROWS
-from lpreset.simulate import TRACE_BLOCK_ROWS, execute, payoffs
-from tests.conftest import make_eth_like
+from lpreset.simulate import TRACE_BLOCK_ROWS, _write_trace, execute, payoffs
+from tests.conftest import band_rows, make_eth_like
 
 
 def reference_parse_timestamp(raw):
@@ -83,7 +84,7 @@ def reference_write_band_csv(path, report):
         writer.writerow(
             ["step", "price", "alpha_low", "alpha_high", "tau_low", "tau_high"]
         )
-        writer.writerows(report.band_trace)
+        writer.writerows(band_rows(report.band))
 
 
 def reference_write_trace(path, js, rewards, n_tau):
@@ -304,6 +305,21 @@ def write_band_csv(path, report):
     report.write_band_csv(path)
 
 
+def traced_peak(write, tmp_path):
+    """The most memory ``write(path)`` holds at once, in bytes, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        write(str(tmp_path / "out.csv"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a writer that holds one block, not the path, peaks within this of its
+# 10k-row peak at 200k rows; a path-sized int64 array alone is 1.6 MB there
+PEAK_MARGIN = 256 * 1024
+
+
 def band_report(prices, step, anchor, n_tau, n_alpha):
     """``replay`` with band collection on a grid built as ``lpreset backtest`` does."""
     ts = 1_600_000_000.0 + 600.0 * np.arange(len(prices))
@@ -326,7 +342,7 @@ class TestWriteBandCsv:
         st.sampled_from(["first", "low"]),
         st.integers(0, 6),
         st.integers(0, 8),
-        st.sampled_from([1, 3, 16, BAND_BLOCK_ROWS]),
+        st.sampled_from([1, 3, 16, 37, BAND_BLOCK_ROWS, 4096]),
     )
     def test_equals_reference(
         self, step, start, moves, kind, anchor, n_tau, n_alpha, block_rows
@@ -340,7 +356,7 @@ class TestWriteBandCsv:
             i = prices.index(min(prices))
             prices[i] = math.nextafter(prices[i], 0.0 if kind == "<" else math.inf)
         report = band_report(prices, step, anchor, n_tau, n_alpha)
-        assert len(report.band_trace) == len(moves)
+        assert len(report.band.prices) == len(moves)
         with mock.patch("lpreset.backtest.BAND_BLOCK_ROWS", block_rows):
             got = written(write_band_csv, report)
         assert got == written(reference_write_band_csv, report)
@@ -355,7 +371,7 @@ class TestWriteBandCsv:
             ([0, 1, 5, 9, 9, 10, 14, 14, 14, 0], 4),
         ],
     )
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, BAND_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, BAND_BLOCK_ROWS, 4096])
     def test_edge_cases_and_blocks_inside_a_run(self, levels, resets, block_rows):
         prices = [100.0 * 1.01 ** (level + 0.5) for level in levels]
         report = band_report(prices, 0.01, "first", 2, 3)
@@ -384,6 +400,18 @@ class TestWriteBandCsv:
             got = written(write_band_csv, report)
             assert got == written(reference_write_band_csv, report)
 
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # a walk over 60 bins, so the centres, and the edge values, stay few
+        rng = np.random.default_rng(4)
+
+        def peak(rows):
+            levels = np.cumsum(rng.integers(-3, 4, rows + 1)) % 60
+            prices = 100.0 * 1.001 ** (levels + rng.uniform(0.1, 0.9, rows + 1))
+            report = band_report(prices.tolist(), 0.001, "low", 3, 5)
+            return traced_peak(report.write_band_csv, tmp_path)
+
+        assert peak(200_000) <= peak(10_000) + PEAK_MARGIN
+
 
 class TestWriteTrace:
     @settings(max_examples=60, deadline=None)
@@ -394,7 +422,7 @@ class TestWriteTrace:
         st.integers(0, 12),
         st.sampled_from([0.0, 0.1, 15.0]),
         st.sampled_from([1.0, 100.0]),
-        st.sampled_from([1, 7, TRACE_BLOCK_ROWS]),
+        st.sampled_from([1, 7, 37, TRACE_BLOCK_ROWS, 4096]),
     )
     def test_equals_reference(self, steps, seed, n_tau, n_alpha, a, ell, block_rows):
         dist = make_eth_like(k_max=16, rate=0.3)
@@ -408,3 +436,15 @@ class TestWriteTrace:
         with mock.patch("lpreset.simulate.TRACE_BLOCK_ROWS", block_rows):
             got = written(lambda out: run_strategy(path, spec, seed=seed, trace_out=out))
         assert got == written(reference_write_trace, js, rewards, n_tau)
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        dist = make_eth_like(k_max=16, rate=0.3)
+        alloc = Allocation(5, np.full(11, 1 / 11))
+        spec = StrategySpec("custom", 3, 5, alloc, UtilityParams(a=0.1))
+
+        def peak(steps):
+            js = execute(sample_path(dist, steps, seed=2), spec.n_tau)
+            rewards, _, resets = payoffs(js, spec, spec.params.shift)
+            return traced_peak(lambda out: _write_trace(out, js, rewards, resets), tmp_path)
+
+        assert peak(200_000) <= peak(10_000) + PEAK_MARGIN

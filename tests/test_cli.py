@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,13 @@ class TestSimulate:
         assert lines[0] == "step,offset,reward,reset_flag"
         assert len(lines) == 26
 
+    def test_negative_seed_is_one_error_line(self, dist_file, strategy_file, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["simulate", dist_file, strategy_file, "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
 
 class TestBacktest:
     def make_inputs(self, tmp_path, strategy_file):
@@ -553,6 +561,44 @@ class TestErrorHandling:
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
         assert_one_error_line(capsys, str(csv_path), f"position {data.index(0xE9)}")
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("a", [1e308, -1e308])
+    @pytest.mark.parametrize("command", ["eval", "optimize", "sweep", "simulate", "backtest"])
+    def test_huge_risk_aversion_warns_nothing(self, command, a, dist_file, tmp_path, capsys):
+        # a*c overflows: at a > 0 each utility saturates at its limit 1/a; an
+        # a < 0 (and, unshifted in backtest, a reset's u(-1) at a > 0) is refused
+        doc = tmp_path / "strategy.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 1,
+                                   "params": {"a": a}}))
+        argv = {
+            "eval": ["eval", dist_file, str(doc)],
+            "optimize": ["optimize", dist_file, "--n-tau", "1", f"--a={a!r}"],
+            "sweep": ["sweep", dist_file, "--strategy", "optimal", "--n-tau-grid", "0,1,2",
+                      "--n-alpha-grid", "1", f"--a={a!r}"],
+            "simulate": ["simulate", dist_file, str(doc), "--steps", "500"],
+            "backtest": [
+                "backtest",
+                write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 103.9, 100.2]),
+                str(doc),
+            ],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert caught == []
+        if a < 0 or command == "backtest":
+            assert code == 1
+            assert_one_error_line(capsys, "exp_utility overflow")
+        else:
+            assert code == 0
+            out = capsys.readouterr().out
+            if command == "sweep":
+                values = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
+            else:
+                key = {"eval": "expected_utility", "optimize": "objective"}.get(
+                    command, "mean_utility_per_step")
+                values = [json.loads(out)[key]]
+            assert all(0.0 < v <= (1.0 + 1e-12) / a for v in values)
 
     def test_resolve_rejects_unknown_kind(self, toy_dist):
         from lpreset import InputError

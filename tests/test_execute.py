@@ -36,6 +36,8 @@ from lpreset import (
 from lpreset.backtest import BacktestReport
 from lpreset.simulate import LOCKSTEP_MIN, SimReport, execute, payoffs
 
+from conftest import band_rows
+
 
 def reference_execute(moves, n_tau):
     reach = n_tau + int(np.abs(moves).max(initial=0))
@@ -402,14 +404,14 @@ def walks(draw):
 
 
 def replayed(replayer, prices, step, anchor, spec, collect_band):
-    """The report and band trace of ``replayer``, or its package error."""
+    """The report and per-row band of ``replayer``, or its package error."""
     ts = 1_600_000_000.0 + 600.0 * np.arange(len(prices))
     series = PriceSeries(ts, np.asarray(prices))
     lo, hi = min(prices), max(prices)
     grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
     got = outcome(replayer, series, spec, grid, collect_band=collect_band)
     if isinstance(got, BacktestReport):
-        return got, got.band_trace
+        return got, None if got.band is None else band_rows(got.band)
     return got
 
 

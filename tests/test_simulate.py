@@ -39,6 +39,10 @@ class TestSamplePath:
         with pytest.raises(InputError):
             sample_path(toy_dist, 0, seed=1)
 
+    def test_negative_seed_is_an_input_error(self, toy_dist):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            sample_path(toy_dist, 10, seed=-1)
+
 
 class TestRunStrategy:
     def test_worked_example_converges_to_analytic(self, toy_dist):

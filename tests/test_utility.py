@@ -89,6 +89,15 @@ class TestExpUtility:
         with pytest.raises(NumericalError, match="overflow"):
             exp_utility(800.0, UtilityParams(a=-1.0))
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_huge_a_saturates_at_one_over_a(self):
+        # a*c overflows to inf for every c > 1: u is its limit 1/a, and u(0) = 0
+        c = np.array([0.0, 0.5, 2.0, 101.0])
+        u = exp_utility(c, UtilityParams(a=1e308))
+        assert u.tolist() == [0.0, 1e-308, 1e-308, 1e-308]
+        with pytest.raises(NumericalError, match="overflow"):
+            exp_utility(c, UtilityParams(a=-1e308))
+
 
 class TestReward:
     def test_worked_example_center(self):

@@ -17,7 +17,7 @@ run with the list of what is missing. The commands then run in one child
 process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1;
 each writes its output with ``--out`` (and ``--trace-out``/``--band-out``)
 under ``--out``, and ``exit_codes.txt`` lists each command with its exit
-code.
+code. A command that raises instead of returning is listed with -1.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, the same
@@ -32,8 +32,12 @@ strategy document. The documents are the
 constructor form with counts, the constructor form with masses, the
 weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{-1, 0, 0.1, 15}: 36 documents, 523 commands and 816 files with
-``exit_codes.txt``.
+{-1, 0, 0.1, 15}. Inputs that once ended in a numpy warning or a traceback
+close the set: ``eval``, ``optimize`` and ``simulate --trace-out`` at
+a = 1e308, where a*c overflows and u saturates at 1/a, and ``simulate --seed -1``,
+which must exit 1 with one ``error:`` line. The run exits 0 when every
+command exits 0 and every such refusal exits 1. In all: 37 documents, 527
+commands and 820 files with ``exit_codes.txt``.
 """
 
 from __future__ import annotations
@@ -75,13 +79,23 @@ FINE_WIDTH = ["--bin-width-pct", "1e-6"]
 FINE_DOCUMENT = ("uniform_count", 0.1)
 # a grid of about 2 billion bins, whose moves span up to 3e8 bins
 TINY_WIDTH = ["--bin-width-pct", "1e-8"]
+# a*c overflows for every c above about 1.8: u saturates at 1/a, with no numpy warning
+HUGE_A = 1e308
+HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
 
-# the child: run every command of the JSON list on stdin through lpreset.cli.main
+# the child: run every command of the JSON list on stdin through lpreset.cli.main;
+# a command that raises (as a refusal may in an older tree) exits -1 and the rest run
 CHILD = """
-import json, sys
+import json, sys, traceback
 import lpreset.cli
 print(lpreset.cli.__file__, file=sys.stderr)
-json.dump([lpreset.cli.main(argv) for argv in json.load(sys.stdin)], sys.stdout)
+def run(argv):
+    try:
+        return lpreset.cli.main(argv)
+    except Exception:
+        traceback.print_exc()
+        return -1
+json.dump([run(argv) for argv in json.load(sys.stdin)], sys.stdout)
 """
 
 
@@ -108,6 +122,9 @@ def build_inputs(inputs: Path, seed: int) -> None:
             doc_a = {**doc, "params": {"a": a}}
             path = inputs / document_name(name, a)
             path.write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
+    (inputs / HUGE_A_DOCUMENT).parent.mkdir()
+    doc_a = {**DOCUMENTS["uniform_count"], "params": {"a": HUGE_A}}
+    (inputs / HUGE_A_DOCUMENT).write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
 
 
 def document_name(name: str, a: float) -> str:
@@ -119,6 +136,7 @@ def missing_inputs(inputs: Path) -> list[str]:
     need = [f"dists/dist_{i:05d}.json" for i in range(2)]
     need += [f"prices/prices_00000{tag}.csv" for tag in ("", "_iso", "_crlf")]
     need += [document_name(name, a) for name in DOCUMENTS for a in RISKS]
+    need.append(HUGE_A_DOCUMENT)
     return [name for name in need if not (inputs / name).is_file()]
 
 
@@ -192,7 +210,24 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
             cmds.append(["backtest", str(base), str(doc), *width, "--grid-anchor", anchor,
                          "--band-out", str(out / f"band_{name}_{anchor}.csv"),
                          "--out", str(out / f"backtest_{name}_{anchor}.json")])
+    # risk aversion so large that a*c overflows; these once warned
+    dist, doc = dists[0], inputs / HUGE_A_DOCUMENT
+    cmds += [
+        ["eval", str(dist), str(doc), "--out", str(out / "eval_huge_a.json")],
+        ["optimize", str(dist), "--n-tau", "3", "--a", repr(HUGE_A),
+         "--out", str(out / "optimize_huge_a.json")],
+        ["simulate", str(dist), str(doc), "--steps", "5000", "--seed", "11",
+         "--trace-out", str(out / "trace_huge_a.csv"), "--out", str(out / "simulate_huge_a.json")],
+    ]
     return cmds
+
+
+def refusals(inputs: Path, out: Path) -> list[list[str]]:
+    """Commands that must end in one ``error:`` line and exit code 1, not a traceback."""
+    dist = sorted((inputs / "dists").glob("dist_*.json"))[0]
+    doc = inputs / document_name("uniform_count", 0.1)
+    return [["simulate", str(dist), str(doc), "--seed", "-1",
+             "--out", str(out / "simulate_negative_seed.json")]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"cli_outputs: {inputs} lacks {', '.join(missing)}; "
                          "give a new --inputs directory to build them")
     out.mkdir(parents=True)
-    cmds = commands(inputs, out)
+    cmds, refused = commands(inputs, out), refusals(inputs, out)
+    want = [0] * len(cmds) + [1] * len(refused)
+    cmds += refused
     run = subprocess.run(
         [sys.executable, "-c", CHILD], input=json.dumps(cmds), env=child_env(src),
         capture_output=True, text=True, check=True,
@@ -224,8 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         for code, argv in zip(codes, cmds):
             line = " ".join(argv).replace(str(out), "OUT").replace(str(inputs), "IN")
             fh.write(f"{code} {line}\n")
-    failed = sum(code != 0 for code in codes)
-    print(f"{len(cmds)} commands, {failed} failed, outputs in {out}")
+    failed = sum(code != expected for code, expected in zip(codes, want))
+    print(f"{len(cmds)} commands ({len(refused)} to be refused), {failed} exited otherwise, "
+          f"outputs in {out}")
     return 1 if failed else 0
 
 
