@@ -99,9 +99,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     )
     spec, solution = optimal_strategy(dist, n_tau, params)
     doc = solution.to_json_dict()
-    doc.update(
-        {"n_tau": spec.n_tau, "mode": args.mode, "params": params.to_json_dict()}
-    )
+    doc.update(n_tau=spec.n_tau, params=params.to_json_dict())
     _emit_json(doc, args.out, args.quiet)
     return 0
 
@@ -128,7 +126,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if strategy == "optimal":  # one allocation over the reach, on every row
             spec = optimal_strategy(dist, n_tau, params, law=law)[0]
             allocs = [spec.allocation] * len(n_alphas)
-        values = expected_utilities(dist, n_tau, allocs, params, args.mode, law)
+        values = expected_utilities(law, allocs, params, args.mode)
         rows[n_tau] = [(law.reach if a is None else a, v) for a, v in zip(n_alphas, values)]
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -211,10 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prices", help="CSV with header timestamp,price")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--bin-width-pct", type=float, default=DEFAULT_BIN_WIDTH_PCT)
-    tails = p.add_mutually_exclusive_group()
-    tails.add_argument("--clamp-tails", dest="clamp_tails", action="store_true")
-    tails.add_argument("--drop-tails", dest="clamp_tails", action="store_false")
-    p.set_defaults(clamp_tails=True, func=cmd_fit)
+    p.add_argument("--drop-tails", dest="clamp_tails", action="store_false")
+    p.set_defaults(func=cmd_fit)
     _add_common(p)
 
     p = sub.add_parser("eval", help="expected utility of a strategy")
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tau-mass", type=float)
     _add_params(p)
     p.set_defaults(func=cmd_optimize)
-    _add_common(p, mode=True)
+    _add_common(p)
 
     p = sub.add_parser("sweep", help="expected-utility sweep over window grids")
     p.add_argument("distribution")

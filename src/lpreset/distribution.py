@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -91,10 +91,6 @@ class NextPriceDistribution:
     def prob(self, k: int) -> float:
         """h(k); zero outside the support."""
         return float(self.probs[k + self.k_max]) if abs(k) <= self.k_max else 0.0
-
-    def prob_array(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized h over arbitrary integer offsets (zero outside support)."""
-        return at_offsets(self.probs, ks)
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-12
+KKT_TOL = 1e-10  # largest KKT residual solve() certifies for a > 0
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,14 @@ class OptimizationProblem:
         return float(self.q @ exp_utility(c, p))
 
     def gradient(self, weights: np.ndarray) -> np.ndarray:
-        """dE_u/dA_j = q_j * kappa * ell * u'(c_j), c_j the reward plus the shift."""
+        """dE_u/dA_j = q_j * kappa * ell * u'(c_j), c_j the reward plus the shift.
+
+        At a = 0, np.exp(-0.0 * c) == 1.0 makes it q * kappa * ell bit for bit.
+        """
         p = self.params
-        scale = p.kappa * p.ell
-        if p.a == 0.0:
-            return self.q * scale
         c = landing_rewards(weights, ~self.tau_membership, p) + p.shift
         with np.errstate(over="ignore"):  # at a huge a > 0, u' saturates at 0
-            return self.q * scale * np.exp(-p.a * c)
+            return self.q * (p.kappa * p.ell) * np.exp(-p.a * c)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
     return w, int(np.count_nonzero(w))
 
 
-def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
+def solve(problem: OptimizationProblem) -> Solution:
     """Exact maximizer of the CARA objective on the probability simplex."""
     a = problem.params.a
     if a > 0:
@@ -157,8 +158,8 @@ def solve(problem: OptimizationProblem, tol: float = 1e-10) -> Solution:
     # raises NumericalError and the gradient's exp would warn first
     objective = problem.objective(w)
     resid = kkt_residual(problem, w)
-    if a > 0 and not resid <= tol:  # a NaN residual certifies nothing
-        raise NumericalError(f"water-filling KKT residual {resid:.3e} exceeds {tol:.1e}")
+    if a > 0 and not resid <= KKT_TOL:  # a NaN residual certifies nothing
+        raise NumericalError(f"water-filling KKT residual {resid:.3e} exceeds {KKT_TOL:.1e}")
     return Solution(
         allocation=Allocation(n_alpha=problem.n_alpha, weights=w),
         objective=objective,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -42,9 +41,6 @@ class SimReport:
             "seed": int(self.seed),
             "rng": self.rng,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarray:

@@ -63,6 +63,8 @@ class UtilityParams:
             raise InputError(f"kappa must be > 0, got {self.kappa}")
         if self.ell <= 0:
             raise InputError(f"ell must be > 0, got {self.ell}")
+        if not math.isfinite(self.kappa * self.ell):  # every reward scales by it
+            raise InputError(f"kappa * ell overflows: {self.kappa!r} * {self.ell!r}")
 
     @property
     def shift(self) -> float:
@@ -144,33 +146,23 @@ def expected_utility(
     alloc: Allocation,
     params: UtilityParams,
     mode: str = MODE_STRICT,
-    law: LandingLaw | None = None,
 ) -> float:
     """Exact expected per-step utility E_u = sum_j q(j) u(R(j) + shift)."""
-    return expected_utilities(dist, n_tau, [alloc], params, mode, law)[0]
+    return expected_utilities(landing_law(dist, n_tau), [alloc], params, mode)[0]
 
 
 def expected_utilities(
-    dist: NextPriceDistribution,
-    n_tau: int,
-    allocs: list[Allocation],
-    params: UtilityParams,
-    mode: str = MODE_STRICT,
-    law: LandingLaw | None = None,
+    law: LandingLaw, allocs: list[Allocation], params: UtilityParams, mode: str
 ) -> list[float]:
-    """``expected_utility`` of each allocation: one utility matrix, one dot each.
+    """``expected_utility`` of each allocation under ``law``: one utility matrix, one dot each.
 
-    ``law`` is ``landing_law(dist, n_tau)`` when the caller holds it. E_u sums
-    over |j| <= n_alpha (strict) or the reach (full coverage), zero-padding q.
+    E_u sums over |j| <= n_alpha (strict) or the reach (full coverage), zero-padding q.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    law = landing_law(dist, n_tau) if law is None else law
-    if law.n_tau != n_tau:
-        raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
     ms = [alloc.n_alpha if mode == MODE_STRICT else law.reach for alloc in allocs]
     n = max(ms, default=0)
-    resets = np.abs(np.arange(-n, n + 1)) > n_tau
+    resets = np.abs(np.arange(-n, n + 1)) > law.n_tau
     rewards = landing_rewards([alloc.over(n) for alloc in allocs], resets, params)
     utils = exp_utility(rewards + params.shift, params)
     q = law.over(n)

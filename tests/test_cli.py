@@ -600,6 +600,32 @@ class TestErrorHandling:
                 values = [json.loads(out)[key]]
             assert all(0.0 < v <= (1.0 + 1e-12) / a for v in values)
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize("command", ["eval", "optimize", "sweep", "simulate", "backtest"])
+    def test_kappa_times_ell_that_overflows_is_one_error_line(
+        self, command, dist_file, tmp_path, capsys
+    ):
+        # each is finite, their product is not: every reward would be inf or NaN
+        doc = tmp_path / "strategy.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 1,
+                                   "params": {"kappa": 1e200, "ell": 1e200}}))
+        huge = ["--kappa", "1e200", "--ell", "1e200"]
+        argv = {
+            "eval": ["eval", dist_file, str(doc)],
+            "optimize": ["optimize", dist_file, "--n-tau", "1", *huge],
+            "sweep": ["sweep", dist_file, "--n-tau-grid", "0,1", "--n-alpha-grid", "1", *huge],
+            "simulate": ["simulate", dist_file, str(doc), "--steps", "50"],
+            "backtest": [
+                "backtest",
+                write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 103.9, 100.2]),
+                str(doc),
+            ],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert_one_error_line(capsys, "kappa * ell overflows: 1e+200 * 1e+200")
+        assert not out.exists()
+
     def test_resolve_rejects_unknown_kind(self, toy_dist):
         from lpreset import InputError
 
@@ -664,24 +690,37 @@ class TestParserReuse:
         parsed = []
         parse = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
-        first = ["optimize", dist_file, "--n-tau", "1", "--a", "2.5", "--mode", "full-coverage"]
-        second = ["eval", dist_file, strategy_file]
-        assert main(first) == 0
-        assert main(second) == 0
+        argvs = [
+            ["optimize", dist_file, "--n-tau", "1", "--a", "2.5"],
+            ["sweep", dist_file, "--n-tau-grid", "1", "--n-alpha-grid", "1", "--mode", "full-coverage"],
+            ["eval", dist_file, strategy_file],
+        ]
+        assert [main(argv) for argv in argvs] == [0, 0, 0]
         assert cli._parser() is parser
         assert [vars(ns) for ns in parsed] == [
-            vars(cli.build_parser().parse_args(argv)) for argv in (first, second)
+            vars(cli.build_parser().parse_args(argv)) for argv in argvs
         ]
-        assert not {"a", "kappa", "ell", "n_tau", "tau_mass"} & set(vars(parsed[1]))
-        assert parsed[1].mode == MODE_STRICT
+        assert not {"a", "kappa", "ell", "n_tau", "tau_mass"} & set(vars(parsed[2]))
+        assert parsed[2].mode == MODE_STRICT
 
     @pytest.mark.parametrize(
-        "argv", [["fit", "x"], ["simulate", "x", "y"], ["backtest", "x", "y"]]
+        "argv",
+        [
+            ["fit", "x", "--mode", "full-coverage"],
+            ["simulate", "x", "y", "--mode", "full-coverage"],
+            ["backtest", "x", "y", "--mode", "full-coverage"],
+            # the optimal allocation's strict and full objectives coincide
+            ["optimize", "x", "--n-tau", "1", "--mode", "full-coverage"],
+            # tails are clamped unless --drop-tails
+            ["fit", "x", "--clamp-tails"],
+        ],
     )
     def test_mode_flag_only_where_it_matters(self, argv, capsys):
-        with pytest.raises(SystemExit):
-            main(argv + ["--mode", "full-coverage"])
-        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = next(arg for arg in argv if arg in ("--mode", "--clamp-tails"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--compare-v2", "--no-compare-v2"])
     def test_backtest_always_compares_with_v2(self, flag, capsys):

@@ -216,7 +216,7 @@ class TestRunStrategy:
             with open(got_trace, "rb") as fh, open(want_trace, "rb") as ref:
                 assert fh.read() == ref.read()
         assert got == want
-        assert got.to_json() == want.to_json()
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_offsets_follow_the_reset_rule(self):
         # n_tau = 1: +1 stays, +1 more lands at 2 and resets, -1 and 0 stay at -1,

@@ -25,6 +25,7 @@ from lpreset import (
     solve,
     uniform_strategy,
 )
+from lpreset.distribution import centred
 
 from conftest import dists
 
@@ -84,7 +85,7 @@ class TestCriterion9:
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
         specs = [uniform_strategy(dist, n_tau, n_alpha, params)]
         specs.append(optimal_strategy(dist, n_tau, params)[0])
-        if dist.prob_array(np.arange(-n_alpha, n_alpha + 1)).sum() > 0.0:
+        if centred(dist.probs, n_alpha).sum() > 0.0:
             specs.append(proportional_strategy(dist, params, n_tau, n_alpha))
         else:  # h has no mass over B_alpha
             with pytest.raises(InputError):

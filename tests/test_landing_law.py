@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lpreset import (
     MODE_FULL,
     MODE_STRICT,
-    Allocation,
     InputError,
     NextPriceDistribution,
     NumericalError,
@@ -34,8 +33,9 @@ from lpreset import (
     stationary_distribution,
     uniform_strategy,
 )
+from lpreset.distribution import at_offsets
 from lpreset.simulate import execute
-from lpreset.utility import exp_utility, landing_rewards
+from lpreset.utility import exp_utility, expected_utilities, landing_rewards
 
 from conftest import dists, make_eth_like
 
@@ -74,7 +74,7 @@ def reference_stationary(M, max_iters=100_000):
 
 def reference_landing(dist, p, n_tau, js):
     i = np.arange(-n_tau, n_tau + 1)[:, None]
-    return p @ dist.prob_array(np.asarray(js)[None, :] - i)
+    return p @ at_offsets(dist.probs, np.asarray(js)[None, :] - i)
 
 
 def reference_water_filling(problem):
@@ -190,7 +190,7 @@ class TestLandingLaw:
             got = expected_utility(dist, n_tau, alloc, params, mode)
             # q differs from the old q by rounding, at most 1e-14 a bin
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * np.max(np.abs(u)))
-            assert got == expected_utility(dist, n_tau, alloc, params, mode, law=law)
+            assert got == expected_utilities(law, [alloc], params, mode)[0]
 
     def test_point_mass_never_resets(self):
         d = NextPriceDistribution(3, np.array([0, 0, 0, 1.0, 0, 0, 0]), 1.0)
@@ -227,9 +227,6 @@ class TestLandingLaw:
 
     def test_law_for_another_window_is_rejected(self, toy_dist):
         law = landing_law(toy_dist, 1)
-        alloc = Allocation(n_alpha=1, weights=np.full(3, 1 / 3))
-        with pytest.raises(InputError):
-            expected_utility(toy_dist, 2, alloc, UtilityParams(), law=law)
         with pytest.raises(InputError):
             optimal_strategy(toy_dist, 2, UtilityParams(a=1.0), law=law)
 

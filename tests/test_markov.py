@@ -10,6 +10,7 @@ from lpreset import (
     outcome_matrix,
     stationary_distribution,
 )
+from lpreset.distribution import at_offsets
 from lpreset.markov import _f_block, landing_over
 
 from conftest import dists
@@ -191,7 +192,7 @@ class TestFBlock:
         # rows and columns past k_max, and r + c beyond it, hit the zero padding
         i = np.arange(-n_rows, n_rows + 1)[:, None]
         j = np.arange(-n_cols, n_cols + 1)[None, :]
-        want = dist.prob_array(j - i)
+        want = at_offsets(dist.probs, j - i)
         got = _f_block(dist, n_rows, n_cols)
         assert got.shape == want.shape
         assert np.array_equal(got, want)

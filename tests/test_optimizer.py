@@ -208,6 +208,30 @@ class TestGradient:
             fd[j] = (prob.objective(wp) - prob.objective(wm)) / (2 * h)
         assert np.max(np.abs(fd - g)) / np.max(np.abs(g)) < 1e-5
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_alpha=st.integers(0, 12),
+        data=st.data(),
+        kappa=st.sampled_from([1e-300, 1e-3, 1.0, 37.0, 1e150]),
+        ell=st.sampled_from([1e-8, 0.01, 1.0, 100.0, 1e150]),
+    )
+    def test_risk_neutral_is_q_kappa_ell_bit_for_bit(self, n_alpha, data, kappa, ell):
+        # u' = 1 at a = 0: exp(-0.0 * c) == 1.0 leaves q * kappa * ell unrounded
+        n = 2 * n_alpha + 1
+        probs = st.floats(0.0, 1.0).map(lambda x: x if x > 0.3 else 0.0)
+        q = np.array(data.draw(st.lists(probs, min_size=n, max_size=n)))
+        q[n_alpha] += 0.5
+        q /= q.sum()
+        n_tau = data.draw(st.integers(0, n_alpha))
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        w /= max(1.0, w.sum())
+        prob = OptimizationProblem(
+            q=q,
+            tau_membership=np.abs(np.arange(-n_alpha, n_alpha + 1)) <= n_tau,
+            params=UtilityParams(a=0.0, kappa=kappa, ell=ell),
+        )
+        assert prob.gradient(w).tolist() == (q * (kappa * ell)).tolist()
+
 
 class TestProjectSimplex:
     @given(

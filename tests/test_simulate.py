@@ -91,7 +91,7 @@ class TestRunStrategy:
         r1 = run_strategy(path, spec, seed=5)
         r2 = run_strategy(path, spec, seed=5)
         assert r1 == r2
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_json_dict() == r2.to_json_dict()
 
     def test_trace_csv(self, tmp_path, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)

@@ -15,6 +15,7 @@ from lpreset import (
     uniform_strategy,
     window_for_mass,
 )
+from lpreset.distribution import centred
 from lpreset.strategies import StrategySpec, load_strategy, resolve_strategy
 
 from conftest import dists
@@ -90,7 +91,7 @@ class TestProportionalStrategy:
     def test_scale_free_in_h(self, eth_dist, neutral_params):
         # weights depend only on the shape of h over B_alpha
         spec = proportional_strategy(eth_dist, neutral_params, n_tau=2, n_alpha=4)
-        raw = eth_dist.prob_array(np.arange(-4, 5))
+        raw = centred(eth_dist.probs, 4)
         np.testing.assert_array_equal(spec.allocation.weights, raw / raw.sum())
 
 
@@ -223,7 +224,7 @@ class TestDocumentProperties:
             n_alpha = window("n_alpha", "alpha_mass", alpha)
             if kind == "uniform":
                 want = uniform_strategy(dist, n_tau, n_alpha, params)
-            elif dist.prob_array(np.arange(-n_alpha, n_alpha + 1)).sum() > 0.0:
+            elif centred(dist.probs, n_alpha).sum() > 0.0:
                 want = proportional_strategy(dist, params, n_tau, n_alpha)
             else:  # h has no mass over B_alpha
                 with pytest.raises(InputError):

@@ -19,10 +19,10 @@ from lpreset import (
     landing_law,
     sample_path,
 )
-from lpreset.distribution import centred
+from lpreset.distribution import at_offsets, centred
 from lpreset.markov import landing_over
 from lpreset.simulate import execute, payoffs
-from lpreset.utility import landing_rewards
+from lpreset.utility import expected_utilities, landing_rewards
 
 from conftest import dists
 
@@ -255,7 +255,7 @@ class TestOnePayoffRule:
         js = np.arange(-law.reach, law.reach + 1)
         problem = OptimizationProblem(q=law.q, tau_membership=np.abs(js) <= n_tau, params=params)
         got = problem.objective(alloc.over(law.reach))
-        assert got == expected_utility(dist, n_tau, alloc, params, MODE_FULL, law=law)
+        assert got == expected_utilities(law, [alloc], params, MODE_FULL)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(dist=dists(), n_tau=st.integers(0, 12), alloc=allocations(), a=RULE_RISKS,
@@ -310,7 +310,7 @@ class TestOneWindowReader:
         chain = build_reset_chain(dist, n_tau)
         assert landing_over(dist, chain, js).tolist() == centred(law.q, n).tolist()
         n = data.draw(half_widths(dist.k_max))
-        assert dist.prob_array(np.arange(-n, n + 1)).tolist() == centred(dist.probs, n).tolist()
+        assert at_offsets(dist.probs, np.arange(-n, n + 1)).tolist() == centred(dist.probs, n).tolist()
         n = data.draw(half_widths(alloc.n_alpha))
         assert alloc.over(n).tolist() == centred(alloc.weights, n).tolist()
 
@@ -318,7 +318,7 @@ class TestOneWindowReader:
     @given(dist=dists(), ks=st.lists(st.integers(-(10**12), 10**12), max_size=20))
     def test_arbitrary_offsets_read_as_their_scalar_view(self, dist, ks):
         # offsets far past the support allocate nothing of their size
-        assert dist.prob_array(np.array(ks, dtype=np.int64)).tolist() == [dist.prob(k) for k in ks]
+        assert at_offsets(dist.probs, np.array(ks, dtype=np.int64)).tolist() == [dist.prob(k) for k in ks]
 
 
 SAFE_C = st.floats(-40.0, 600.0)  # -a*c <= 600 for every a of FORM_RISKS

@@ -18,6 +18,11 @@ process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1;
 each writes its output with ``--out`` (and ``--trace-out``/``--band-out``)
 under ``--out``, and ``exit_codes.txt`` lists each command with its exit
 code. A command that raises instead of returning is listed with -1.
+``stderr.txt`` holds, after a ``$`` line naming it, what each command wrote
+to stderr (an ``error:`` line, a numpy warning, a traceback), so a new or
+changed message shows up in ``tools/cli_diff.py`` too. In both files the
+``--out``, ``--inputs`` and ``--src`` directories read ``OUT``, ``IN`` and
+``SRC``.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, the same
@@ -34,10 +39,12 @@ weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
 {-1, 0, 0.1, 15}. Inputs that once ended in a numpy warning or a traceback
 close the set: ``eval``, ``optimize`` and ``simulate --trace-out`` at
-a = 1e308, where a*c overflows and u saturates at 1/a, and ``simulate --seed -1``,
-which must exit 1 with one ``error:`` line. The run exits 0 when every
-command exits 0 and every such refusal exits 1. In all: 37 documents, 527
-commands and 820 files with ``exit_codes.txt``.
+a = 1e308, where a*c overflows and u saturates at 1/a, and three
+refusals, which must exit 1 with one ``error:`` line: ``simulate --seed
+-1``, and ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``,
+whose product overflows. The run exits 0 when every command exits 0 and
+every such refusal exits 1. In all: 37 documents, 529 commands and 821
+files with ``exit_codes.txt`` and ``stderr.txt``.
 """
 
 from __future__ import annotations
@@ -83,18 +90,24 @@ TINY_WIDTH = ["--bin-width-pct", "1e-8"]
 HUGE_A = 1e308
 HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
 
-# the child: run every command of the JSON list on stdin through lpreset.cli.main;
-# a command that raises (as a refusal may in an older tree) exits -1 and the rest run
+# the child: run every command of the JSON list on stdin through lpreset.cli.main
+# and give back its exit code and stderr; a command that raises (as a refusal may
+# in an older tree) exits -1 and the rest run. Each command starts with fresh
+# warning filters, so it shows a warning once, as its own process would.
 CHILD = """
-import json, sys, traceback
+import contextlib, io, json, sys, traceback, warnings
 import lpreset.cli
 print(lpreset.cli.__file__, file=sys.stderr)
 def run(argv):
-    try:
-        return lpreset.cli.main(argv)
-    except Exception:
-        traceback.print_exc()
-        return -1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        try:
+            code = lpreset.cli.main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = -1
+    return code, err.getvalue()
 json.dump([run(argv) for argv in json.load(sys.stdin)], sys.stdout)
 """
 
@@ -169,7 +182,7 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
             cmds += [
                 ["optimize", str(dist), "--n-tau", "3", "--a", a,
                  "--out", str(out / f"optimize_count_{tag}.json")],
-                ["optimize", str(dist), "--tau-mass", "0.5", "--a", a, "--mode", "full-coverage",
+                ["optimize", str(dist), "--tau-mass", "0.5", "--a", a,
                  "--out", str(out / f"optimize_mass_{tag}.json")],
                 ["sweep", str(dist), "--strategy", "proportional", *GRID, "--a", a,
                  "--out", str(out / f"sweep_proportional_{tag}.csv")],
@@ -226,8 +239,15 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
     """Commands that must end in one ``error:`` line and exit code 1, not a traceback."""
     dist = sorted((inputs / "dists").glob("dist_*.json"))[0]
     doc = inputs / document_name("uniform_count", 0.1)
-    return [["simulate", str(dist), str(doc), "--seed", "-1",
-             "--out", str(out / "simulate_negative_seed.json")]]
+    # kappa and ell are each finite, their product is not
+    huge = ["--kappa", "1e200", "--ell", "1e200"]
+    return [
+        ["simulate", str(dist), str(doc), "--seed", "-1",
+         "--out", str(out / "simulate_negative_seed.json")],
+        ["optimize", str(dist), "--n-tau", "1", *huge,
+         "--out", str(out / "optimize_kappa_ell_overflow.json")],
+        ["sweep", str(dist), *GRID, *huge, "--out", str(out / "sweep_kappa_ell_overflow.csv")],
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -256,11 +276,17 @@ def main(argv: list[str] | None = None) -> int:
     ran_from = Path(run.stderr.splitlines()[0]).resolve()
     if src not in ran_from.parents:
         raise SystemExit(f"cli_outputs: ran {ran_from}, not a module under {src}")
-    codes = json.loads(run.stdout)
-    with open(out / "exit_codes.txt", "w") as fh:
-        for code, argv in zip(codes, cmds):
-            line = " ".join(argv).replace(str(out), "OUT").replace(str(inputs), "IN")
+    codes, errs = zip(*json.loads(run.stdout))
+
+    def portable(text: str) -> str:
+        return text.replace(str(out), "OUT").replace(str(inputs), "IN").replace(str(src), "SRC")
+
+    with open(out / "exit_codes.txt", "w") as fh, open(out / "stderr.txt", "w") as err_fh:
+        for code, err, argv in zip(codes, errs, cmds):
+            line = portable(" ".join(argv))
             fh.write(f"{code} {line}\n")
+            if err:
+                err_fh.write(f"$ {line}\n{portable(err)}")
     failed = sum(code != expected for code, expected in zip(codes, want))
     print(f"{len(cmds)} commands ({len(refused)} to be refused), {failed} exited otherwise, "
           f"outputs in {out}")
