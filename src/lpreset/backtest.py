@@ -21,13 +21,11 @@ import numpy as np
 from .bins import BinGrid
 from .distribution import PriceSeries
 from .errors import InputError
-from .simulate import execute, payoffs
+from .simulate import BLOCK_ROWS, execute, payoffs
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
 
 __all__ = ["Band", "BacktestReport", "replay", "v2_baseline"]
-
-BAND_BLOCK_ROWS = 512  # band CSV rows formatted and written at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +70,7 @@ class BacktestReport:
 
         Each distinct edge value is formatted once and each centre's edge
         columns are joined once; each row adds its step and price. Rows are
-        written ``BAND_BLOCK_ROWS`` at a time, and each block finds its rows'
+        written ``BLOCK_ROWS`` at a time, and each block finds its rows'
         runs in ``starts``, so the writer holds one block, never the path.
         """
         band = self.band
@@ -84,8 +82,8 @@ class BacktestReport:
         n = len(band.prices)
         with open(path, "w", newline="") as fh:
             fh.write("step,price,alpha_low,alpha_high,tau_low,tau_high\r\n")
-            for lo in range(0, n, BAND_BLOCK_ROWS):
-                hi = min(lo + BAND_BLOCK_ROWS, n)
+            for lo in range(0, n, BLOCK_ROWS):
+                hi = min(lo + BLOCK_ROWS, n)
                 run = np.searchsorted(band.starts, np.arange(lo, hi), side="right") - 1
                 rows = zip(
                     range(lo + 1, hi + 1),

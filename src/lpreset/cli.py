@@ -23,6 +23,7 @@ from .distribution import (
     DEFAULT_K_MAX,
     NextPriceDistribution,
     fit_distribution,
+    json_count,
     load_price_csv,
     percent_changes,
 )
@@ -56,6 +57,14 @@ def _emit_json(doc: dict, out: str | None, quiet: bool) -> None:
 
 def _params_from_args(args: argparse.Namespace) -> UtilityParams:
     return UtilityParams(a=args.a, kappa=args.kappa, ell=args.ell)
+
+
+def count(text: str) -> int:
+    """A decimal count that ``json_count`` accepts: the type of every count flag and grid."""
+    try:
+        return json_count(int(text))
+    except OverflowError:  # past the float range; argparse reports only a ValueError
+        raise ValueError(text) from None
 
 
 # ---------------------------------------------------------------- commands
@@ -112,9 +121,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_taus = [window_for_mass(dist, mass) for mass in masses]
         strategy, n_alphas = "optimal", [None]
     else:
-        n_taus = _parse_grid(args.n_tau_grid, int)
+        n_taus = _parse_grid(args.n_tau_grid, count)
         strategy = args.strategy or "proportional"
-        n_alphas = _parse_grid(args.n_alpha_grid, int)
+        n_alphas = _parse_grid(args.n_alpha_grid, count)
     # one law per distinct n_tau, so a bad n_tau is reported before any n_alpha
     laws = {n_tau: landing_law(dist, n_tau) for n_tau in dict.fromkeys(n_taus)}
     if strategy == "proportional":  # allocations independent of n_tau (given as 0)
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the next-price distribution from a price CSV")
     p.add_argument("prices", help="CSV with header timestamp,price")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
+    p.add_argument("--k-max", type=count, default=DEFAULT_K_MAX)
     p.add_argument("--bin-width-pct", type=float, default=DEFAULT_BIN_WIDTH_PCT)
     p.add_argument("--drop-tails", dest="clamp_tails", action="store_false")
     p.set_defaults(func=cmd_fit)
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="solve for the optimal allocation")
     p.add_argument("distribution")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n-tau", type=int)
+    group.add_argument("--n-tau", type=count)
     group.add_argument("--tau-mass", type=float)
     _add_params(p)
     p.set_defaults(func=cmd_optimize)
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run of a strategy")
     p.add_argument("distribution")
     p.add_argument("strategy")
-    p.add_argument("--steps", type=int, default=50_000)
+    p.add_argument("--steps", type=count, default=50_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-out", help="optional per-step CSV trace")
     p.set_defaults(func=cmd_simulate)
@@ -265,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prices")
     p.add_argument("strategy")
     p.add_argument("--grid-anchor", choices=["first", "low"], default="first")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
+    p.add_argument("--k-max", type=count, default=DEFAULT_K_MAX)
     p.add_argument("--bin-width-pct", type=float, default=DEFAULT_BIN_WIDTH_PCT)
     p.add_argument("--band-out", help="optional band-trace CSV path")
     p.set_defaults(func=cmd_backtest)

@@ -114,11 +114,6 @@ class NextPriceDistribution:
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad distribution document: {exc}") from exc
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path: str) -> "NextPriceDistribution":
         return cls.from_json_dict(read_json(path))
@@ -164,9 +159,13 @@ def json_number(value) -> float:
 
 
 def json_count(value) -> int:
-    """A JSON number with a whole value, as an int."""
-    if not json_number(value).is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
+    """A JSON number with a whole value below 2**53 in magnitude, as an int.
+
+    Under it every size derived from counts, such as 2 * (n_tau + k_max) + 1,
+    fits in int64: a count still too large to hold is a MemoryError, not a crash.
+    """
+    if not json_number(value).is_integer() or abs(value) >= 2**53:
+        raise ValueError(f"{value!r} is not a whole number below 2**53")
     return int(value)
 
 

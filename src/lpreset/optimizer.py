@@ -125,7 +125,7 @@ def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:
     """Weights that equalize q_j * u'(c_j) over the active bins, and their count."""
     p = problem.params
     a, scale = p.a, p.kappa * p.ell
-    s = np.where(problem.tau_membership, p.shift, p.shift - 1.0)
+    s = landing_rewards(0.0, ~problem.tau_membership, p) + p.shift  # the shift less any fee
     live = problem.q > 0.0  # bins the price never lands in get nothing
     q, s = problem.q[live], s[live]
     w = np.zeros_like(problem.q)
@@ -149,8 +149,9 @@ def solve(problem: OptimizationProblem) -> Solution:
     if a > 0:
         w, iters = _water_filling(problem)
         method = "water-filling"
-    else:  # the vertex rule of the module docstring; np.exp(0.0) == 1.0
-        gain = np.where(problem.tau_membership, problem.q, problem.q * np.exp(a))
+    else:  # the vertex rule of the module docstring: q_i e^(-a s_i) up to a common factor
+        bare = landing_rewards(0.0, ~problem.tau_membership, problem.params)  # 0 or -1
+        gain = problem.q * np.exp(-a * bare)
         w = np.zeros_like(problem.q)
         w[_argmax_center_first(gain, problem.n_alpha)] = 1.0
         iters, method = w.shape[0], "vertex-enumeration"

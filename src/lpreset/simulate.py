@@ -11,12 +11,12 @@ import numpy as np
 from .distribution import NextPriceDistribution
 from .errors import InputError
 from .strategies import StrategySpec
-from .utility import exp_utility, landing_rewards
+from .utility import exp_utility, landing_rewards, resets_over
 
 __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
-TRACE_BLOCK_ROWS = 512  # trace rows formatted before each write
+BLOCK_ROWS = 512  # rows of a per-step CSV (trace or band) formatted and written at once
 GUIDE_CELLS = 4096  # guide-table cells of sample_path; a power of two
 LOCKSTEP_MIN = 32  # fewer live stretches than this finish one step at a time
 
@@ -95,9 +95,7 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     walk = np.clip(moves, -sure, sure)
     reach = n_tau + int(np.abs(walk).max(initial=0))
     # settle[j] is the offset left after landing at j; negative j index from the end
-    settle = np.zeros(2 * reach + 1, dtype=np.int64)
-    kept = np.arange(-n_tau, n_tau + 1)
-    settle[kept] = kept
+    settle = np.roll(np.where(resets_over(reach, n_tau), 0, np.arange(-reach, reach + 1)), -reach)
     bounds = np.flatnonzero(np.abs(walk) == sure) + 1
     starts = np.concatenate(([0], bounds))
     lengths = np.append(bounds, len(moves)) - starts
@@ -137,11 +135,11 @@ def payoffs(
 
     Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1 and
     resets, so the offsets are clipped to +-far and each step reads its
-    entries of one table per quantity. This is the one place a step's reset
-    flag is decided.
+    entries of one table per quantity. Every step's reset flag is read here,
+    from ``resets_over``.
     """
     far = max(spec.n_tau, spec.n_alpha) + 1
-    resets = np.abs(np.arange(-far, far + 1)) > spec.n_tau
+    resets = resets_over(far, spec.n_tau)
     table = landing_rewards(spec.allocation.over(far), resets, spec.params)
     at = np.clip(js, -far, far)
     at += far  # in place, as in execute
@@ -172,7 +170,10 @@ def run_strategy(
         _write_trace(trace_out, js, rewards, resets)
 
     mean = float(utilities.mean())
-    std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # std of u / 2**k times 2**k, k >= 0 with max |u| / 2**k < 2: same bits, no overflow
+    scale = max(1.0, math.ldexp(0.5, math.frexp(max(utilities.max(), -utilities.min()))[1]))
+    utilities /= scale  # in place: one more path-sized array here raised the peak RSS
+    std_error = float(utilities.std(ddof=1) * scale / math.sqrt(n)) if n > 1 else 0.0
     return SimReport(
         steps=n,
         resets=int(np.count_nonzero(resets)),
@@ -195,8 +196,8 @@ def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, resets: np.ndar
     tails = {}
     with open(path, "w", newline="") as fh:
         fh.write("step,offset,reward,reset_flag\r\n")
-        for lo in range(0, len(js), TRACE_BLOCK_ROWS):
-            block = js[lo : lo + TRACE_BLOCK_ROWS]
+        for lo in range(0, len(js), BLOCK_ROWS):
+            block = js[lo : lo + BLOCK_ROWS]
             offsets, first = np.unique(block, return_index=True)
             for j, i in zip(offsets.tolist(), (first + lo).tolist()):
                 if j not in tails:

@@ -26,7 +26,7 @@ from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
 from .optimizer import OptimizationProblem, Solution, solve
-from .utility import Allocation, UtilityParams
+from .utility import Allocation, UtilityParams, resets_over
 
 __all__ = [
     "StrategySpec",
@@ -47,19 +47,19 @@ class StrategySpec:
 
     kind: str
     n_tau: int
-    n_alpha: int
     allocation: Allocation
     params: UtilityParams
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InputError(f"unknown strategy kind {self.kind!r}")
-        if self.allocation.n_alpha != self.n_alpha:
-            raise InputError(
-                f"allocation n_alpha {self.allocation.n_alpha} != spec n_alpha {self.n_alpha}"
-            )
         if self.n_tau < 0:
             raise InputError(f"n_tau must be >= 0, got {self.n_tau}")
+
+    @property
+    def n_alpha(self) -> int:
+        """Half-width of B_alpha, the allocation's window."""
+        return self.allocation.n_alpha
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,7 +91,6 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
         return StrategySpec(
             kind=doc.get("kind", "custom"),
             n_tau=doc_field(doc, "n_tau", json_count),
-            n_alpha=n_alpha,
             allocation=Allocation(n_alpha=n_alpha, weights=np.array(weights)),
             params=params,
         )
@@ -169,7 +168,6 @@ def uniform_strategy(
     return StrategySpec(
         kind="uniform",
         n_tau=n_tau,
-        n_alpha=n_alpha,
         allocation=Allocation(n_alpha=n_alpha, weights=np.full(n, 1.0 / n)),
         params=params,
     )
@@ -195,7 +193,6 @@ def proportional_strategy(
     return StrategySpec(
         kind="proportional",
         n_tau=n_tau,
-        n_alpha=n_alpha,
         allocation=Allocation(n_alpha=n_alpha, weights=raw / total),
         params=params,
     )
@@ -216,16 +213,6 @@ def optimal_strategy(
     law = landing_law(dist, n_tau) if law is None else law
     if law.n_tau != n_tau:
         raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
-    js = np.arange(-law.reach, law.reach + 1)
-    problem = OptimizationProblem(
-        q=law.q, tau_membership=np.abs(js) <= n_tau, params=params
-    )
-    solution = solve(problem)
-    spec = StrategySpec(
-        kind="optimal",
-        n_tau=n_tau,
-        n_alpha=law.reach,
-        allocation=solution.allocation,
-        params=params,
-    )
-    return spec, solution
+    tau = ~resets_over(law.reach, n_tau)
+    solution = solve(OptimizationProblem(q=law.q, tau_membership=tau, params=params))
+    return StrategySpec("optimal", n_tau, solution.allocation, params), solution

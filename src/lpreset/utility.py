@@ -19,6 +19,7 @@ Two evaluation modes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "UtilityParams",
     "Allocation",
     "exp_utility",
+    "resets_over",
     "landing_rewards",
     "expected_utility",
     "expected_utilities",
@@ -63,8 +65,11 @@ class UtilityParams:
             raise InputError(f"kappa must be > 0, got {self.kappa}")
         if self.ell <= 0:
             raise InputError(f"ell must be > 0, got {self.ell}")
-        if not math.isfinite(self.kappa * self.ell):  # every reward scales by it
+        scale = self.kappa * self.ell  # every reward scales by it: inf or 0 loses them all
+        if not math.isfinite(scale):
             raise InputError(f"kappa * ell overflows: {self.kappa!r} * {self.ell!r}")
+        if scale < sys.float_info.min:
+            raise InputError(f"kappa * ell underflows: {self.kappa!r} * {self.ell!r}")
 
     @property
     def shift(self) -> float:
@@ -128,6 +133,14 @@ def exp_utility(c: float | np.ndarray, params: UtilityParams) -> float | np.ndar
     return float(u) if u.ndim == 0 else u
 
 
+def resets_over(n: int, n_tau: int) -> np.ndarray:
+    """Whether a landing at offset j leaves B_tau, and so resets, for |j| <= n.
+
+    This is the one place the reset rule is decided.
+    """
+    return np.abs(np.arange(-n, n + 1)) > n_tau
+
+
 def landing_rewards(
     weights: np.ndarray, resets: np.ndarray, params: UtilityParams
 ) -> np.ndarray:
@@ -162,7 +175,7 @@ def expected_utilities(
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
     ms = [alloc.n_alpha if mode == MODE_STRICT else law.reach for alloc in allocs]
     n = max(ms, default=0)
-    resets = np.abs(np.arange(-n, n + 1)) > law.n_tau
+    resets = resets_over(n, law.n_tau)
     rewards = landing_rewards([alloc.over(n) for alloc in allocs], resets, params)
     utils = exp_utility(rewards + params.shift, params)
     q = law.over(n)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
@@ -72,6 +74,12 @@ def write_price_csv(path, prices, start_ts: int = 1_600_000_000, step_s: int = 6
         fh.write("timestamp,price\n")
         for i, p in enumerate(prices):
             fh.write(f"{start_ts + i * step_s},{p!r}\n")
+    return str(path)
+
+
+def write_dist(dist, path) -> str:
+    """Write ``dist`` to ``path`` as ``lpreset fit --out`` does; the path as a string."""
+    path.write_text(json.dumps(dist.to_json_dict(), sort_keys=True, indent=2) + "\n")
     return str(path)
 
 

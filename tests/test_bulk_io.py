@@ -33,8 +33,7 @@ from lpreset import (
     run_strategy,
     sample_path,
 )
-from lpreset.backtest import BAND_BLOCK_ROWS
-from lpreset.simulate import TRACE_BLOCK_ROWS, _write_trace, execute, payoffs
+from lpreset.simulate import BLOCK_ROWS, _write_trace, execute, payoffs
 from tests.conftest import band_rows, make_eth_like
 
 
@@ -328,7 +327,7 @@ def band_report(prices, step, anchor, n_tau, n_alpha):
     anchor_price = prices[0] if anchor == "first" else lo
     grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor_price)
     alloc = Allocation(n_alpha, np.full(2 * n_alpha + 1, 1.0 / (2 * n_alpha + 1)))
-    spec = StrategySpec("custom", n_tau, n_alpha, alloc, UtilityParams(a=0.1))
+    spec = StrategySpec("custom", n_tau, alloc, UtilityParams(a=0.1))
     return replay(series, spec, grid, collect_band=True)
 
 
@@ -342,7 +341,7 @@ class TestWriteBandCsv:
         st.sampled_from(["first", "low"]),
         st.integers(0, 6),
         st.integers(0, 8),
-        st.sampled_from([1, 3, 16, 37, BAND_BLOCK_ROWS, 4096]),
+        st.sampled_from([1, 3, 16, 37, BLOCK_ROWS, 4096]),
     )
     def test_equals_reference(
         self, step, start, moves, kind, anchor, n_tau, n_alpha, block_rows
@@ -357,7 +356,7 @@ class TestWriteBandCsv:
             prices[i] = math.nextafter(prices[i], 0.0 if kind == "<" else math.inf)
         report = band_report(prices, step, anchor, n_tau, n_alpha)
         assert len(report.band.prices) == len(moves)
-        with mock.patch("lpreset.backtest.BAND_BLOCK_ROWS", block_rows):
+        with mock.patch("lpreset.backtest.BLOCK_ROWS", block_rows):
             got = written(write_band_csv, report)
         assert got == written(reference_write_band_csv, report)
 
@@ -371,12 +370,12 @@ class TestWriteBandCsv:
             ([0, 1, 5, 9, 9, 10, 14, 14, 14, 0], 4),
         ],
     )
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, BAND_BLOCK_ROWS, 4096])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, BLOCK_ROWS, 4096])
     def test_edge_cases_and_blocks_inside_a_run(self, levels, resets, block_rows):
         prices = [100.0 * 1.01 ** (level + 0.5) for level in levels]
         report = band_report(prices, 0.01, "first", 2, 3)
         assert report.resets == resets
-        with mock.patch("lpreset.backtest.BAND_BLOCK_ROWS", block_rows):
+        with mock.patch("lpreset.backtest.BLOCK_ROWS", block_rows):
             got = written(write_band_csv, report)
         assert got == written(reference_write_band_csv, report)
         assert got.count(b"\r\n") == len(levels)
@@ -422,25 +421,25 @@ class TestWriteTrace:
         st.integers(0, 12),
         st.sampled_from([0.0, 0.1, 15.0]),
         st.sampled_from([1.0, 100.0]),
-        st.sampled_from([1, 7, 37, TRACE_BLOCK_ROWS, 4096]),
+        st.sampled_from([1, 7, 37, BLOCK_ROWS, 4096]),
     )
     def test_equals_reference(self, steps, seed, n_tau, n_alpha, a, ell, block_rows):
         dist = make_eth_like(k_max=16, rate=0.3)
         weights = np.arange(1.0, 2 * n_alpha + 2)
         params = UtilityParams(a=a, ell=ell)
         alloc = Allocation(n_alpha, weights / weights.sum())
-        spec = StrategySpec("custom", n_tau, n_alpha, alloc, params)
+        spec = StrategySpec("custom", n_tau, alloc, params)
         path = sample_path(dist, steps, seed)
         js = execute(path, n_tau)
         rewards, _, _ = payoffs(js, spec, params.shift)
-        with mock.patch("lpreset.simulate.TRACE_BLOCK_ROWS", block_rows):
+        with mock.patch("lpreset.simulate.BLOCK_ROWS", block_rows):
             got = written(lambda out: run_strategy(path, spec, seed=seed, trace_out=out))
         assert got == written(reference_write_trace, js, rewards, n_tau)
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         dist = make_eth_like(k_max=16, rate=0.3)
         alloc = Allocation(5, np.full(11, 1 / 11))
-        spec = StrategySpec("custom", 3, 5, alloc, UtilityParams(a=0.1))
+        spec = StrategySpec("custom", 3, alloc, UtilityParams(a=0.1))
 
         def peak(steps):
             js = execute(sample_path(dist, steps, seed=2), spec.n_tau)

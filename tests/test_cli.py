@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -22,14 +24,12 @@ from lpreset import (
 from lpreset.cli import main
 from lpreset.strategies import resolve_strategy
 
-from conftest import dists, write_price_csv
+from conftest import dists, write_dist, write_price_csv
 
 
 @pytest.fixture
 def dist_file(tmp_path, toy_dist):
-    path = tmp_path / "dist.json"
-    toy_dist.save(str(path))
-    return str(path)
+    return write_dist(toy_dist, tmp_path / "dist.json")
 
 
 @pytest.fixture
@@ -127,9 +127,8 @@ class TestOptimize:
     def test_risk_seeking_that_overflows_is_one_error_line(self, tmp_path, eth_dist, capsys):
         # |a| * kappa * ell = 1,500 overflows exp: the objective raises before
         # the gradient's exp in the KKT residual can warn
-        path = tmp_path / "dist.json"
-        eth_dist.save(str(path))
-        assert main(["optimize", str(path), "--n-tau", "3", "--a", "-15"]) == 1
+        path = write_dist(eth_dist, tmp_path / "dist.json")
+        assert main(["optimize", path, "--n-tau", "3", "--a", "-15"]) == 1
         assert_one_error_line(capsys, "overflow")
 
 
@@ -302,8 +301,7 @@ class TestSweepCells:
     def test_every_cell_is_its_own_expected_utility(
         self, dist, strategy, n_taus, n_alphas, mode, a, tmp_path_factory, capsys
     ):
-        path = tmp_path_factory.mktemp("sweep") / "dist.json"
-        dist.save(str(path))
+        path = write_dist(dist, tmp_path_factory.mktemp("sweep") / "dist.json")
         params = UtilityParams(a=a)
         try:
             want = []
@@ -605,26 +603,68 @@ class TestErrorHandling:
     def test_kappa_times_ell_that_overflows_is_one_error_line(
         self, command, dist_file, tmp_path, capsys
     ):
-        # each is finite, their product is not: every reward would be inf or NaN
-        doc = tmp_path / "strategy.json"
-        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 1,
-                                   "params": {"kappa": 1e200, "ell": 1e200}}))
-        huge = ["--kappa", "1e200", "--ell", "1e200"]
-        argv = {
-            "eval": ["eval", dist_file, str(doc)],
-            "optimize": ["optimize", dist_file, "--n-tau", "1", *huge],
-            "sweep": ["sweep", dist_file, "--n-tau-grid", "0,1", "--n-alpha-grid", "1", *huge],
-            "simulate": ["simulate", dist_file, str(doc), "--steps", "50"],
-            "backtest": [
-                "backtest",
-                write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 103.9, 100.2]),
-                str(doc),
-            ],
-        }[command]
-        out = tmp_path / "out.json"
-        assert main(argv + ["--out", str(out)]) == 1
-        assert_one_error_line(capsys, "kappa * ell overflows: 1e+200 * 1e+200")
-        assert not out.exists()
+        # each is finite and > 0, their product is not: every reward would be
+        # inf or NaN, or, below the smallest normal float, lose A(j)
+        ends = [("1e200", "1e200", "overflows: 1e+200 * 1e+200"),
+                ("1e-200", "1e-200", "underflows: 1e-200 * 1e-200"),
+                ("1e-320", "1", "underflows: 1e-320 * 1.0")]
+        prices = write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 103.9, 100.2])
+        doc, out = tmp_path / "strategy.json", tmp_path / "out.json"
+        for kappa, ell, verdict in ends:
+            doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 1, "params": {
+                "a": 0.1, "kappa": float(kappa), "ell": float(ell)}}))
+            flags = ["--kappa", kappa, "--ell", ell, "--a", "1"]
+            argv = {
+                "eval": ["eval", dist_file, str(doc)],
+                "optimize": ["optimize", dist_file, "--n-tau", "1", *flags],
+                "sweep": ["sweep", dist_file, "--n-tau-grid", "0,1", "--n-alpha-grid", "1", *flags],
+                "simulate": ["simulate", dist_file, str(doc), "--steps", "50"],
+                "backtest": ["backtest", prices, str(doc)],
+            }[command]
+            assert main(argv + ["--out", str(out)]) == 1
+            assert_one_error_line(capsys, f"kappa * ell {verdict}")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["simulate", "D", "S", "--steps", str(10**20 - 1)], 2, "invalid count value"),
+        (["optimize", "D", "--n-tau", str(10**20 - 1)], 2, "invalid count value"),
+        (["optimize", "D", "--n-tau", "1.5"], 2, "invalid count value"),
+        (["fit", "P", "--k-max", str(10**20 - 1)], 2, "invalid count value"),
+        (["backtest", "P", "S", "--k-max", str(10**20 - 1)], 2, "invalid count value"),
+        (["simulate", "D", "S", "--steps", "1" + "0" * 400], 2, "invalid count value"),
+        (["sweep", "D", "--n-tau-grid", "1", "--n-alpha-grid", str(10**20 - 1)], 1, "bad grid"),
+        (["sweep", "D", "--n-tau-grid", "1" + "0" * 400, "--n-alpha-grid", "1"], 1, "bad grid"),
+        (["eval", "D", {"n_tau": 10**20 - 1}], 1, "strategy field 'n_tau'"),
+        (["eval", "D", {"n_tau": 1e300}], 1, "strategy field 'n_tau'"),
+        (["eval", "D", {"n_alpha": 10**20 - 1}], 1, "strategy field 'n_alpha'"),
+        (["simulate", "D", {"n_tau": 10**20 - 1}], 1, "strategy field 'n_tau'"),
+        (["eval", "D", {"n_tau": 2**53}], 1, "strategy field 'n_tau'"),
+    ])
+    def test_count_past_the_array_range_is_one_line(
+        self, argv, code, message, dist_file, strategy_file, tmp_path, capsys
+    ):
+        # refused before any array is sized by it: no ValueError or OverflowError
+        # traceback from numpy, and nothing allocated
+        def arg(value):
+            if isinstance(value, dict):
+                doc = {"kind": "uniform", "n_tau": 1, "n_alpha": 1, **value}
+                (tmp_path / "doc.json").write_text(json.dumps(doc))
+                return str(tmp_path / "doc.json")
+            prices = [100.0, 100.4, 99.8, 103.9, 100.2]
+            return {"D": dist_file, "S": strategy_file,
+                    "P": write_price_csv(tmp_path / "px.csv", prices)}.get(value, value)
+
+        argv = [arg(value) for value in argv]
+        if code == 2:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: lpreset")
+            assert message in err.splitlines()[-1]
+        else:
+            assert main(argv) == 1
+            assert_one_error_line(capsys, message)
 
     def test_resolve_rejects_unknown_kind(self, toy_dist):
         from lpreset import InputError
@@ -793,3 +833,90 @@ class TestMalformedStrategyDocuments:
         capsys.readouterr()
         assert main(["eval", dist_file, str(path)]) == 1
         assert_one_error_line(capsys)
+
+
+# a valid count for each slot a command reads one from
+VALID_COUNTS = {"k_max": 4, "n_tau": 1, "n_alpha": 2, "steps": 50}
+# slots of each command, in the order of the drawn counts
+COUNT_SLOTS = {
+    "fit": ["k_max"],
+    "eval": ["n_tau", "n_alpha"],
+    "optimize": ["n_tau"],
+    "sweep": ["n_tau", "n_alpha"],
+    "simulate": ["n_tau", "n_alpha", "steps"],
+    "backtest": ["n_tau", "n_alpha", "k_max"],
+}
+
+
+class TestEveryInputEndsCleanly:
+    """Every command ends in a result, one ``error:`` line or argparse usage."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        # moves of 0, +-1 and +-2 bins at the default width
+        steps = [1.0005, 0.9995, 1.0, 1.001, 0.999] * 12
+        write_price_csv(root / "px.csv", (100.0 * np.cumprod(steps)).tolist())
+        assert main(["fit", str(root / "px.csv"), "--k-max", "4",
+                     "--out", str(root / "dist.json")]) == 0
+        return root
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(COUNT_SLOTS)),
+        counts=st.lists(st.sampled_from([None, 0, -1, 2**53, 2**63, 10**20]),
+                        min_size=3, max_size=3),
+        kappa=st.sampled_from([1.0, 1e-200, 1e-320, 1e200]),
+        ell=st.sampled_from([1.0, 1e-200, 1e-320, 1e200]),
+        a=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    # the inputs this property first found or pinned: a std_error whose squares
+    # overflowed, kappa * ell under the smallest normal float, and a count past int64
+    @example(command="simulate", counts=[None] * 3, kappa=1e200, ell=1.0, a=0.0)
+    @example(command="backtest", counts=[None] * 3, kappa=1e-320, ell=1.0, a=1.0)
+    @example(command="optimize", counts=[None] * 3, kappa=1e-200, ell=1e-200, a=1.0)
+    @example(command="eval", counts=[2**63, None, None], kappa=1.0, ell=1.0, a=0.0)
+    def test_exit_code_and_stderr(self, inputs, command, counts, kappa, ell, a):
+        # None draws the slot's valid count; every other count is refused before
+        # an array is sized by it, so no example allocates more than a valid one
+        n = {slot: VALID_COUNTS[slot] if count is None else count
+             for slot, count in zip(COUNT_SLOTS[command], counts)}
+        doc = inputs / "strategy.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": n.get("n_tau"),
+                                   "n_alpha": n.get("n_alpha"),
+                                   "params": {"a": a, "kappa": kappa, "ell": ell}}))
+        dist, prices = str(inputs / "dist.json"), str(inputs / "px.csv")
+        flags = ["--a", repr(a), "--kappa", repr(kappa), "--ell", repr(ell)]
+        argv = {
+            "fit": ["fit", prices, "--k-max", str(n.get("k_max"))],
+            "eval": ["eval", dist, str(doc)],
+            "optimize": ["optimize", dist, "--n-tau", str(n.get("n_tau")), *flags],
+            "sweep": ["sweep", dist, "--n-tau-grid", str(n.get("n_tau")),
+                      "--n-alpha-grid", str(n.get("n_alpha")), *flags],
+            "simulate": ["simulate", dist, str(doc), "--steps", str(n.get("steps"))],
+            "backtest": ["backtest", prices, str(doc), "--k-max", str(n.get("k_max"))],
+        }[command]
+        err, out = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage
+                code = exc.code
+        assert [str(w.message) for w in caught] == []
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            text = out.getvalue()
+            if command == "sweep":
+                assert all(math.isfinite(float(row.split(",")[2]))
+                           for row in text.splitlines()[1:])
+            else:  # strict JSON: no NaN or Infinity
+                json.loads(text, parse_constant=pytest.fail)
+        elif code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert code == 2
+            assert lines[0].startswith("usage: lpreset")
+            assert lines[-1].startswith(f"lpreset {command}: error: argument")

@@ -14,7 +14,7 @@ from lpreset import (
     percent_changes,
     stability_correlation,
 )
-from tests.conftest import write_price_csv
+from tests.conftest import write_dist, write_price_csv
 
 
 def series(prices):
@@ -201,7 +201,7 @@ class TestSeriesAndIO:
 
     def test_non_finite_bin_width_in_a_document_is_an_error(self, tmp_path, eth_dist):
         path = tmp_path / "dist.json"
-        eth_dist.save(str(path))
+        write_dist(eth_dist, path)
         path.write_text(path.read_text().replace(
             f'"bin_width_pct": {eth_dist.bin_width_pct!r}', '"bin_width_pct": NaN'
         ))
@@ -209,9 +209,7 @@ class TestSeriesAndIO:
             NextPriceDistribution.load(str(path))
 
     def test_distribution_json_round_trip(self, tmp_path, eth_dist):
-        path = tmp_path / "dist.json"
-        eth_dist.save(str(path))
-        loaded = NextPriceDistribution.load(str(path))
+        loaded = NextPriceDistribution.load(write_dist(eth_dist, tmp_path / "dist.json"))
         assert loaded.k_max == eth_dist.k_max
         np.testing.assert_array_equal(loaded.probs, eth_dist.probs)
 

@@ -200,7 +200,7 @@ def specs(draw):
         a=draw(st.sampled_from([0.0, 0.1, 15.0])),
         ell=draw(st.sampled_from([1.0, 100.0])),
     )
-    return StrategySpec("custom", n_tau, n_alpha, Allocation(n_alpha, weights), params)
+    return StrategySpec("custom", n_tau, Allocation(n_alpha, weights), params)
 
 
 class TestRunStrategy:
@@ -226,7 +226,7 @@ class TestRunStrategy:
 
     def test_empty_path_is_an_error(self):
         spec = StrategySpec(
-            "custom", 1, 1, Allocation(1, np.full(3, 1 / 3)), UtilityParams()
+            "custom", 1, Allocation(1, np.full(3, 1 / 3)), UtilityParams()
         )
         with pytest.raises(InputError):
             run_strategy(np.array([], dtype=np.int64), spec)
@@ -317,7 +317,7 @@ class TestExecute:
         assert js.tolist() == [1, 1 + 10**12, -1, -1 - 10**12, 2, 2, 7, -3]
         params = UtilityParams(a=0.1, ell=10.0)
         alloc = Allocation(3, np.array([0.0, 0.1, 0.2, 0.4, 0.2, 0.1, 0.0]))
-        rewards, utilities, resets = payoffs(js, StrategySpec("custom", 2, 3, alloc, params), 1.0)
+        rewards, utilities, resets = payoffs(js, StrategySpec("custom", 2, alloc, params), 1.0)
         assert rewards.tolist() == [2.0, -1.0, 2.0, -1.0, 1.0, 1.0, -1.0, -1.0]
         assert utilities.tolist() == [exp_utility(r + 1.0, params) for r in rewards.tolist()]
         assert resets.tolist() == [False, True, False, True, False, False, True, True]
@@ -440,7 +440,7 @@ class TestReplay:
     def test_band_edge_cases_equal_reference(self, levels, resets):
         prices = [100.0 * 1.01 ** (level + 0.5) for level in levels]
         spec = StrategySpec(
-            "custom", 2, 3, Allocation(3, np.full(7, 1 / 7)), UtilityParams(a=0.1)
+            "custom", 2, Allocation(3, np.full(7, 1 / 7)), UtilityParams(a=0.1)
         )
         got = replayed(replay, prices, 0.01, 100.0, spec, True)
         assert got == replayed(reference_replay, prices, 0.01, 100.0, spec, True)
@@ -455,7 +455,7 @@ class TestReplay:
         prices = [100.0 * 1.01 ** (level + 0.5) for level in levels.tolist()]
         weights = np.full(2 * n_alpha + 1, 1 / (2 * n_alpha + 1))
         spec = StrategySpec(
-            "custom", n_tau, n_alpha, Allocation(n_alpha, weights), UtilityParams(a=0.1)
+            "custom", n_tau, Allocation(n_alpha, weights), UtilityParams(a=0.1)
         )
         got = replayed(replay, prices, 0.01, 100.0, spec, True)
         assert got == replayed(reference_replay, prices, 0.01, 100.0, spec, True)

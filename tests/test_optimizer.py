@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lpreset import (
     InputError,
@@ -217,6 +217,7 @@ class TestGradient:
     )
     def test_risk_neutral_is_q_kappa_ell_bit_for_bit(self, n_alpha, data, kappa, ell):
         # u' = 1 at a = 0: exp(-0.0 * c) == 1.0 leaves q * kappa * ell unrounded
+        assume((kappa, ell) != (1e-300, 1e-8))  # a product of 1e-308 is refused
         n = 2 * n_alpha + 1
         probs = st.floats(0.0, 1.0).map(lambda x: x if x > 0.3 else 0.0)
         q = np.array(data.draw(st.lists(probs, min_size=n, max_size=n)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lpreset import (
     sample_path,
     uniform_strategy,
 )
+from lpreset.simulate import execute, payoffs
 
 
 class TestSamplePath:
@@ -92,6 +95,16 @@ class TestRunStrategy:
         r2 = run_strategy(path, spec, seed=5)
         assert r1 == r2
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_std_error_where_the_squares_pass_the_float_range(self, toy_dist):
+        # at kappa * ell = 1e200 and a = 0 a deviation's square overflows; the
+        # report scales u by a power of two first
+        spec = uniform_strategy(toy_dist, 1, 1, UtilityParams(kappa=1e200, ell=1.0))
+        path = sample_path(toy_dist, 400, seed=3)
+        _, utilities, _ = payoffs(execute(path, spec.n_tau), spec, spec.params.shift)
+        want = float(np.std(utilities / 1e200, ddof=1)) * 1e200 / math.sqrt(len(path))
+        assert run_strategy(path, spec).std_error == pytest.approx(want, rel=1e-12)
 
     def test_trace_csv(self, tmp_path, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)

@@ -16,7 +16,7 @@ from lpreset import (
     window_for_mass,
 )
 from lpreset.distribution import centred
-from lpreset.strategies import StrategySpec, load_strategy, resolve_strategy
+from lpreset.strategies import load_strategy, resolve_strategy
 
 from conftest import dists
 
@@ -169,18 +169,6 @@ class TestStrategySpecIO:
     def test_document_that_is_not_an_object_rejected(self, doc, toy_dist):
         with pytest.raises(InputError, match="must be an object"):
             resolve_strategy(doc, toy_dist)
-
-    def test_mismatched_alpha_rejected(self, neutral_params):
-        from lpreset import Allocation
-
-        with pytest.raises(InputError):
-            StrategySpec(
-                kind="custom",
-                n_tau=1,
-                n_alpha=2,
-                allocation=Allocation(1, np.array([0.0, 1.0, 0.0])),
-                params=neutral_params,
-            )
 
 
 def assert_same_spec(got, want):

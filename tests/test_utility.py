@@ -265,7 +265,7 @@ class TestOnePayoffRule:
         self, dist, n_tau, alloc, a, steps, seed, stretch
     ):
         params = UtilityParams(a=a)
-        spec = StrategySpec("custom", n_tau, alloc.n_alpha, alloc, params)
+        spec = StrategySpec("custom", n_tau, alloc, params)
         js = execute(sample_path(dist, steps, seed) * stretch, n_tau)
         rewards, utilities, resets = payoffs(js, spec, params.shift)
         own = landing_rewards([alloc.weight(j) for j in js.tolist()], np.abs(js) > n_tau, params)
@@ -358,7 +358,7 @@ class TestOneUtilityForm:
         # the whole table is evaluated, so an offset no step lands on still
         # overflows, as it does in E_u
         params = UtilityParams(a=-1.0, ell=1000.0)
-        spec = StrategySpec("custom", 0, 5, Allocation(5, np.eye(11)[10]), params)
+        spec = StrategySpec("custom", 0, Allocation(5, np.eye(11)[10]), params)
         with pytest.raises(NumericalError, match="overflow"):
             payoffs(np.array([1, -1, 0]), spec, params.shift)
         with pytest.raises(NumericalError, match="overflow"):

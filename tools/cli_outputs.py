@@ -39,12 +39,16 @@ weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
 {-1, 0, 0.1, 15}. Inputs that once ended in a numpy warning or a traceback
 close the set: ``eval``, ``optimize`` and ``simulate --trace-out`` at
-a = 1e308, where a*c overflows and u saturates at 1/a, and three
+a = 1e308, where a*c overflows and u saturates at 1/a, and seven
 refusals, which must exit 1 with one ``error:`` line: ``simulate --seed
--1``, and ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``,
-whose product overflows. The run exits 0 when every command exits 0 and
-every such refusal exits 1. In all: 37 documents, 529 commands and 821
-files with ``exit_codes.txt`` and ``stderr.txt``.
+-1``; ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose
+product overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
+``backtest`` of a document with kappa 1e-320, whose products fall below
+the smallest normal float; and ``eval`` of a document with n_tau
+99999999999999999999 and ``sweep`` with that n_alpha grid, counts past
+every array size. The run exits 0 when every command exits 0 and every
+such refusal exits 1. In all: 39 documents, 533 commands and 821 files
+with ``exit_codes.txt`` and ``stderr.txt``.
 """
 
 from __future__ import annotations
@@ -89,6 +93,13 @@ TINY_WIDTH = ["--bin-width-pct", "1e-8"]
 # a*c overflows for every c above about 1.8: u saturates at 1/a, with no numpy warning
 HUGE_A = 1e308
 HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
+# documents that must be refused: kappa * ell below the smallest normal float,
+# and an n_tau past every array size
+REFUSED_DOCUMENTS = {
+    "refused/uniform_count_kappa1e-320.json":
+        {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kappa": 1e-320, "ell": 1}},
+    "refused/uniform_n_tau_1e20.json": {**DOCUMENTS["uniform_count"], "n_tau": 10**20 - 1},
+}
 
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
 # and give back its exit code and stderr; a command that raises (as a refusal may
@@ -138,6 +149,9 @@ def build_inputs(inputs: Path, seed: int) -> None:
     (inputs / HUGE_A_DOCUMENT).parent.mkdir()
     doc_a = {**DOCUMENTS["uniform_count"], "params": {"a": HUGE_A}}
     (inputs / HUGE_A_DOCUMENT).write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
+    (inputs / "refused").mkdir()
+    for name, doc in REFUSED_DOCUMENTS.items():
+        (inputs / name).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def document_name(name: str, a: float) -> str:
@@ -149,7 +163,7 @@ def missing_inputs(inputs: Path) -> list[str]:
     need = [f"dists/dist_{i:05d}.json" for i in range(2)]
     need += [f"prices/prices_00000{tag}.csv" for tag in ("", "_iso", "_crlf")]
     need += [document_name(name, a) for name in DOCUMENTS for a in RISKS]
-    need.append(HUGE_A_DOCUMENT)
+    need += [HUGE_A_DOCUMENT, *REFUSED_DOCUMENTS]
     return [name for name in need if not (inputs / name).is_file()]
 
 
@@ -239,14 +253,25 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
     """Commands that must end in one ``error:`` line and exit code 1, not a traceback."""
     dist = sorted((inputs / "dists").glob("dist_*.json"))[0]
     doc = inputs / document_name("uniform_count", 0.1)
-    # kappa and ell are each finite, their product is not
+    # kappa and ell are each finite and > 0, their product is not, or is 0
     huge = ["--kappa", "1e200", "--ell", "1e200"]
+    tiny = ["--kappa", "1e-200", "--ell", "1e-200"]
+    prices = inputs / "prices" / "prices_00000.csv"
+    tiny_doc, far_doc = (inputs / name for name in REFUSED_DOCUMENTS)
     return [
         ["simulate", str(dist), str(doc), "--seed", "-1",
          "--out", str(out / "simulate_negative_seed.json")],
         ["optimize", str(dist), "--n-tau", "1", *huge,
          "--out", str(out / "optimize_kappa_ell_overflow.json")],
         ["sweep", str(dist), *GRID, *huge, "--out", str(out / "sweep_kappa_ell_overflow.csv")],
+        ["optimize", str(dist), "--n-tau", "1", *tiny,
+         "--out", str(out / "optimize_kappa_ell_underflow.json")],
+        ["backtest", str(prices), str(tiny_doc),
+         "--out", str(out / "backtest_kappa_ell_underflow.json")],
+        # counts past every array size: refused before numpy sizes an array by them
+        ["eval", str(dist), str(far_doc), "--out", str(out / "eval_n_tau_past_int64.json")],
+        ["sweep", str(dist), "--n-tau-grid", "0,1", "--n-alpha-grid", str(10**20 - 1),
+         "--out", str(out / "sweep_n_alpha_past_int64.csv")],
     ]
 
 
