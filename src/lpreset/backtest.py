@@ -21,7 +21,7 @@ import numpy as np
 from .bins import BinGrid
 from .distribution import PriceSeries
 from .errors import InputError
-from .simulate import BLOCK_ROWS, execute, payoffs
+from .simulate import BLOCK_ROWS, execute, payoffs, scale_down
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
 
@@ -135,11 +135,12 @@ def replay(
         centres = bins[starts + resets[starts]]
         distinct, edge_of_run = np.unique(centres, return_inverse=True)
         # band edges may poke past the grid's covered span near the series
-        # extremes, so compute them directly rather than via bin_bounds
+        # extremes, so they are computed for any index, not read off the grid
         edges = grid.edges_at(distinct[:, None] + [-n_alpha, n_alpha + 1, -n_tau, n_tau + 1])
         band = Band(series.prices[1:], starts, edge_of_run, edges)
 
-    mean = float(utilities.mean())
+    scale = scale_down(utilities)
+    mean = float(utilities.mean()) * scale
     v2_mean = v2_baseline(series, grid, params)
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan  # u may underflow to 0
     return BacktestReport(

@@ -45,20 +45,16 @@ class BinGrid:
             raise RangeError(f"index_range is empty: {self.index_range}")
 
     @classmethod
-    def from_price_range(
-        cls, low: float, high: float, step: float, anchor: float | None = None
-    ) -> "BinGrid":
+    def from_price_range(cls, low: float, high: float, step: float, anchor: float) -> "BinGrid":
         """Build a grid covering [low, high].
 
-        ``anchor`` fixes the left edge of bin 0 (defaults to ``low``). The
-        floor of the log ratio can put an end one bin off near an edge, so
-        both ends are checked against ``_edge`` and widened where they miss.
-        Only a ``high`` just under an edge gets one bin more than it needs.
+        ``anchor`` fixes the left edge of bin 0. The floor of the log ratio
+        can put an end one bin off near an edge, so both ends are checked
+        against ``_edge`` and widened where they miss. Only a ``high`` just
+        under an edge gets one bin more than it needs.
         """
         if not 0 < low <= high < math.inf:
             raise RangeError(f"invalid price range [{low}, {high}]")
-        if anchor is None:
-            anchor = low
         edge = cls(reference_price=anchor, step=step, index_range=(0, 0))._edge
         base = math.log(1.0 + step)  # the rounded base that _edge raises
         lo = math.floor(math.log(low / anchor) / base)
@@ -75,18 +71,7 @@ class BinGrid:
     def covered_span(self) -> tuple[float, float]:
         """Price span [lower edge of first bin, upper edge of last bin)."""
         lo, hi = self.index_range
-        return self.bin_bounds(lo)[0], self.bin_bounds(hi)[1]
-
-    def bin_bounds(self, index: int) -> tuple[float, float]:
-        """Half-open interval [l_i, r_i) of bin ``index``.
-
-        Adjacent bins share an edge exactly: bin_bounds(i)[1] == bin_bounds(i+1)[0]
-        under the same arithmetic.
-        """
-        lo, hi = self.index_range
-        if index < lo or index > hi:
-            raise RangeError(f"bin index {index} outside covered range [{lo}, {hi}]")
-        return self._edge(index), self._edge(index + 1)
+        return self._edge(lo), self._edge(hi + 1)
 
     def _edge(self, index: int) -> float:
         try:
@@ -114,8 +99,7 @@ class BinGrid:
         neighbour whose ``_edge`` interval holds the price.
         """
         prices = np.asarray(prices, dtype=float)
-        lo, hi = self.index_range
-        span_lo, span_hi = self._edge(lo), self._edge(hi + 1)
+        span_lo, span_hi = self.covered_span()
         outside = ~((prices >= span_lo) & (prices < span_hi))
         if outside.any():
             price = float(prices[np.argmax(outside)])
@@ -133,6 +117,7 @@ class BinGrid:
         at = base - (prices < edges[base])
         at += prices >= edges[at + 1]
         idx += at - base
+        lo, hi = self.index_range
         located = (idx >= lo) & (idx <= hi)
         located &= (edges[at] <= prices) & (prices < edges[at + 1])
         if not located.all():

@@ -107,9 +107,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         args.n_tau if args.n_tau is not None else window_for_mass(dist, args.tau_mass)
     )
     spec, solution = optimal_strategy(dist, n_tau, params)
-    doc = solution.to_json_dict()
-    doc.update(n_tau=spec.n_tau, params=params.to_json_dict())
-    _emit_json(doc, args.out, args.quiet)
+    _emit_json({**spec.to_json_dict(), **solution.to_json_dict()}, args.out, args.quiet)
     return 0
 
 

@@ -101,9 +101,8 @@ class Solution:
     converged: bool = True
 
     def to_json_dict(self) -> dict:
+        """The certificate; ``StrategySpec.to_json_dict`` writes the allocation."""
         return {
-            "weights": [float(w) for w in self.allocation.weights],
-            "n_alpha": int(self.allocation.n_alpha),
             "objective": float(self.objective),
             "kkt_residual": float(self.kkt_residual),
             "iterations": int(self.iterations),
@@ -114,11 +113,9 @@ class Solution:
 
 def _argmax_center_first(values: np.ndarray, n_alpha: int) -> int:
     """Index of the maximum; ties go to the lowest |j|, negative before positive."""
-    best = float(np.max(values))
-    candidates = np.flatnonzero(values >= best)
-    offsets = candidates - n_alpha
-    order = np.lexsort((offsets > 0, np.abs(offsets)))
-    return int(candidates[order[0]])
+    offsets = np.arange(-n_alpha, n_alpha + 1)
+    order = np.lexsort((offsets > 0, np.abs(offsets)))  # 0, -1, +1, -2, +2, ...
+    return int(order[np.argmax(values[order])])
 
 
 def _water_filling(problem: OptimizationProblem) -> tuple[np.ndarray, int]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import NextPriceDistribution
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .strategies import StrategySpec
 from .utility import exp_utility, landing_rewards, resets_over
 
@@ -146,6 +146,15 @@ def payoffs(
     return table[at], exp_utility(table + shift, spec.params)[at], resets[at]
 
 
+def scale_down(utilities: np.ndarray) -> float:
+    """Divide ``utilities`` in place by 2**k, k >= 0 the least with max |u| / 2**k < 2,
+    and return 2**k. The mean and std of the scaled values times 2**k are the same
+    bits as the unscaled ones, but their sums cannot overflow."""
+    scale = max(1.0, math.ldexp(0.5, math.frexp(max(utilities.max(), -utilities.min()))[1]))
+    utilities /= scale  # in place: one more path-sized array here raised the peak RSS
+    return scale
+
+
 def run_strategy(
     path: np.ndarray,
     spec: StrategySpec,
@@ -165,20 +174,23 @@ def run_strategy(
         raise InputError("path must have at least one move")
     js = execute(path, spec.n_tau)
     rewards, utilities, resets = payoffs(js, spec, spec.params.shift)
+    # a running sum in step order, from 0.0 (which turns a -0.0 total into 0.0)
+    with np.errstate(over="ignore"):
+        total = float(np.cumsum(rewards)[-1]) + 0.0
+    if not math.isfinite(total):
+        raise NumericalError(f"total reward of {n} steps overflows at kappa * ell = "
+                             f"{spec.params.kappa * spec.params.ell!r}")
 
     if trace_out is not None:
         _write_trace(trace_out, js, rewards, resets)
 
-    mean = float(utilities.mean())
-    # std of u / 2**k times 2**k, k >= 0 with max |u| / 2**k < 2: same bits, no overflow
-    scale = max(1.0, math.ldexp(0.5, math.frexp(max(utilities.max(), -utilities.min()))[1]))
-    utilities /= scale  # in place: one more path-sized array here raised the peak RSS
+    scale = scale_down(utilities)
+    mean = float(utilities.mean()) * scale
     std_error = float(utilities.std(ddof=1) * scale / math.sqrt(n)) if n > 1 else 0.0
     return SimReport(
         steps=n,
         resets=int(np.count_nonzero(resets)),
-        # a running sum in step order, from 0.0 (which turns a -0.0 total into 0.0)
-        total_reward=float(np.cumsum(rewards)[-1]) + 0.0,
+        total_reward=total,
         mean_utility_per_step=mean,
         std_error=std_error,
         seed=seed,

@@ -3,7 +3,7 @@
 A strategy document is a JSON object in one of two forms:
 
 * the weights form, ``{"kind", "n_tau", "n_alpha", "weights", "params"}``,
-  which ``StrategySpec.save`` writes;
+  which ``StrategySpec.to_json_dict`` writes;
 * the constructor form, ``{"kind": "uniform" | "proportional" | "optimal",
   ...}``, whose windows are each a count (``n_tau``, ``n_alpha``) or a
   probability mass (``tau_mass``, ``alpha_mass``) resolved against the
@@ -16,7 +16,6 @@ constructors take window counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +68,6 @@ class StrategySpec:
             "weights": [float(w) for w in self.allocation.weights],
             "params": self.params.to_json_dict(),
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:

@@ -99,7 +99,7 @@ class Allocation:
         if not np.all(w >= 0.0):  # NaN fails too; inf fails the sum below
             raise InputError("allocation weights must be non-negative")
         if w.sum() > 1.0 + 1e-9:
-            raise InputError(f"allocation weights sum to {w.sum()!r} > 1")
+            raise InputError(f"allocation weights sum to {float(w.sum())!r} > 1")
 
     def weight(self, j: int) -> float:
         """A(j); zero outside B_alpha."""

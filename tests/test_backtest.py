@@ -71,6 +71,18 @@ class TestReplay:
         assert report.steps == 19
         assert report.mean_utility_per_step == pytest.approx(1 / 3)
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_mean_where_the_sum_passes_the_float_range(self, toy_dist):
+        # at kappa * ell = 1e308 each step earns 1e308 / 3, and 20 steps sum past
+        # the float range; the mean is taken of u scaled by a power of two
+        params = UtilityParams(a=0.0, kappa=1e307, ell=10.0)
+        spec = uniform_strategy(toy_dist, 1, 1, params)
+        series = series_from_prices([100.0] * 21)
+        grid = BinGrid(reference_price=99.0, step=0.05, index_range=(-5, 5))
+        report = replay(series, spec, grid)
+        assert report.mean_utility_per_step == pytest.approx(1e308 / 3, rel=1e-15)
+        assert report.ratio == pytest.approx(11 / 3, rel=1e-15)
+
     def test_hand_stepped_trace_without_resets(self, toy_dist):
         # bins along the path: 0, +1, 0 (step 1% grid anchored at 100)
         params = UtilityParams(a=0.0, kappa=1.0, ell=3.0)

@@ -48,29 +48,29 @@ class TestPriceToBin:
 
 class TestBinBounds:
     def test_bin_zero(self):
-        lo, hi = grid().bin_bounds(0)
+        lo, hi = grid().edges_at([0, 1])
         assert lo == 100.0
         assert hi == pytest.approx(101.0)
 
     def test_negative_index_adjacency(self):
-        lo, hi = grid().bin_bounds(-1)
+        lo, hi = grid().edges_at([-1, 0])
         assert lo == pytest.approx(100.0 / 1.01)
         assert hi == 100.0
 
     def test_repeated_multiplication_oracle(self):
         # oracle: 100 * 1.01 * 1.01 = 102.01, * 1.01 again = 103.0301
-        lo, hi = grid().bin_bounds(2)
+        lo, hi = grid().edges_at([2, 3])
         assert lo == pytest.approx(102.01, abs=1e-9)
         assert hi == pytest.approx(103.0301, abs=1e-9)
 
-    def test_index_outside_range_raises(self):
-        with pytest.raises(RangeError):
-            grid(lo=-5, hi=5).bin_bounds(6)
-
     def test_partition_edges_shared_exactly(self):
+        # each bin's upper edge is the next bin's lower edge, and the span runs
+        # from the first bin's lower edge to the last bin's upper edge
         g = grid(ref=81.0, step=0.00046, lo=-100, hi=100)
-        for i in range(-100, 100):
-            assert g.bin_bounds(i)[1] == g.bin_bounds(i + 1)[0]
+        bounds = [g.edges_at([i, i + 1]) for i in range(-100, 101)]
+        for (_, upper), (lower, _) in zip(bounds, bounds[1:]):
+            assert upper == lower
+        assert g.covered_span() == (bounds[0][0], bounds[-1][1])
 
 
 @given(
@@ -79,7 +79,7 @@ class TestBinBounds:
 )
 def test_round_trip_inside_bin(i, frac):
     g = grid()
-    lo, hi = g.bin_bounds(i)
+    lo, hi = g.edges_at([i, i + 1])
     price = lo + frac * (hi - lo)
     if lo < price < hi:  # frac rounding can land exactly on an edge
         assert g.price_to_bin(price) == i
@@ -94,7 +94,7 @@ def test_monotone_in_price(prices):
 
 
 def test_from_price_range_covers_span():
-    g = BinGrid.from_price_range(81.0, 830.0, 0.00046)
+    g = BinGrid.from_price_range(81.0, 830.0, 0.00046, anchor=81.0)
     span_lo, span_hi = g.covered_span()
     assert span_lo <= 81.0 and span_hi > 830.0
     assert g.price_to_bin(81.0) == 0
@@ -121,7 +121,7 @@ def test_non_finite_reference_price_or_step_is_an_error(bad):
     with pytest.raises(RangeError, match="reference_price must be finite and > 0"):
         BinGrid.from_price_range(90.0, 110.0, 0.01, anchor=bad)
     with pytest.raises(RangeError, match="invalid price range"):
-        BinGrid.from_price_range(90.0, abs(bad), 0.01)
+        BinGrid.from_price_range(90.0, abs(bad), 0.01, anchor=90.0)
 
 
 @pytest.mark.parametrize("step", [1e-302, 1e-19, 1e-16])
@@ -130,17 +130,17 @@ def test_step_lost_against_one_is_an_error(step):
     with pytest.raises(RangeError, match="1 \\+ step == 1"):
         BinGrid(reference_price=100.0, step=step, index_range=(0, 1))
     with pytest.raises(RangeError, match="1 \\+ step == 1"):
-        BinGrid.from_price_range(100.0, 100.0, step)
+        BinGrid.from_price_range(100.0, 100.0, step, anchor=100.0)
 
 
 def test_edge_past_the_float_range_is_an_error():
     # (1 + step) ** index raises OverflowError past the float range
     g = grid(step=1e298, lo=0, hi=1)
-    assert g.bin_bounds(0) == (100.0, 100.0 * (1.0 + 1e298))
+    assert g.edges_at([0, 1]).tolist() == [100.0, 100.0 * (1.0 + 1e298)]
     with pytest.raises(RangeError, match="edge of bin 2 overflows"):
-        g.bin_bounds(1)
+        g.covered_span()
     with pytest.raises(RangeError, match="overflows"):
-        BinGrid.from_price_range(100.0, 1e300, 1e298)
+        BinGrid.from_price_range(100.0, 1e300, 1e298, anchor=100.0)
 
 
 def test_grid_anchor_alignment():
@@ -152,7 +152,7 @@ def test_grid_anchor_alignment():
 def test_jitter_correction_near_edges():
     g = grid(ref=math.pi, step=0.001, lo=-3000, hi=3000)
     for i in (-2500, -7, 0, 13, 2500):
-        lo, hi = g.bin_bounds(i)
+        lo, hi = g.edges_at([i, i + 1])
         assert g.price_to_bin(lo) == i
         assert g.price_to_bin(math.nextafter(hi, 0.0)) == i
 
@@ -218,7 +218,7 @@ def test_prices_to_bins_of_no_prices():
 def test_prices_to_bins_computes_edges_per_distinct_bin(monkeypatch):
     # about 55,000 bins between two prices: a table over the whole span of the
     # prices would compute each of their edges
-    g = BinGrid.from_price_range(1e-6, 1e6, 5e-4)
+    g = BinGrid.from_price_range(1e-6, 1e6, 5e-4, anchor=1e-6)
     prices = [1e-6, 1e6]
     floors = np.floor(np.log(np.divide(prices, g.reference_price)) / math.log1p(g.step))
     calls = []

@@ -22,7 +22,7 @@ from lpreset import (
     uniform_strategy,
 )
 from lpreset.cli import main
-from lpreset.strategies import resolve_strategy
+from lpreset.strategies import load_strategy, resolve_strategy
 
 from conftest import dists, write_dist, write_price_csv
 
@@ -106,6 +106,18 @@ class TestOptimize:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_tau"] == 1
+
+    @pytest.mark.parametrize("a", ["-1", "0", "0.5"])
+    def test_output_reads_back_as_the_optimal_spec(self, dist_file, tmp_path, toy_dist, a):
+        out = tmp_path / "optimal.json"
+        argv = ["optimize", dist_file, "--n-tau", "1", "--a", a, "--kappa", "2", "--ell", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        want = optimal_strategy(toy_dist, 1, UtilityParams(a=float(a), kappa=2.0, ell=3.0))[0]
+        got = load_strategy(str(out), toy_dist)
+        assert (got.kind, got.n_tau, got.n_alpha, got.params) == (
+            "optimal", 1, want.n_alpha, want.params
+        )
+        assert got.allocation.weights.tolist() == want.allocation.weights.tolist()
 
     @pytest.mark.parametrize("a", ["1e-30", "1e-20", "1e-16", "1e-300"])
     def test_tiny_risk_aversion_is_certified(self, dist_file, capsys, a):
@@ -431,6 +443,25 @@ class TestBacktest:
         doc = json.loads(capsys.readouterr().out)
         assert doc["steps"] == 5
         assert doc["grid_bins"] == 6  # bins -4 .. 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_sums_past_the_float_range(self, tmp_path, capsys):
+        # kappa * ell = 1e308: a step earns up to 1e308 / 7, and 400 steps sum
+        # past the float range; the backtest mean is finite, a simulate total is not
+        csv_path, _ = self.make_inputs(tmp_path, None)
+        doc = tmp_path / "overflow.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 2, "n_alpha": 3,
+                                   "params": {"a": 0, "kappa": 1e307, "ell": 10}}))
+        assert main(["backtest", csv_path, str(doc), "--bin-width-pct", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert 0.0 < out["mean_utility_per_step"] <= 1e308 / 7
+        dist = tmp_path / "dist.json"
+        assert main(["fit", csv_path, "--bin-width-pct", "0.5", "--out", str(dist)]) == 0
+        assert main(["simulate", str(dist), str(doc), "--steps", "400"]) == 1
+        assert_one_error_line(capsys, "total reward of 400 steps overflows")
+        assert main(["simulate", str(dist), str(doc), "--steps", "5"]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+
 
 class TestErrorHandling:
     NUMPY_MESSAGE = "Unable to allocate 14.9 GiB for an array with shape (2000000001,) and data type int64"
@@ -835,17 +866,31 @@ class TestMalformedStrategyDocuments:
         assert_one_error_line(capsys)
 
 
-# a valid count for each slot a command reads one from
-VALID_COUNTS = {"k_max": 4, "n_tau": 1, "n_alpha": 2, "steps": 50}
-# slots of each command, in the order of the drawn counts
-COUNT_SLOTS = {
-    "fit": ["k_max"],
-    "eval": ["n_tau", "n_alpha"],
-    "optimize": ["n_tau"],
-    "sweep": ["n_tau", "n_alpha"],
-    "simulate": ["n_tau", "n_alpha", "steps"],
-    "backtest": ["n_tau", "n_alpha", "k_max"],
+# each input's valid value, and the off values an example may draw in its place:
+# counts past the array range, floats at and past the float range, masses and
+# bin widths out of their range, seeds past int64, weights that are not a simplex
+# point. A mass or a width of None is the count form or the default width. An
+# off count is refused before an array is sized by it, and every weights list has
+# 2 * 2 + 1 entries, so no example allocates more than a valid one.
+COUNTS = [0, -1, 2**53, 2**63, 10**20]
+SCALES = [1e-200, 1e-320, 1e200, 1e307, 1e308, -1e308, math.nan, math.inf]
+MASSES = [0.5, 0.0, -1.0, 1.5, math.nan, math.inf]
+INPUTS = {
+    "k_max": (4, COUNTS),
+    "n_tau": (1, COUNTS),
+    "n_alpha": (2, COUNTS),
+    "steps": (50, COUNTS),
+    "kappa": (1.0, SCALES),
+    "ell": (1.0, SCALES),
+    "a": (None, [1e307, 1e308, -1e308, math.nan, math.inf]),  # None: the drawn risk
+    "tau_mass": (None, MASSES),
+    "alpha_mass": (None, MASSES),
+    "width": (None, [0.0, -1.0, 1e-320, 1e308, math.nan, math.inf]),
+    "seed": (0, [-1, 2**63, 2**64]),
+    "weights": (None, [[0.2] * 5, [0.2, 0.2, math.nan, 0.2, 0.2],
+                       [0.2, 0.2, math.inf, 0.2, 0.2], [0.2, 0.2, -1.0, 0.2, 0.2], [0.3] * 5]),
 }
+OFF = [(name, value) for name, (_, values) in INPUTS.items() for value in values]
 
 
 class TestEveryInputEndsCleanly:
@@ -861,40 +906,49 @@ class TestEveryInputEndsCleanly:
                      "--out", str(root / "dist.json")]) == 0
         return root
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        command=st.sampled_from(sorted(COUNT_SLOTS)),
-        counts=st.lists(st.sampled_from([None, 0, -1, 2**53, 2**63, 10**20]),
-                        min_size=3, max_size=3),
-        kappa=st.sampled_from([1.0, 1e-200, 1e-320, 1e200]),
-        ell=st.sampled_from([1.0, 1e-200, 1e-320, 1e200]),
-        a=st.sampled_from([-1.0, 0.0, 1.0]),
+        command=st.sampled_from(["fit", "eval", "optimize", "sweep", "simulate", "backtest"]),
+        kind=st.sampled_from(["uniform", "proportional", "optimal"]),
+        risk=st.sampled_from([-1.0, 0.0, 1.0]),
+        off=st.lists(st.sampled_from(OFF), max_size=3),
     )
     # the inputs this property first found or pinned: a std_error whose squares
-    # overflowed, kappa * ell under the smallest normal float, and a count past int64
-    @example(command="simulate", counts=[None] * 3, kappa=1e200, ell=1.0, a=0.0)
-    @example(command="backtest", counts=[None] * 3, kappa=1e-320, ell=1.0, a=1.0)
-    @example(command="optimize", counts=[None] * 3, kappa=1e-200, ell=1e-200, a=1.0)
-    @example(command="eval", counts=[2**63, None, None], kappa=1.0, ell=1.0, a=0.0)
-    def test_exit_code_and_stderr(self, inputs, command, counts, kappa, ell, a):
-        # None draws the slot's valid count; every other count is refused before
-        # an array is sized by it, so no example allocates more than a valid one
-        n = {slot: VALID_COUNTS[slot] if count is None else count
-             for slot, count in zip(COUNT_SLOTS[command], counts)}
+    # overflowed, kappa * ell under the smallest normal float, a count past int64,
+    # and a backtest mean whose sum overflowed
+    @example(command="simulate", kind="uniform", risk=0.0, off=[("kappa", 1e200)])
+    @example(command="backtest", kind="uniform", risk=1.0, off=[("kappa", 1e-320)])
+    @example(command="optimize", kind="uniform", risk=1.0,
+             off=[("kappa", 1e-200), ("ell", 1e-200)])
+    @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)])
+    @example(command="backtest", kind="uniform", risk=0.0, off=[("kappa", 1e308)])
+    def test_exit_code_and_stderr(self, inputs, command, kind, risk, off):
+        v = {name: valid for name, (valid, _) in INPUTS.items()} | dict(off)
+        a = risk if v["a"] is None else v["a"]
+        body = {"kind": kind, "params": {"a": a, "kappa": v["kappa"], "ell": v["ell"]}}
+        if v["weights"] is not None:
+            body.update(n_tau=v["n_tau"], n_alpha=v["n_alpha"], weights=v["weights"])
+        else:
+            for count, mass in (("n_tau", "tau_mass"), ("n_alpha", "alpha_mass")):
+                body.update({count: v[count]} if v[mass] is None else {mass: v[mass]})
         doc = inputs / "strategy.json"
-        doc.write_text(json.dumps({"kind": "uniform", "n_tau": n.get("n_tau"),
-                                   "n_alpha": n.get("n_alpha"),
-                                   "params": {"a": a, "kappa": kappa, "ell": ell}}))
+        doc.write_text(json.dumps(body))
         dist, prices = str(inputs / "dist.json"), str(inputs / "px.csv")
-        flags = ["--a", repr(a), "--kappa", repr(kappa), "--ell", repr(ell)]
+        # --name=value: after a space, argparse reads -1e308 as an option
+        flags = [f"--a={a!r}", f"--kappa={v['kappa']!r}", f"--ell={v['ell']!r}"]
+        taus = (["--n-tau", str(v["n_tau"])] if v["tau_mass"] is None
+                else [f"--tau-mass={v['tau_mass']!r}"])
+        windows = (["--n-tau-grid", str(v["n_tau"]), "--n-alpha-grid", str(v["n_alpha"])]
+                   if v["tau_mass"] is None else [f"--tau-mass-grid=0.5,{v['tau_mass']!r}"])
+        widths = [] if v["width"] is None else [f"--bin-width-pct={v['width']!r}"]
         argv = {
-            "fit": ["fit", prices, "--k-max", str(n.get("k_max"))],
+            "fit": ["fit", prices, "--k-max", str(v["k_max"]), *widths],
             "eval": ["eval", dist, str(doc)],
-            "optimize": ["optimize", dist, "--n-tau", str(n.get("n_tau")), *flags],
-            "sweep": ["sweep", dist, "--n-tau-grid", str(n.get("n_tau")),
-                      "--n-alpha-grid", str(n.get("n_alpha")), *flags],
-            "simulate": ["simulate", dist, str(doc), "--steps", str(n.get("steps"))],
-            "backtest": ["backtest", prices, str(doc), "--k-max", str(n.get("k_max"))],
+            "optimize": ["optimize", dist, *taus, *flags],
+            "sweep": ["sweep", dist, *windows, *flags],
+            "simulate": ["simulate", dist, str(doc), "--steps", str(v["steps"]),
+                         "--seed", str(v["seed"])],
+            "backtest": ["backtest", prices, str(doc), "--k-max", str(v["k_max"]), *widths],
         }[command]
         err, out = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \

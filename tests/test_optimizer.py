@@ -11,7 +11,7 @@ from lpreset import (
     solve,
 )
 from lpreset.markov import build_reset_chain, landing_over
-from lpreset.optimizer import project_simplex
+from lpreset.optimizer import _argmax_center_first, project_simplex
 
 
 def toy_full_problem(toy_dist, a, kappa=1.0, ell=1.0):
@@ -83,6 +83,17 @@ class TestSolve:
         )
         sol = solve(prob)
         assert sol.allocation.weights.tolist() == [1.0, 0.0, 0.0]
+
+    @given(n_alpha=st.integers(0, 6), scale=st.sampled_from([1.0, 1e-300, 1e300]), data=st.data())
+    def test_ties_go_centre_first_then_negative(self, n_alpha, scale, data):
+        # few levels, so that the maximum is often tied among several bins
+        n = 2 * n_alpha + 1
+        levels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        values = np.array(levels, dtype=float) * scale
+        # the order centre, -1, +1, -2, +2, ...: the first bin at the maximum wins
+        order = sorted(range(n), key=lambda i: (abs(i - n_alpha), i > n_alpha))
+        want = next(i for i in order if values[i] == values.max())
+        assert _argmax_center_first(values, n_alpha) == want
 
     def test_water_filling_certificate(self, toy_dist):
         sol = solve(toy_full_problem(toy_dist, a=1.0))

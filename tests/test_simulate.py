@@ -7,6 +7,7 @@ from lpreset import (
     MODE_FULL,
     InputError,
     NextPriceDistribution,
+    NumericalError,
     UtilityParams,
     expected_utility,
     landing_law,
@@ -105,6 +106,19 @@ class TestRunStrategy:
         _, utilities, _ = payoffs(execute(path, spec.n_tau), spec, spec.params.shift)
         want = float(np.std(utilities / 1e200, ddof=1)) * 1e200 / math.sqrt(len(path))
         assert run_strategy(path, spec).std_error == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_total_reward_past_the_float_range_is_refused(self, toy_dist, tmp_path):
+        # each step at offset 0 earns 1e308 / 3: two steps sum inside the float
+        # range and twenty do not, which is refused before a trace is written
+        spec = uniform_strategy(toy_dist, 1, 1, UtilityParams(kappa=1e307, ell=10.0))
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(NumericalError, match="total reward of 20 steps overflows"):
+            run_strategy(np.zeros(20, dtype=np.int64), spec, trace_out=str(trace))
+        assert not trace.exists()
+        report = run_strategy(np.zeros(2, dtype=np.int64), spec)
+        assert report.total_reward == pytest.approx(2 * (1e308 / 3), rel=1e-15)
+        assert report.mean_utility_per_step == pytest.approx(1e308 / 3, rel=1e-15)
 
     def test_trace_csv(self, tmp_path, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)

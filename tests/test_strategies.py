@@ -16,7 +16,7 @@ from lpreset import (
     window_for_mass,
 )
 from lpreset.distribution import centred
-from lpreset.strategies import load_strategy, resolve_strategy
+from lpreset.strategies import resolve_strategy
 
 from conftest import dists
 
@@ -156,11 +156,9 @@ class TestSimplexInvariant:
 
 
 class TestStrategySpecIO:
-    def test_json_round_trip(self, eth_dist, neutral_params, tmp_path):
+    def test_json_round_trip(self, eth_dist, neutral_params):
         spec = proportional_strategy(eth_dist, neutral_params, n_tau=2, n_alpha=3)
-        path = tmp_path / "spec.json"
-        spec.save(str(path))
-        back = load_strategy(str(path), eth_dist)
+        back = resolve_strategy(json.loads(json.dumps(spec.to_json_dict())), eth_dist)
         assert back.kind == "proportional"
         assert back.n_tau == 2
         np.testing.assert_array_equal(back.allocation.weights, spec.allocation.weights)
@@ -223,9 +221,7 @@ class TestDocumentProperties:
     @settings(max_examples=100, deadline=None)
     @given(dist=dists(), kind=st.sampled_from(["uniform", "proportional", "optimal"]),
            n_tau=st.integers(0, 10), n_alpha=st.integers(0, 10), params=PARAMS)
-    def test_save_then_load_is_the_same_spec(
-        self, dist, kind, n_tau, n_alpha, params, tmp_path_factory
-    ):
+    def test_save_then_load_is_the_same_spec(self, dist, kind, n_tau, n_alpha, params):
         if kind == "optimal":
             spec = optimal_strategy(dist, n_tau, params)[0]
         elif kind == "uniform":
@@ -235,6 +231,4 @@ class TestDocumentProperties:
                 spec = proportional_strategy(dist, params, n_tau, n_alpha)
             except InputError:  # h has no mass over B_alpha
                 return
-        path = str(tmp_path_factory.mktemp("spec") / "spec.json")
-        spec.save(path)
-        assert_same_spec(load_strategy(path, dist), spec)
+        assert_same_spec(resolve_strategy(spec.to_json_dict(), dist), spec)

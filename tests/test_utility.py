@@ -219,7 +219,7 @@ class TestAllocation:
             Allocation(1, np.array([-0.1, 0.6, 0.5]))
 
     def test_overfull_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"sum to 1\.6 > 1$"):  # a float, not np.float64(1.6)
             Allocation(1, np.array([0.5, 0.6, 0.5]))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])

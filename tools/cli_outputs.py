@@ -39,15 +39,18 @@ weights form, and two uniform documents at n_tau 0 and 40 (every move a
 sure reset of ``simulate.execute``, and none), each at risk aversion a in
 {-1, 0, 0.1, 15}. Inputs that once ended in a numpy warning or a traceback
 close the set: ``eval``, ``optimize`` and ``simulate --trace-out`` at
-a = 1e308, where a*c overflows and u saturates at 1/a, and seven
-refusals, which must exit 1 with one ``error:`` line: ``simulate --seed
--1``; ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose
-product overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
-``backtest`` of a document with kappa 1e-320, whose products fall below
-the smallest normal float; and ``eval`` of a document with n_tau
-99999999999999999999 and ``sweep`` with that n_alpha grid, counts past
-every array size. The run exits 0 when every command exits 0 and every
-such refusal exits 1. In all: 39 documents, 533 commands and 821 files
+a = 1e308, where a*c overflows and u saturates at 1/a; ``backtest
+--band-out`` of a document at kappa 1e307 and ell 10, whose per-step sum
+passes the float range; and eight refusals, which must exit 1 with one
+``error:`` line: ``simulate --seed -1``; ``optimize`` and ``sweep`` at
+``--kappa 1e200 --ell 1e200``, whose product overflows; ``optimize`` at
+``--kappa 1e-200 --ell 1e-200`` and ``backtest`` of a document with kappa
+1e-320, whose products fall below the smallest normal float; ``eval`` of
+a document with n_tau 99999999999999999999 and ``sweep`` with that
+n_alpha grid, counts past every array size; and ``simulate --trace-out``
+of the kappa 1e307 document at the default 50,000 steps, whose total
+reward overflows. The run exits 0 when every command exits 0 and every
+such refusal exits 1. In all: 40 documents, 535 commands and 823 files
 with ``exit_codes.txt`` and ``stderr.txt``.
 """
 
@@ -93,12 +96,22 @@ TINY_WIDTH = ["--bin-width-pct", "1e-8"]
 # a*c overflows for every c above about 1.8: u saturates at 1/a, with no numpy warning
 HUGE_A = 1e308
 HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
+# kappa * ell = 1e308: a step earns up to 1e308 / 11, so a path's sums pass the
+# float range; the backtest mean is taken of scaled utilities, a simulate total is refused
+OVERFLOW_DOCUMENT = "overflow/uniform_count_kappa1e307.json"
 # documents that must be refused: kappa * ell below the smallest normal float,
 # and an n_tau past every array size
 REFUSED_DOCUMENTS = {
     "refused/uniform_count_kappa1e-320.json":
         {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kappa": 1e-320, "ell": 1}},
     "refused/uniform_n_tau_1e20.json": {**DOCUMENTS["uniform_count"], "n_tau": 10**20 - 1},
+}
+# the documents outside strategies/
+EXTRA_DOCUMENTS = {
+    HUGE_A_DOCUMENT: {**DOCUMENTS["uniform_count"], "params": {"a": HUGE_A}},
+    OVERFLOW_DOCUMENT:
+        {**DOCUMENTS["uniform_count"], "params": {"a": 0, "kappa": 1e307, "ell": 10}},
+    **REFUSED_DOCUMENTS,
 }
 
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
@@ -146,11 +159,8 @@ def build_inputs(inputs: Path, seed: int) -> None:
             doc_a = {**doc, "params": {"a": a}}
             path = inputs / document_name(name, a)
             path.write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
-    (inputs / HUGE_A_DOCUMENT).parent.mkdir()
-    doc_a = {**DOCUMENTS["uniform_count"], "params": {"a": HUGE_A}}
-    (inputs / HUGE_A_DOCUMENT).write_text(json.dumps(doc_a, sort_keys=True, indent=2) + "\n")
-    (inputs / "refused").mkdir()
-    for name, doc in REFUSED_DOCUMENTS.items():
+    for name, doc in EXTRA_DOCUMENTS.items():
+        (inputs / name).parent.mkdir(exist_ok=True)
         (inputs / name).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -163,7 +173,7 @@ def missing_inputs(inputs: Path) -> list[str]:
     need = [f"dists/dist_{i:05d}.json" for i in range(2)]
     need += [f"prices/prices_00000{tag}.csv" for tag in ("", "_iso", "_crlf")]
     need += [document_name(name, a) for name in DOCUMENTS for a in RISKS]
-    need += [HUGE_A_DOCUMENT, *REFUSED_DOCUMENTS]
+    need += list(EXTRA_DOCUMENTS)
     return [name for name in need if not (inputs / name).is_file()]
 
 
@@ -246,6 +256,10 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
         ["simulate", str(dist), str(doc), "--steps", "5000", "--seed", "11",
          "--trace-out", str(out / "trace_huge_a.csv"), "--out", str(out / "simulate_huge_a.json")],
     ]
+    # a per-step sum past the float range: this once wrote Infinity
+    cmds.append(["backtest", str(base), str(inputs / OVERFLOW_DOCUMENT),
+                 "--band-out", str(out / "band_overflow.csv"),
+                 "--out", str(out / "backtest_overflow.json")])
     return cmds
 
 
@@ -272,6 +286,10 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
         ["eval", str(dist), str(far_doc), "--out", str(out / "eval_n_tau_past_int64.json")],
         ["sweep", str(dist), "--n-tau-grid", "0,1", "--n-alpha-grid", str(10**20 - 1),
          "--out", str(out / "sweep_n_alpha_past_int64.csv")],
+        # a total reward past the float range, refused before the trace is written
+        ["simulate", str(dist), str(inputs / OVERFLOW_DOCUMENT),
+         "--trace-out", str(out / "trace_overflow.csv"),
+         "--out", str(out / "simulate_overflow.json")],
     ]
 
 
