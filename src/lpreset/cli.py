@@ -130,11 +130,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         allocs = [uniform_strategy(dist, 0, a, params).allocation for a in n_alphas]
     rows = {}
     for n_tau, law in laws.items():
-        if strategy == "optimal":  # one allocation over the reach, on every row
-            spec = optimal_strategy(dist, n_tau, params, law=law)[0]
-            allocs = [spec.allocation] * len(n_alphas)
+        if strategy == "optimal":  # solved over each B_alpha; None is the reach
+            allocs = [optimal_strategy(dist, n_tau, params, a, law)[0].allocation for a in n_alphas]
         values = expected_utilities(law, allocs, params, args.mode)
-        rows[n_tau] = [(law.reach if a is None else a, v) for a, v in zip(n_alphas, values)]
+        rows[n_tau] = [(alloc.n_alpha, v) for alloc, v in zip(allocs, values)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n_tau", "n_alpha", "expected_utility"])

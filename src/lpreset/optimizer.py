@@ -64,7 +64,7 @@ class OptimizationProblem:
         if np.any(q < 0):
             raise InputError("landing probabilities must be non-negative")
         if not np.any(q > 0):
-            raise InputError("q must not be identically zero")
+            raise InputError("landing law has zero mass over B_alpha")
 
     @property
     def n_alpha(self) -> int:

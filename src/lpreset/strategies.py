@@ -7,7 +7,8 @@ A strategy document is a JSON object in one of two forms:
 * the constructor form, ``{"kind": "uniform" | "proportional" | "optimal",
   ...}``, whose windows are each a count (``n_tau``, ``n_alpha``) or a
   probability mass (``tau_mass``, ``alpha_mass``) resolved against the
-  next-price distribution by ``window_for_mass``.
+  next-price distribution by ``window_for_mass``. An optimal document may
+  leave out B_alpha, which is then the reach.
 
 ``resolve_strategy`` is the one reader of both forms and ``load_strategy``
 reads one from a file; a missing or malformed field is an InputError. The
@@ -92,9 +93,9 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
     if kind not in ("uniform", "proportional", "optimal"):
         raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
     n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
+    n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass", optional=kind == "optimal")
     if kind == "optimal":
-        return optimal_strategy(dist, n_tau, params)[0]
-    n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass")
+        return optimal_strategy(dist, n_tau, params, n_alpha)[0]
     if kind == "uniform":
         return uniform_strategy(dist, n_tau, n_alpha, params)
     return proportional_strategy(dist, params, n_tau, n_alpha)
@@ -114,16 +115,18 @@ def _params(doc: dict) -> UtilityParams:
 
 
 def _window_field(
-    doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str
-) -> int:
-    """A window half-width, given in ``doc`` as a count or as a probability mass."""
+    doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str, optional: bool = False
+) -> int | None:
+    """A window half-width from ``doc``, a count or a mass; None when ``optional`` and absent."""
     if count_key in doc and mass_key in doc:
         raise InputError(f"strategy document gives both {count_key} and {mass_key}")
     if count_key in doc:
         return doc_field(doc, count_key, json_count)
     if mass_key in doc:
         return window_for_mass(dist, doc_field(doc, mass_key, json_number))
-    raise InputError(f"strategy document needs {count_key} or {mass_key}")
+    if not optional:
+        raise InputError(f"strategy document needs {count_key} or {mass_key}")
+    return None
 
 
 def doc_field(doc: dict, key: str, convert):
@@ -196,17 +199,21 @@ def optimal_strategy(
     dist: NextPriceDistribution,
     n_tau: int,
     params: UtilityParams,
+    n_alpha: int | None = None,
     law: LandingLaw | None = None,
 ) -> tuple[StrategySpec, Solution]:
-    """Optimal allocation over B_alpha = every bin reachable from B_tau.
+    """Optimal allocation over B_alpha, |j| <= n_alpha (None: every bin reachable from B_tau).
 
-    With that choice of B_alpha, strict-paper and full-coverage objectives
-    coincide. ``law`` is ``landing_law(dist, n_tau)`` when the caller
-    already holds it.
+    Past B_alpha, E_u adds a term free of the allocation (full-coverage) or
+    nothing (strict-paper), so one solve is optimal in both modes. ``law`` is
+    ``landing_law(dist, n_tau)`` when the caller already holds it.
     """
     law = landing_law(dist, n_tau) if law is None else law
     if law.n_tau != n_tau:
         raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
-    tau = ~resets_over(law.reach, n_tau)
-    solution = solve(OptimizationProblem(q=law.q, tau_membership=tau, params=params))
+    n_alpha = law.reach if n_alpha is None else n_alpha
+    if n_alpha < 0:
+        raise InputError(f"n_alpha must be >= 0, got {n_alpha}")
+    tau = ~resets_over(n_alpha, n_tau)
+    solution = solve(OptimizationProblem(q=law.over(n_alpha), tau_membership=tau, params=params))
     return StrategySpec("optimal", n_tau, solution.allocation, params), solution

@@ -124,12 +124,12 @@ def exp_utility(c: float | np.ndarray, params: UtilityParams) -> float | np.ndar
     if a == 0.0:
         u = c.copy()
     else:
-        with np.errstate(over="ignore"):  # -inf at a > 0 gives 1/a; +inf is refused below
-            arg = -a * c
-        if np.any(arg > _EXP_ARG_LIMIT):
-            bad = float(c.flat[np.argmax(arg)])
-            raise NumericalError(f"exp_utility overflow: a={a}, c={bad}")
-        u = -np.expm1(arg) / a
+        with np.errstate(over="ignore"):  # -inf at a > 0 gives 1/a; an inf u is refused below
+            arg = -a * c  # where a*c underflows, u is c to the last bit
+            u = np.where(np.abs(arg) < sys.float_info.min, c, -np.expm1(arg) / a)
+        i = np.argmax(arg) if arg.size else None  # |u| grows with arg: u overflows here first
+        if i is not None and (arg.flat[i] > _EXP_ARG_LIMIT or not math.isfinite(u.flat[i])):
+            raise NumericalError(f"exp_utility overflow: a={a}, c={float(c.flat[i])}")
     return float(u) if u.ndim == 0 else u
 
 

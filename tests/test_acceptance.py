@@ -191,9 +191,11 @@ class TestAcceptance:
             dec_ok,
             f"{spreads[0.1]:.4g} > {spreads[1.0]:.4g} > {spreads[10.0]:.4g}",
         )
-        # the a = 15 allocation still carries the reset-fee step between bins
-        # inside and outside B_tau, whose size is 1/(kappa*ell) = 0.01 and
-        # does not shrink with a; the stated threshold sits far below it
+        # B_alpha is the whole reach, so the a = 15 spread is the log-range of q
+        # over it: the largest weight (j = -4, q = 0.044) and the smallest
+        # (j = -67, q = 1.5e-8) both lie outside B_tau, and differ by
+        # ln(q_max / q_min) / (a * kappa * ell) = 14.9 / 1500 = 0.00994; the
+        # stated threshold sits far below it
         _verdict(
             request,
             4,

@@ -90,6 +90,43 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["expected_utility"] == pytest.approx(1 / 3, abs=1e-12)
 
+    # a count, a mass (h puts 1/3 on the centre, so 0.5 needs n_alpha 1), a window
+    # past the reach and none, which is the reach n_tau + k_max = 2
+    @pytest.mark.parametrize("window, n_alpha",
+                             [({"n_alpha": 0}, 0), ({"alpha_mass": 0.5}, 1),
+                              ({"n_alpha": 3}, 3), ({}, 2)],
+                             ids=["count", "mass", "past_the_reach", "reach"])
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_FULL])
+    def test_optimal_document_is_solved_over_its_window(
+        self, window, n_alpha, mode, dist_file, tmp_path, capsys, toy_dist
+    ):
+        params = UtilityParams(a=0.5, kappa=1.0, ell=3.0)
+        path = tmp_path / "optimal.json"
+        path.write_text(json.dumps({"kind": "optimal", "n_tau": 1, **window,
+                                    "params": params.to_json_dict()}))
+        assert main(["eval", dist_file, str(path), "--mode", mode]) == 0
+        out = json.loads(capsys.readouterr().out)
+        spec = optimal_strategy(toy_dist, 1, params, n_alpha)[0]
+        assert (out["n_alpha"], spec.n_alpha) == (n_alpha, n_alpha)
+        assert out["expected_utility"] == expected_utility(
+            toy_dist, 1, spec.allocation, params, mode)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_optimal_window_without_landing_mass_is_one_error_line(
+        self, command, tmp_path, capsys
+    ):
+        # every move leaves B_tau = {0}, so the price never lands on the centre
+        dist = NextPriceDistribution(k_max=1, probs=np.array([0.5, 0.0, 0.5]),
+                                     bin_width_pct=1.0)
+        path = write_dist(dist, tmp_path / "dist.json")
+        doc = tmp_path / "optimal.json"
+        doc.write_text(json.dumps({"kind": "optimal", "n_tau": 0, "n_alpha": 0}))
+        argv = {"eval": ["eval", path, str(doc)],
+                "sweep": ["sweep", path, "--strategy", "optimal", "--n-tau-grid", "0",
+                          "--n-alpha-grid", "1,0"]}[command]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "zero mass over B_alpha")
+
 
 class TestOptimize:
     def test_reports_certificate(self, dist_file, capsys):
@@ -118,6 +155,19 @@ class TestOptimize:
             "optimal", 1, want.n_alpha, want.params
         )
         assert got.allocation.weights.tolist() == want.allocation.weights.tolist()
+
+    def test_negative_float_in_exponent_form_after_an_equals_sign(self, dist_file, capsys):
+        # after a space argparse takes -1e-3 for an option, so --name=value passes it
+        assert main(["optimize", dist_file, "--n-tau", "1", "--a=-1e-3", "--kappa=-1e-3"]) == 1
+        assert_one_error_line(capsys, "kappa must be > 0, got -0.001")
+        assert main(["optimize", dist_file, "--tau-mass=-1e-3"]) == 1
+        assert_one_error_line(capsys, "mass must be in (0, 1], got -0.001")
+        assert main(["optimize", dist_file, "--tau-mass=5e-1", "--a=-1e-3", "--kappa=2e0"]) == 0
+        spelled = capsys.readouterr().out
+        assert main(["optimize", dist_file, "--tau-mass", "0.5", "--a", "-0.001",
+                     "--kappa", "2"]) == 0
+        assert capsys.readouterr().out == spelled
+        assert json.loads(spelled)["params"]["a"] == -0.001
 
     @pytest.mark.parametrize("a", ["1e-30", "1e-20", "1e-16", "1e-300"])
     def test_tiny_risk_aversion_is_certified(self, dist_file, capsys, a):
@@ -185,10 +235,25 @@ class TestSweep:
                 elif strategy == "uniform":
                     spec = uniform_strategy(toy_dist, n_tau, n_alpha, params)
                 else:
-                    spec = optimal_strategy(toy_dist, n_tau, params)[0]
+                    spec = optimal_strategy(toy_dist, n_tau, params, n_alpha)[0]
                 value = expected_utility(toy_dist, n_tau, spec.allocation, params, MODE_FULL)
                 want.append([str(n_tau), str(n_alpha), repr(value)])
         assert rows == want
+
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_FULL])
+    def test_optimal_row_is_eval_of_its_document(self, mode, dist_file, tmp_path, capsys):
+        flags = ["--a", "0.5", "--ell", "3", "--mode", mode]
+        assert main(["sweep", dist_file, "--strategy", "optimal", "--n-tau-grid", "0,2",
+                     "--n-alpha-grid", "0,1,5", *flags]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 6
+        doc = tmp_path / "optimal.json"
+        for n_tau, n_alpha, value in rows:
+            doc.write_text(json.dumps({"kind": "optimal", "n_tau": int(n_tau),
+                                       "n_alpha": int(n_alpha), "params": {"a": 0.5, "ell": 3}}))
+            assert main(["eval", dist_file, str(doc), "--mode", mode]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["n_alpha"], repr(out["expected_utility"])) == (int(n_alpha), value)
 
     def test_tau_mass_grid_rows_carry_the_optimal_window(self, dist_file, capsys, toy_dist):
         assert main(["sweep", dist_file, "--tau-mass-grid", "0.3,1.0", "--a", "1"]) == 0
@@ -255,7 +320,7 @@ class TestSweep:
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
 
-    @pytest.mark.parametrize("strategy", ["proportional", "uniform"])
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform", "optimal"])
     @pytest.mark.parametrize("n_taus", ["-1", "2,-1", "1,2,-3"])
     def test_bad_n_tau_is_reported_before_bad_n_alpha(self, strategy, n_taus, dist_file, capsys):
         argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", n_taus,
@@ -263,7 +328,7 @@ class TestSweep:
         assert main(argv) == 1
         assert_one_error_line(capsys, "n_tau must be >= 0")
 
-    @pytest.mark.parametrize("strategy", ["proportional", "uniform"])
+    @pytest.mark.parametrize("strategy", ["proportional", "uniform", "optimal"])
     def test_bad_n_alpha_is_an_error(self, strategy, dist_file, capsys):
         argv = ["sweep", dist_file, "--strategy", strategy, "--n-tau-grid", "0,1",
                 "--n-alpha-grid", "1,-1"]
@@ -324,7 +389,7 @@ class TestSweepCells:
                     elif strategy == "uniform":
                         spec = uniform_strategy(dist, n_tau, n_alpha, params)
                     else:
-                        spec = optimal_strategy(dist, n_tau, params)[0]
+                        spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
                     value = expected_utility(dist, n_tau, spec.allocation, params, mode)
                     want.append([str(n_tau), str(n_alpha), repr(value)])
         except LpresetError:
@@ -882,7 +947,8 @@ INPUTS = {
     "steps": (50, COUNTS),
     "kappa": (1.0, SCALES),
     "ell": (1.0, SCALES),
-    "a": (None, [1e307, 1e308, -1e308, math.nan, math.inf]),  # None: the drawn risk
+    # None: the drawn risk; a tiny |a| with a large kappa * ell overflows u's division
+    "a": (None, [1e307, 1e308, -1e308, math.nan, math.inf, 1e-306, -1e-306, 1e-300, -1e-300]),
     "tau_mass": (None, MASSES),
     "alpha_mass": (None, MASSES),
     "width": (None, [0.0, -1.0, 1e-320, 1e308, math.nan, math.inf]),
@@ -915,13 +981,17 @@ class TestEveryInputEndsCleanly:
     )
     # the inputs this property first found or pinned: a std_error whose squares
     # overflowed, kappa * ell under the smallest normal float, a count past int64,
-    # and a backtest mean whose sum overflowed
+    # a backtest mean whose sum overflowed, a utility -expm1(-a c) / a whose
+    # division overflowed at a tiny a < 0, and a v2 baseline whose a * c underflowed
     @example(command="simulate", kind="uniform", risk=0.0, off=[("kappa", 1e200)])
     @example(command="backtest", kind="uniform", risk=1.0, off=[("kappa", 1e-320)])
     @example(command="optimize", kind="uniform", risk=1.0,
              off=[("kappa", 1e-200), ("ell", 1e-200)])
     @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)])
     @example(command="backtest", kind="uniform", risk=0.0, off=[("kappa", 1e308)])
+    @example(command="eval", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e308)])
+    @example(command="optimize", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e307)])
+    @example(command="backtest", kind="uniform", risk=-1.0, off=[("kappa", 1e-200), ("a", 1e-306)])
     def test_exit_code_and_stderr(self, inputs, command, kind, risk, off):
         v = {name: valid for name, (valid, _) in INPUTS.items()} | dict(off)
         a = risk if v["a"] is None else v["a"]

@@ -1,11 +1,12 @@
-"""Acceptance criteria 7 and 9 as properties over random h.
+"""Acceptance criteria 5, 7 and 9 as properties over random h.
 
 ``tests/test_acceptance.py`` checks them on fixtures; here h is random, with
 exact zero bins, and the problems are the real ones ``optimal_strategy``
-solves: the landing law q of ``landing_law(dist, n_tau)`` over its full
-reach. Risk aversion is 0 or at least 1e-6, and for criterion 7 also down
-to 1e-30: for a*kappa*ell below about 1e-15 the water-filling inputs exceed
-2**53, which ``project_simplex`` handles by translation. Below 1e-6 a
+solves: the landing law q of ``landing_law(dist, n_tau)`` over B_alpha, its
+full reach or a window that may stop short of it or pass it. Risk aversion
+is 0 or at least 1e-6, and for criterion 7 also down to 1e-30: for
+a*kappa*ell below about 1e-15 the water-filling inputs exceed 2**53, which
+``project_simplex`` handles by translation. Below 1e-6 a
 utility from ``exp_utility`` is only accurate to about 1e-16/a, so there
 the two solutions are compared by an exact objective.
 """
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpreset import (
+    MODE_FULL,
+    MODE_STRICT,
     InputError,
     OptimizationProblem,
     UtilityParams,
+    expected_utility,
     landing_law,
     optimal_strategy,
     projected_gradient_verify,
@@ -32,13 +36,16 @@ from conftest import dists
 RISK = st.one_of(st.just(0.0), st.floats(1e-6, 100.0))
 TINY_RISK = st.floats(1e-30, 1e-6)
 SCALE = st.sampled_from([0.5, 1.0, 37.0, 100.0])
+# B_alpha: the reach (None), or a window that may stop short of the reach or pass it
+WINDOW = st.one_of(st.none(), st.integers(0, 14))
 
 
-def landing_problem(dist, n_tau, params):
-    """The problem ``optimal_strategy`` solves for this window."""
+def landing_problem(dist, n_tau, params, n_alpha=None):
+    """The problem ``optimal_strategy`` solves for these windows."""
     law = landing_law(dist, n_tau)
-    js = np.arange(-law.reach, law.reach + 1)
-    return OptimizationProblem(q=law.q, tau_membership=np.abs(js) <= n_tau, params=params)
+    n = law.reach if n_alpha is None else n_alpha
+    js = np.arange(-n, n + 1)
+    return OptimizationProblem(q=law.over(n), tau_membership=np.abs(js) <= n_tau, params=params)
 
 
 def exact_objective(problem, weights):
@@ -50,10 +57,16 @@ def exact_objective(problem, weights):
 
 class TestCriterion7:
     @settings(max_examples=60, deadline=None)
-    @given(dist=dists(max_k=5), n_tau=st.integers(0, 5), a=st.one_of(RISK, TINY_RISK), ell=SCALE)
-    def test_solve_is_certified_by_projected_gradient(self, dist, n_tau, a, ell):
+    @given(dist=dists(max_k=5), n_tau=st.integers(0, 5), n_alpha=WINDOW,
+           a=st.one_of(RISK, TINY_RISK), ell=SCALE)
+    def test_solve_is_certified_by_projected_gradient(self, dist, n_tau, n_alpha, a, ell):
         params = UtilityParams(a=a, kappa=1.0, ell=ell)
-        problem = landing_problem(dist, n_tau, params)
+        try:
+            problem = landing_problem(dist, n_tau, params, n_alpha)
+        except InputError:  # the landing law has no mass over B_alpha
+            with pytest.raises(InputError, match="zero mass over B_alpha"):
+                optimal_strategy(dist, n_tau, params, n_alpha)
+            return
         sol = solve(problem)
         assert sol.kkt_residual <= 1e-8
         check = projected_gradient_verify(problem)
@@ -62,7 +75,7 @@ class TestCriterion7:
         else:
             w, w_check = sol.allocation.weights, check.allocation.weights
             assert exact_objective(problem, w) >= exact_objective(problem, w_check) - 1e-12
-        spec, _ = optimal_strategy(dist, n_tau, params)
+        spec, _ = optimal_strategy(dist, n_tau, params, n_alpha)
         assert np.array_equal(spec.allocation.weights, sol.allocation.weights)
 
 
@@ -85,6 +98,8 @@ class TestCriterion9:
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
         specs = [uniform_strategy(dist, n_tau, n_alpha, params)]
         specs.append(optimal_strategy(dist, n_tau, params)[0])
+        if landing_law(dist, n_tau).over(n_alpha).sum() > 0.0:
+            specs.append(optimal_strategy(dist, n_tau, params, n_alpha)[0])
         if centred(dist.probs, n_alpha).sum() > 0.0:
             specs.append(proportional_strategy(dist, params, n_tau, n_alpha))
         else:  # h has no mass over B_alpha
@@ -94,3 +109,25 @@ class TestCriterion9:
             w = spec.allocation.weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0.0)
+
+
+class TestCriterion5:
+    @settings(max_examples=150, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 8), n_alpha=st.integers(0, 20),
+           a=st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(1e-6, 15.0)), ell=SCALE,
+           mode=st.sampled_from([MODE_STRICT, MODE_FULL]))
+    def test_optimal_dominates_on_the_same_windows(self, dist, n_tau, n_alpha, a, ell, mode):
+        params = UtilityParams(a=a, kappa=1.0, ell=ell)
+        if landing_law(dist, n_tau).over(n_alpha).sum() == 0.0:
+            with pytest.raises(InputError, match="zero mass over B_alpha"):
+                optimal_strategy(dist, n_tau, params, n_alpha)
+            return
+        others = [uniform_strategy(dist, n_tau, n_alpha, params)]
+        if centred(dist.probs, n_alpha).sum() > 0.0:
+            others.append(proportional_strategy(dist, params, n_tau, n_alpha))
+        spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+        assert spec.n_alpha == n_alpha
+        best = expected_utility(dist, n_tau, spec.allocation, params, mode)
+        for other in others:
+            value = expected_utility(dist, n_tau, other.allocation, params, mode)
+            assert best >= value - 1e-12 * max(1.0, abs(value))

@@ -189,13 +189,15 @@ PARAMS = st.builds(
 class TestDocumentProperties:
     @settings(max_examples=200, deadline=None)
     @given(dist=dists(), kind=st.sampled_from(["uniform", "proportional", "optimal"]),
-           tau=WINDOWS, alpha=WINDOWS, params=PARAMS)
+           tau=WINDOWS, alpha=st.one_of(st.none(), WINDOWS), params=PARAMS)
     def test_constructor_form_is_the_constructor_at_window_for_mass(
         self, dist, kind, tau, alpha, params
     ):
         doc = {"kind": kind, "params": params.to_json_dict()}
 
         def window(count_key, mass_key, value):
+            if value is None:  # no window: the reach, for an optimal document alone
+                return None
             if isinstance(value, int):
                 doc[count_key] = value
                 return value
@@ -203,32 +205,38 @@ class TestDocumentProperties:
             return window_for_mass(dist, value)
 
         n_tau = window("n_tau", "tau_mass", tau)
+        n_alpha = window("n_alpha", "alpha_mass", alpha)
         doc = json.loads(json.dumps(doc))  # as read from a file
-        if kind == "optimal":
-            want = optimal_strategy(dist, n_tau, params)[0]
-        else:
-            n_alpha = window("n_alpha", "alpha_mass", alpha)
-            if kind == "uniform":
+        if kind != "optimal" and n_alpha is None:
+            with pytest.raises(InputError, match="needs n_alpha or alpha_mass"):
+                resolve_strategy(doc, dist)
+            return
+        try:
+            if kind == "optimal":
+                want = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+            elif kind == "uniform":
                 want = uniform_strategy(dist, n_tau, n_alpha, params)
-            elif centred(dist.probs, n_alpha).sum() > 0.0:
+            else:
                 want = proportional_strategy(dist, params, n_tau, n_alpha)
-            else:  # h has no mass over B_alpha
-                with pytest.raises(InputError):
-                    resolve_strategy(doc, dist)
-                return
+        except InputError:  # h, or the landing law, has no mass over B_alpha
+            with pytest.raises(InputError, match="zero mass over B_alpha"):
+                resolve_strategy(doc, dist)
+            return
         assert_same_spec(resolve_strategy(doc, dist), want)
+        if n_alpha is not None:
+            assert want.n_alpha == n_alpha
 
     @settings(max_examples=100, deadline=None)
     @given(dist=dists(), kind=st.sampled_from(["uniform", "proportional", "optimal"]),
            n_tau=st.integers(0, 10), n_alpha=st.integers(0, 10), params=PARAMS)
     def test_save_then_load_is_the_same_spec(self, dist, kind, n_tau, n_alpha, params):
-        if kind == "optimal":
-            spec = optimal_strategy(dist, n_tau, params)[0]
-        elif kind == "uniform":
-            spec = uniform_strategy(dist, n_tau, n_alpha, params)
-        else:
-            try:
+        try:
+            if kind == "optimal":
+                spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+            elif kind == "uniform":
+                spec = uniform_strategy(dist, n_tau, n_alpha, params)
+            else:
                 spec = proportional_strategy(dist, params, n_tau, n_alpha)
-            except InputError:  # h has no mass over B_alpha
-                return
+        except InputError:  # h or the landing law has no mass over B_alpha
+            return
         assert_same_spec(resolve_strategy(spec.to_json_dict(), dist), spec)

@@ -354,6 +354,32 @@ class TestOneUtilityForm:
         assert str(array.value) == str(scalar.value)
         assert str(scalar.value) == f"exp_utility overflow: a={a}, c={bad}"
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize("a, kappa", [(-1e-306, 1e308), (-1e-306, 1e307), (-1e-300, 1e302)])
+    def test_division_that_overflows_is_refused(self, a, kappa):
+        # -a*c is at most about 100, well inside the exp guard, but expm1(-a c) / a
+        # passes the float range at a tiny a < 0
+        params = UtilityParams(a=a, kappa=kappa, ell=1.0)
+        c = np.array([1.0, kappa + 1.0])
+        with pytest.raises(NumericalError) as array:
+            exp_utility(c, params)
+        with pytest.raises(NumericalError) as scalar:
+            exp_utility(kappa + 1.0, params)
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == f"exp_utility overflow: a={a}, c={kappa + 1.0}"
+        assert exp_utility(1.0, params) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("a", [1e-306, -1e-306, 1e-300, -1e-300])
+    def test_underflowing_a_times_c_gives_c(self, a):
+        # a*c below the smallest normal float: -expm1(-a c) / a would read 0 or
+        # lose digits, while u = c(1 - a c / 2 + ...) is c to the last bit
+        params = UtilityParams(a=a, kappa=1.0, ell=1.0)
+        c = np.array([2e-201, -3e-250, 1e-310, 0.0, 1.0])
+        u = exp_utility(c, params)
+        assert u[:4].tolist() == c[:4].tolist()
+        assert [exp_utility(x, params) for x in c[:4].tolist()] == c[:4].tolist()
+        assert u[4] == exp_utility(1.0, params)
+
     def test_payoffs_overflow_does_not_depend_on_the_path(self, toy_dist):
         # the whole table is evaluated, so an offset no step lands on still
         # overflows, as it does in E_u

@@ -26,32 +26,34 @@ changed message shows up in ``tools/cli_diff.py`` too. In both files the
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, the same
-``fit`` and, for one document, ``backtest --band-out`` with both anchors on
-the base CSV at ``--bin-width-pct 1e-6`` (a grid of about 20 million bins
-for 10,000 rows), the same ``backtest --band-out`` at ``--bin-width-pct
-1e-8`` (about 2 billion bins, moves of up to 3e8 bins), ``optimize``
-(count and mass), ``sweep`` (proportional, uniform, optimal and a mass
-grid, plus proportional and uniform in both modes over an n_alpha grid
-that passes k_max and the reach, with a repeated n_tau), and ``eval`` in both modes and ``simulate --trace-out`` for every
-strategy document. The documents are the
-constructor form with counts, the constructor form with masses, the
-weights form, and two uniform documents at n_tau 0 and 40 (every move a
-sure reset of ``simulate.execute``, and none), each at risk aversion a in
-{-1, 0, 0.1, 15}. Inputs that once ended in a numpy warning or a traceback
-close the set: ``eval``, ``optimize`` and ``simulate --trace-out`` at
-a = 1e308, where a*c overflows and u saturates at 1/a; ``backtest
---band-out`` of a document at kappa 1e307 and ell 10, whose per-step sum
-passes the float range; and eight refusals, which must exit 1 with one
-``error:`` line: ``simulate --seed -1``; ``optimize`` and ``sweep`` at
-``--kappa 1e200 --ell 1e200``, whose product overflows; ``optimize`` at
-``--kappa 1e-200 --ell 1e-200`` and ``backtest`` of a document with kappa
-1e-320, whose products fall below the smallest normal float; ``eval`` of
-a document with n_tau 99999999999999999999 and ``sweep`` with that
-n_alpha grid, counts past every array size; and ``simulate --trace-out``
-of the kappa 1e307 document at the default 50,000 steps, whose total
-reward overflows. The run exits 0 when every command exits 0 and every
-such refusal exits 1. In all: 40 documents, 535 commands and 823 files
-with ``exit_codes.txt`` and ``stderr.txt``.
+``fit`` and, for one document, ``backtest --band-out`` with both anchors
+on the base CSV at ``--bin-width-pct 1e-6`` (a grid of about 20 million
+bins for 10,000 rows), the same ``backtest --band-out`` at
+``--bin-width-pct 1e-8`` (about 2 billion bins, moves of up to 3e8 bins),
+``optimize`` (count and mass), ``sweep`` (proportional, uniform, optimal
+and a mass grid, plus proportional, uniform and optimal in both modes over
+an n_alpha grid that passes k_max and the reach, with a repeated n_tau),
+and ``eval`` in both modes and ``simulate --trace-out`` for every strategy
+document. The documents are the constructor form with counts, the
+constructor form with masses, two optimal documents that give B_alpha (as
+a count and as a mass), the weights form, and two uniform documents at
+n_tau 0 and 40 (every move a sure reset of ``simulate.execute``, and
+none), each at risk aversion a in {-1, 0, 0.1, 15}. Inputs that once ended
+in a numpy warning or a traceback close the set: ``eval``, ``optimize``
+and ``simulate --trace-out`` at a = 1e308, where a*c overflows and u
+saturates at 1/a; ``backtest --band-out`` of a document at kappa 1e307 and
+ell 10, whose per-step sum passes the float range; and eight refusals,
+which must exit 1 with one ``error:`` line: ``simulate --seed -1``;
+``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose product
+overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
+``backtest`` of a document with kappa 1e-320, whose products fall below
+the smallest normal float; ``eval`` of a document with n_tau
+99999999999999999999 and ``sweep`` with that n_alpha grid, counts past
+every array size; and ``simulate --trace-out`` of the kappa 1e307 document
+at the default 50,000 steps, whose total reward overflows. The run exits 0
+when every command exits 0 and every such refusal exits 1. In all: 48
+documents, 647 commands and 999 files with ``exit_codes.txt`` and
+``stderr.txt``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ DOCUMENTS = {
     "uniform_mass": {"kind": "uniform", "tau_mass": 0.3, "alpha_mass": 0.8},
     "proportional_mass": {"kind": "proportional", "tau_mass": 0.5, "alpha_mass": 0.9},
     "optimal_mass": {"kind": "optimal", "tau_mass": 0.5},
+    # the optimal strategy over a given B_alpha rather than the reach
+    "optimal_window_count": {"kind": "optimal", "n_tau": 4, "n_alpha": 6},
+    "optimal_window_mass": {"kind": "optimal", "tau_mass": 0.5, "alpha_mass": 0.9},
     "weights": {"kind": "custom", "n_tau": 1, "n_alpha": 2,
                 "weights": [0.1, 0.2, 0.4, 0.2, 0.1]},
     # the two regimes of simulate.execute: every non-zero move is a sure reset
@@ -220,7 +225,7 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
             cmds += [
                 ["sweep", str(dist), "--strategy", strategy, *WIDE_GRID, "--a", a,
                  "--mode", mode, "--out", str(out / f"sweep_wide_{strategy}_{mode}_{tag}.csv")]
-                for strategy in ("proportional", "uniform") for mode in MODES
+                for strategy in ("proportional", "uniform", "optimal") for mode in MODES
             ]
         for doc in docs:
             tag = f"{dist.stem}_{doc.stem}"
