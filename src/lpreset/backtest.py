@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bins import BinGrid
+from .bins import BinGrid, distinct_ranks
 from .distribution import PriceSeries
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .simulate import BLOCK_ROWS, execute, payoffs, scale_down
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
@@ -117,34 +117,47 @@ def replay(
     Multi-bin jumps are allowed; a jump beyond B_tau is a single reset at the
     fixed cost of 1, re-centering on the landing bin. The step moves are the
     bin differences: bins[t] - center = (bins[t] - bins[t-1]) + offset left
-    by step t-1.
+    by step t-1. Each path-sized array is freed once it is used: the bins
+    once differenced, the moves once walked, the payoff rows once gathered,
+    the utilities once averaged and the landing offsets once they have
+    given the band's centres. A ratio that is not finite is refused.
     """
     params = spec.params
     n_tau, n_alpha = spec.n_tau, spec.n_alpha
 
-    bins = grid.prices_to_bins(series.prices)
-    js = execute(np.diff(bins), n_tau)
-    _, utilities, resets = payoffs(js, spec, 0.0)
+    js = execute(np.diff(grid.prices_to_bins(series.prices)), n_tau)
+    rows, _, utilities, resets = payoffs(js, spec, 0.0)
+    utilities, resets = utilities[rows], resets[rows]
+    del rows
+    scale = scale_down(utilities)
+    mean = float(utilities.mean()) * scale
+    del utilities
 
     band = None
     if collect_band:
         first = resets.copy()
         first[0] = True  # row 0 starts the run under the series' first bin
         starts = np.flatnonzero(first)
-        # a run that starts at a reset is centred on the bin it reset to
-        centres = bins[starts + resets[starts]]
-        distinct, edge_of_run = np.unique(centres, return_inverse=True)
+        # a run that starts at a reset is centred on the bin it reset to: the
+        # previous centre plus the landing offset of the step that reset
+        shifts = np.where(resets[starts], js[starts], 0)
+        shifts[0] += grid.price_to_bin(float(series.prices[0]))
+        distinct, edge_of_run = distinct_ranks(np.cumsum(shifts))
         # band edges may poke past the grid's covered span near the series
         # extremes, so they are computed for any index, not read off the grid
         edges = grid.edges_at(distinct[:, None] + [-n_alpha, n_alpha + 1, -n_tau, n_tau + 1])
         band = Band(series.prices[1:], starts, edge_of_run, edges)
 
-    scale = scale_down(utilities)
-    mean = float(utilities.mean()) * scale
+    del js
     v2_mean = v2_baseline(series, grid, params)
-    ratio = mean / v2_mean if v2_mean != 0.0 else math.nan  # u may underflow to 0
+    # the v2 utility may underflow to 0, or the quotient overflow
+    ratio = mean / v2_mean if v2_mean != 0.0 else math.nan
+    if not math.isfinite(ratio):
+        raise NumericalError(
+            f"ratio of mean utility {mean!r} to the v2 baseline's {v2_mean!r} is not finite"
+        )
     return BacktestReport(
-        steps=len(js),
+        steps=len(resets),
         resets=int(np.count_nonzero(resets)),
         mean_utility_per_step=mean,
         v2_mean_utility_per_step=v2_mean,

@@ -82,7 +82,7 @@ class BinGrid:
     def edges_at(self, indices) -> np.ndarray:
         """``_edge(i)`` for each i of the int array ``indices``, of any shape: one
         scalar call per distinct i, as a vectorized power can differ in the last bit."""
-        distinct, inverse = np.unique(indices, return_inverse=True)
+        distinct, inverse = distinct_ranks(np.ravel(indices))
         edges = np.array([self._edge(i) for i in distinct.tolist()], dtype=float)
         return edges[inverse].reshape(np.shape(indices))
 
@@ -97,30 +97,55 @@ class BinGrid:
         log ratio over log(1 + step), the rounded base that ``_edge`` raises,
         can land one index off near an edge, so each result is moved to the
         neighbour whose ``_edge`` interval holds the price.
+
+        The floors are taken and corrected in place, in the memory of the
+        result; besides it, at most two int64 or float arrays as long as
+        ``prices`` are alive at once, and a few bool ones.
         """
         prices = np.asarray(prices, dtype=float)
         span_lo, span_hi = self.covered_span()
-        outside = ~((prices >= span_lo) & (prices < span_hi))
-        if outside.any():
+        # NaN fails both comparisons, as it fails the mask below
+        if not span_lo <= prices.min(initial=span_lo) <= prices.max(initial=span_lo) < span_hi:
+            outside = ~((prices >= span_lo) & (prices < span_hi))
             price = float(prices[np.argmax(outside)])
             raise RangeError(
                 f"price {price} outside covered span [{span_lo}, {span_hi})"
             )
-        idx = np.floor(
-            np.log(prices / self.reference_price) / math.log(1.0 + self.step)
-        ).astype(np.int64)
+        ratio = np.divide(prices, self.reference_price)
+        np.log(ratio, out=ratio)
+        ratio /= math.log(1.0 + self.step)
+        np.floor(ratio, out=ratio)
+        idx = ratio.view(np.int64)
+        idx[...] = ratio  # cast in place: the int64 view of the same memory
         # edges of bins i - 1 .. i + 2 for each distinct i, flat: for a price
         # with i = distinct[r], the edge of bin i + d sits at 4 r + 1 + d
-        distinct, row = np.unique(idx, return_inverse=True)
+        distinct, at = distinct_ranks(idx)
         edges = self.edges_at(distinct[:, None] + np.arange(-1, 3)).ravel()
-        base = 4 * row.reshape(idx.shape) + 1
-        at = base - (prices < edges[base])
-        at += prices >= edges[at + 1]
-        idx += at - base
+        at *= 4
+        at += 1  # the edge of the floor's own bin: below it, one bin down
+        moved = prices < edges[at]
+        at -= moved
+        idx -= moved
+        at += 1  # the next edge up: on or above it, one bin up
+        moved = prices >= edges[at]
+        at += moved
+        idx += moved
+        located = prices < edges[at]
+        at -= 1
+        located &= edges[at] <= prices
         lo, hi = self.index_range
-        located = (idx >= lo) & (idx <= hi)
-        located &= (edges[at] <= prices) & (prices < edges[at + 1])
+        located &= (idx >= lo) & (idx <= hi)
         if not located.all():
             price = float(prices[np.argmin(located)])
             raise RangeError(f"price {price} could not be located on the grid")
         return idx
+
+
+def distinct_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the 1-d array ``values``, ascending, and the index of
+    each value among them: ``np.unique(values, return_inverse=True)``, with two
+    arrays as long as ``values`` alive at once where that holds five."""
+    ordered = values[np.argsort(values)]
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    del ordered
+    return distinct, np.searchsorted(distinct, values)

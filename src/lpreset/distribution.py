@@ -50,13 +50,14 @@ class PriceSeries:
             raise InputError("timestamps and prices must have the same length")
         if len(px) < 2:
             raise InputError("need at least 2 price observations")
-        if not np.all(np.isfinite(ts)):
+        # each check makes one bool per row at most, never a float column
+        if not math.isfinite(ts.min()) or not math.isfinite(ts.max()):
             raise InputError("timestamps must be finite")
-        if not np.all(np.isfinite(px)):
+        if not math.isfinite(px.min()) or not math.isfinite(px.max()):
             raise InputError("prices must be finite")
-        if not np.all(np.diff(ts) > 0):
+        if not (ts[1:] > ts[:-1]).all():  # of finite values, as np.diff(ts) > 0
             raise InputError("timestamps must be strictly increasing")
-        if not np.all(px > 0):
+        if not px.min() > 0:
             raise InputError("prices must be strictly positive")
 
     def __len__(self) -> int:
@@ -221,7 +222,7 @@ def load_price_csv(path: str) -> PriceSeries:
             data = data.reshape(-1, 2)
     if len(data) < 2:
         raise InputError(f"{path}: need at least 2 rows")
-    timestamps, prices = data.T.copy()
+    timestamps, prices = data.T  # column views of the one array read
     return PriceSeries(timestamps, prices)
 
 
@@ -280,7 +281,10 @@ def _parse_rows(path: str, rows, ti: int, pi: int):
 def percent_changes(series: PriceSeries) -> np.ndarray:
     """Per-step percent change, 100 * (P_{n+1} - P_n) / P_n."""
     px = series.prices
-    return 100.0 * np.diff(px) / px[:-1]
+    changes = np.diff(px)
+    changes *= 100.0  # in place, in the order of 100.0 * diff / px
+    changes /= px[:-1]
+    return changes
 
 
 def fit_distribution(
@@ -302,21 +306,25 @@ def fit_distribution(
         raise InputError(f"k_max must be >= 1, got {k_max}")
     if not 0 < bin_width_pct < math.inf:
         raise InputError(f"bin_width_pct must be finite and > 0, got {bin_width_pct}")
-    if not np.all(np.isfinite(changes)):
+    if not math.isfinite(changes.min()) or not math.isfinite(changes.max()):
         raise InputError("percent changes must be finite")
 
     # clamped or dropped in float: at a tiny width a bin number passes the
     # int range (or the float range, as inf), where the cast gives INT_MIN
     with np.errstate(over="ignore"):
-        ks = np.floor(changes / bin_width_pct + 0.5)
+        ks = np.divide(changes, bin_width_pct)
+    ks += 0.5  # then floor, clip and the cast, all in this one array
+    np.floor(ks, out=ks)
     if clamp_tails:
-        ks = np.clip(ks, -k_max, k_max)
+        np.clip(ks, -k_max, k_max, out=ks)
     else:
         ks = ks[np.abs(ks) <= k_max]
         if ks.size == 0:
             raise InputError("all samples fell outside the binned range")
-    ks = ks.astype(int)
-    counts = np.bincount(ks + k_max, minlength=2 * k_max + 1).astype(float)
+    bins = ks.view(np.int64)
+    bins[...] = ks  # an int64 view of the same memory, cast element by element
+    bins += k_max
+    counts = np.bincount(bins, minlength=2 * k_max + 1).astype(float)
     return NextPriceDistribution(
         k_max=k_max,
         probs=counts / counts.sum(),

@@ -92,16 +92,20 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     """
     moves = np.asarray(moves, dtype=np.int64)
     sure = 2 * n_tau + 1
-    walk = np.clip(moves, -sure, sure)
-    reach = n_tau + int(np.abs(walk).max(initial=0))
+    # the walk; each step's landing offset overwrites its move, once read
+    js = np.clip(moves, -sure, sure)
+    size = np.abs(js)
+    reach = n_tau + int(size.max(initial=0))
+    ends = np.flatnonzero(size == sure)  # the sure resets
+    del size
+    rest = moves[ends] - js[ends]  # the only steps where walk and move differ
+    del moves  # a caller that passes a temporary, as replay does, frees it here
     # settle[j] is the offset left after landing at j; negative j index from the end
     settle = np.roll(np.where(resets_over(reach, n_tau), 0, np.arange(-reach, reach + 1)), -reach)
-    bounds = np.flatnonzero(np.abs(walk) == sure) + 1
-    starts = np.concatenate(([0], bounds))
-    lengths = np.append(bounds, len(moves)) - starts
+    starts = np.concatenate(([0], ends + 1))
+    lengths = np.append(starts[1:], len(js)) - starts
     order = np.argsort(-lengths)
     starts, lengths = starts[order], lengths[order]
-    js = np.empty(len(moves), dtype=np.int64)
     # positions run side by side while LOCKSTEP_MIN stretches or more are live
     lock = int(lengths[LOCKSTEP_MIN - 1]) if len(lengths) >= LOCKSTEP_MIN else 0
     # live_at[pos]: the stretches longer than pos, which come first
@@ -109,7 +113,7 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     state = np.zeros(live_at[0], dtype=np.int64)
     for pos, live in enumerate(live_at[:-1]):
         at = starts[:live] + pos
-        j = state[:live] + walk[at]
+        j = state[:live] + js[at]
         js[at] = j
         state[:live] = settle[j]
     live = live_at[-1]
@@ -117,33 +121,33 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
     tails = zip(starts[:live].tolist(), lengths[:live].tolist(), state[:live].tolist())
     for start, length, offset in tails:
         tail = []
-        for move in walk[start + lock : start + length].tolist():
+        for move in js[start + lock : start + length].tolist():
             j = offset + move
             tail.append(j)  # a list appends faster than an array("q")
             offset = settle_at[j]
         js[start + lock : start + length] = np.frombuffer(array("q", tail), np.int64)
-    js += moves  # in place: a path-sized temporary here slowed the walk measurably
-    js -= walk
+    js[ends] += rest
     return js
 
 
 def payoffs(
     js: np.ndarray, spec: StrategySpec, shift: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reward, utility u(reward + shift) and reset flag of each step, given its
-    landing offset in ``js``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The row of each step in the payoff tables, given its landing offset in
+    ``js``, and the tables: reward, utility u(reward + shift) and reset flag.
 
     Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1 and
-    resets, so the offsets are clipped to +-far and each step reads its
-    entries of one table per quantity. Every step's reset flag is read here,
-    from ``resets_over``.
+    resets, so the tables cover the offsets -far..far and a step's row is
+    its offset clipped to +-far, plus far. Step t earns ``rewards[rows[t]]``:
+    a caller gathers the per-step columns it uses and no other. Every step's
+    reset flag is read here, from ``resets_over``.
     """
     far = max(spec.n_tau, spec.n_alpha) + 1
     resets = resets_over(far, spec.n_tau)
     table = landing_rewards(spec.allocation.over(far), resets, spec.params)
-    at = np.clip(js, -far, far)
-    at += far  # in place, as in execute
-    return table[at], exp_utility(table + shift, spec.params)[at], resets[at]
+    rows = np.clip(js, -far, far)
+    rows += far  # in place: no second path-sized array
+    return rows, table, exp_utility(table + shift, spec.params), resets
 
 
 def scale_down(utilities: np.ndarray) -> float:
@@ -173,7 +177,9 @@ def run_strategy(
     if n < 1:
         raise InputError("path must have at least one move")
     js = execute(path, spec.n_tau)
-    rewards, utilities, resets = payoffs(js, spec, spec.params.shift)
+    rows, *tables = payoffs(js, spec, spec.params.shift)
+    rewards, utilities, resets = (table[rows] for table in tables)
+    del rows
     # a running sum in step order, from 0.0 (which turns a -0.0 total into 0.0)
     with np.errstate(over="ignore"):
         total = float(np.cumsum(rewards)[-1]) + 0.0

@@ -6,6 +6,7 @@ import pytest
 from lpreset import (
     BinGrid,
     InputError,
+    NumericalError,
     PriceSeries,
     UtilityParams,
     replay,
@@ -82,6 +83,17 @@ class TestReplay:
         report = replay(series, spec, grid)
         assert report.mean_utility_per_step == pytest.approx(1e308 / 3, rel=1e-15)
         assert report.ratio == pytest.approx(11 / 3, rel=1e-15)
+
+    def test_v2_baseline_that_underflows_to_zero_is_refused(self, toy_dist):
+        # 1e17 bins of width 1e-15 share kappa * ell = 1e-307: the v2 utility
+        # rounds to 0, where the ratio read NaN
+        params = UtilityParams(a=0.0, kappa=1e-307, ell=1.0)
+        spec = uniform_strategy(toy_dist, 1, 1, params)
+        series = series_from_prices([100.0] * 20)
+        grid = BinGrid(reference_price=99.0, step=1e-15, index_range=(0, 10**17))
+        assert v2_baseline(series, grid, params) == 0.0
+        with pytest.raises(NumericalError, match="ratio of mean utility .* is not finite"):
+            replay(series, spec, grid)
 
     def test_hand_stepped_trace_without_resets(self, toy_dist):
         # bins along the path: 0, +1, 0 (step 1% grid anchored at 100)

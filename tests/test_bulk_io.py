@@ -412,6 +412,38 @@ class TestWriteBandCsv:
         assert peak(200_000) <= peak(10_000) + PEAK_MARGIN
 
 
+# a path array is one float64 or int64 per row; loading the two columns
+# and replaying them with the band holds at most this many at once (the
+# column copy, the binning's np.unique and replay's dropped columns held 8.45)
+PATH_ARRAYS = 5.5
+
+
+class TestReplayMemory:
+    def test_load_and_replay_hold_few_path_arrays(self, tmp_path):
+        rows = 200_000
+        rng = np.random.default_rng(5)  # a Student-t walk like the benchmark's
+        walk = np.concatenate([[0.0], np.cumsum(0.00114 * rng.standard_t(3.0, rows - 1))])
+        path = tmp_path / "px.csv"
+        with open(path, "w") as fh:
+            fh.write("timestamp,price\n")
+            fh.writelines(f"{1_600_000_000 + 600 * i},{p!r}\n"
+                          for i, p in enumerate((2000.0 * np.exp(walk)).tolist()))
+        alloc = Allocation(5, np.full(11, 1 / 11))
+        spec = StrategySpec("custom", 3, alloc, UtilityParams(a=0.1))
+        step = 0.0005
+        reports = []
+
+        def backtest(_):
+            series = load_price_csv(str(path))
+            lo, hi = float(series.prices.min()), float(series.prices.max())
+            grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=lo)
+            reports.append(replay(series, spec, grid, collect_band=True))
+
+        peak = traced_peak(backtest, tmp_path)
+        assert reports[0].steps == rows - 1 and reports[0].resets > rows // 10
+        assert peak <= PATH_ARRAYS * 8 * rows
+
+
 class TestWriteTrace:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -431,7 +463,8 @@ class TestWriteTrace:
         spec = StrategySpec("custom", n_tau, alloc, params)
         path = sample_path(dist, steps, seed)
         js = execute(path, n_tau)
-        rewards, _, _ = payoffs(js, spec, params.shift)
+        rows, table, _, _ = payoffs(js, spec, params.shift)
+        rewards = table[rows]
         with mock.patch("lpreset.simulate.BLOCK_ROWS", block_rows):
             got = written(lambda out: run_strategy(path, spec, seed=seed, trace_out=out))
         assert got == written(reference_write_trace, js, rewards, n_tau)
@@ -443,7 +476,8 @@ class TestWriteTrace:
 
         def peak(steps):
             js = execute(sample_path(dist, steps, seed=2), spec.n_tau)
-            rewards, _, resets = payoffs(js, spec, spec.params.shift)
+            rows, table, _, reset_table = payoffs(js, spec, spec.params.shift)
+            rewards, resets = table[rows], reset_table[rows]
             return traced_peak(lambda out: _write_trace(out, js, rewards, resets), tmp_path)
 
         assert peak(200_000) <= peak(10_000) + PEAK_MARGIN

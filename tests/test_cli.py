@@ -510,6 +510,21 @@ class TestBacktest:
         assert doc["grid_bins"] == 6  # bins -4 .. 1
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_ratio_that_is_not_finite_is_one_error_line(self, tmp_path, capsys):
+        # 1,269 bins share kappa * ell = 3e-308, so the v2 utility is subnormal,
+        # and every step resets: -1 over it overflows, and the report read
+        # "ratio": -Infinity
+        steps = [1.02] * 30 + [0.98] * 29
+        prices = (100.0 * np.cumprod([1.0, *steps])).tolist()
+        csv_path = write_price_csv(tmp_path / "px.csv", prices)
+        doc = tmp_path / "tiny.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 1,
+                                   "params": {"a": 0, "kappa": 3e-308, "ell": 1}}))
+        assert main(["backtest", csv_path, str(doc)]) == 1
+        assert_one_error_line(capsys, "ratio of mean utility -1.0 to the v2 baseline's",
+                              "is not finite")
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     def test_sums_past_the_float_range(self, tmp_path, capsys):
         # kappa * ell = 1e308: a step earns up to 1e308 / 7, and 400 steps sum
         # past the float range; the backtest mean is finite, a simulate total is not
@@ -934,8 +949,10 @@ class TestMalformedStrategyDocuments:
 # each input's valid value, and the off values an example may draw in its place:
 # counts past the array range, floats at and past the float range, masses and
 # bin widths out of their range, seeds past int64, weights that are not a simplex
-# point. A mass or a width of None is the count form or the default width. An
-# off count is refused before an array is sized by it, and every weights list has
+# point, a price CSV row whose price is not positive or not finite or whose
+# timestamp repeats or goes back. A mass or a width of None is the count form or
+# the default width; a price or a stamp of None leaves the CSV as it is. An off
+# count is refused before an array is sized by it, and every weights list has
 # 2 * 2 + 1 entries, so no example allocates more than a valid one.
 COUNTS = [0, -1, 2**53, 2**63, 10**20]
 SCALES = [1e-200, 1e-320, 1e200, 1e307, 1e308, -1e308, math.nan, math.inf]
@@ -955,6 +972,10 @@ INPUTS = {
     "seed": (0, [-1, 2**63, 2**64]),
     "weights": (None, [[0.2] * 5, [0.2, 0.2, math.nan, 0.2, 0.2],
                        [0.2, 0.2, math.inf, 0.2, 0.2], [0.2, 0.2, -1.0, 0.2, 0.2], [0.3] * 5]),
+    # (data row, value): the first, a middle and the last of the CSV's 60 rows
+    "price": (None, [(row, value) for row in (0, 30, 59)
+                     for value in [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]]),
+    "stamp": (None, [(row, kind) for row in (1, 30, 59) for kind in ["equal", "decreasing"]]),
 }
 OFF = [(name, value) for name, (_, values) in INPUTS.items() for value in values]
 
@@ -962,12 +983,13 @@ OFF = [(name, value) for name, (_, values) in INPUTS.items() for value in values
 class TestEveryInputEndsCleanly:
     """Every command ends in a result, one ``error:`` line or argparse usage."""
 
+    # moves of 0, +-1 and +-2 bins at the default width
+    PRICES = (100.0 * np.cumprod([1.0005, 0.9995, 1.0, 1.001, 0.999] * 12)).tolist()
+
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("inputs")
-        # moves of 0, +-1 and +-2 bins at the default width
-        steps = [1.0005, 0.9995, 1.0, 1.001, 0.999] * 12
-        write_price_csv(root / "px.csv", (100.0 * np.cumprod(steps)).tolist())
+        write_price_csv(root / "px.csv", self.PRICES)
         assert main(["fit", str(root / "px.csv"), "--k-max", "4",
                      "--out", str(root / "dist.json")]) == 0
         return root
@@ -978,21 +1000,28 @@ class TestEveryInputEndsCleanly:
         kind=st.sampled_from(["uniform", "proportional", "optimal"]),
         risk=st.sampled_from([-1.0, 0.0, 1.0]),
         off=st.lists(st.sampled_from(OFF), max_size=3),
+        anchor=st.sampled_from(["first", "low"]),
     )
     # the inputs this property first found or pinned: a std_error whose squares
     # overflowed, kappa * ell under the smallest normal float, a count past int64,
     # a backtest mean whose sum overflowed, a utility -expm1(-a c) / a whose
     # division overflowed at a tiny a < 0, and a v2 baseline whose a * c underflowed
-    @example(command="simulate", kind="uniform", risk=0.0, off=[("kappa", 1e200)])
-    @example(command="backtest", kind="uniform", risk=1.0, off=[("kappa", 1e-320)])
+    @example(command="simulate", kind="uniform", risk=0.0, off=[("kappa", 1e200)],
+             anchor="first")
+    @example(command="backtest", kind="uniform", risk=1.0, off=[("kappa", 1e-320)],
+             anchor="first")
     @example(command="optimize", kind="uniform", risk=1.0,
-             off=[("kappa", 1e-200), ("ell", 1e-200)])
-    @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)])
-    @example(command="backtest", kind="uniform", risk=0.0, off=[("kappa", 1e308)])
-    @example(command="eval", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e308)])
-    @example(command="optimize", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e307)])
-    @example(command="backtest", kind="uniform", risk=-1.0, off=[("kappa", 1e-200), ("a", 1e-306)])
-    def test_exit_code_and_stderr(self, inputs, command, kind, risk, off):
+             off=[("kappa", 1e-200), ("ell", 1e-200)], anchor="first")
+    @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)], anchor="first")
+    @example(command="backtest", kind="uniform", risk=0.0, off=[("kappa", 1e308)],
+             anchor="first")
+    @example(command="eval", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e308)],
+             anchor="first")
+    @example(command="optimize", kind="uniform", risk=0.0,
+             off=[("a", -1e-306), ("kappa", 1e307)], anchor="first")
+    @example(command="backtest", kind="uniform", risk=-1.0,
+             off=[("kappa", 1e-200), ("a", 1e-306)], anchor="first")
+    def test_exit_code_and_stderr(self, inputs, command, kind, risk, off, anchor):
         v = {name: valid for name, (valid, _) in INPUTS.items()} | dict(off)
         a = risk if v["a"] is None else v["a"]
         body = {"kind": kind, "params": {"a": a, "kappa": v["kappa"], "ell": v["ell"]}}
@@ -1004,6 +1033,18 @@ class TestEveryInputEndsCleanly:
         doc = inputs / "strategy.json"
         doc.write_text(json.dumps(body))
         dist, prices = str(inputs / "dist.json"), str(inputs / "px.csv")
+        if v["price"] is not None or v["stamp"] is not None:
+            stamps = [1_600_000_000 + 600 * i for i in range(len(self.PRICES))]
+            values = list(self.PRICES)
+            if v["price"] is not None:
+                row, values[row] = v["price"]
+            if v["stamp"] is not None:
+                row, how = v["stamp"]
+                stamps[row] = stamps[row - 1] - (600 if how == "decreasing" else 0)
+            prices = str(inputs / "px_off.csv")
+            with open(prices, "w") as fh:
+                fh.write("timestamp,price\n")
+                fh.writelines(f"{t},{p!r}\n" for t, p in zip(stamps, values))
         # --name=value: after a space, argparse reads -1e308 as an option
         flags = [f"--a={a!r}", f"--kappa={v['kappa']!r}", f"--ell={v['ell']!r}"]
         taus = (["--n-tau", str(v["n_tau"])] if v["tau_mass"] is None
@@ -1018,7 +1059,8 @@ class TestEveryInputEndsCleanly:
             "sweep": ["sweep", dist, *windows, *flags],
             "simulate": ["simulate", dist, str(doc), "--steps", str(v["steps"]),
                          "--seed", str(v["seed"])],
-            "backtest": ["backtest", prices, str(doc), "--k-max", str(v["k_max"]), *widths],
+            "backtest": ["backtest", prices, str(doc), "--k-max", str(v["k_max"]), *widths,
+                         "--grid-anchor", anchor],
         }[command]
         err, out = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
@@ -1030,6 +1072,12 @@ class TestEveryInputEndsCleanly:
                 code = exc.code
         assert [str(w.message) for w in caught] == []
         lines = err.getvalue().splitlines()
+        if command in ("fit", "backtest") and (v["price"] or v["stamp"]) and code != 2:
+            # the CSV is read before anything else is checked: its bad row is the error
+            assert code == 1
+            assert lines[0] in {"error: prices must be finite",
+                                "error: prices must be strictly positive",
+                                "error: timestamps must be strictly increasing"}
         if code == 0:
             assert lines == []
             text = out.getvalue()

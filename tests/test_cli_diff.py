@@ -1,9 +1,12 @@
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
+sys.path.insert(0, str(TOOL.parent))
 import cli_diff  # noqa: E402
 
 
@@ -58,3 +61,21 @@ def test_arguments_that_are_not_directories_exit_2(tmp_path, capsys):
     assert cli_diff.main([str(tmp_path)]) == 2
     assert cli_diff.main([str(tmp_path), str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_reader_that_closes_early_gets_no_traceback(tmp_path):
+    # 6,000 report lines, far more than a pipe holds: the child is still
+    # writing when its reader, like `| head -2`, has read two lines and closed
+    names = [f"file_{i:03d}.json" for i in range(300)]
+    old = tree(tmp_path / "old", {name: json.dumps({"v": [1.0] * 20}) for name in names})
+    new = tree(tmp_path / "new", {name: json.dumps({"v": [2.0] * 20}) for name in names})
+    child = subprocess.Popen(
+        [sys.executable, str(TOOL), old, new], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = [child.stdout.readline() for _ in range(2)]
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert head == [b"file_000.json: v[0] 0.5\n", b"file_000.json: v[10] 0.5\n"]
+    assert err == b""

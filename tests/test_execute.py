@@ -317,7 +317,8 @@ class TestExecute:
         assert js.tolist() == [1, 1 + 10**12, -1, -1 - 10**12, 2, 2, 7, -3]
         params = UtilityParams(a=0.1, ell=10.0)
         alloc = Allocation(3, np.array([0.0, 0.1, 0.2, 0.4, 0.2, 0.1, 0.0]))
-        rewards, utilities, resets = payoffs(js, StrategySpec("custom", 2, alloc, params), 1.0)
+        rows, *tables = payoffs(js, StrategySpec("custom", 2, alloc, params), 1.0)
+        rewards, utilities, resets = (table[rows] for table in tables)
         assert rewards.tolist() == [2.0, -1.0, 2.0, -1.0, 1.0, 1.0, -1.0, -1.0]
         assert utilities.tolist() == [exp_utility(r + 1.0, params) for r in rewards.tolist()]
         assert resets.tolist() == [False, True, False, True, False, False, True, True]

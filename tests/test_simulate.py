@@ -103,7 +103,8 @@ class TestRunStrategy:
         # report scales u by a power of two first
         spec = uniform_strategy(toy_dist, 1, 1, UtilityParams(kappa=1e200, ell=1.0))
         path = sample_path(toy_dist, 400, seed=3)
-        _, utilities, _ = payoffs(execute(path, spec.n_tau), spec, spec.params.shift)
+        rows, _, table, _ = payoffs(execute(path, spec.n_tau), spec, spec.params.shift)
+        utilities = table[rows]
         want = float(np.std(utilities / 1e200, ddof=1)) * 1e200 / math.sqrt(len(path))
         assert run_strategy(path, spec).std_error == pytest.approx(want, rel=1e-12)
 

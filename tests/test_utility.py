@@ -267,7 +267,8 @@ class TestOnePayoffRule:
         params = UtilityParams(a=a)
         spec = StrategySpec("custom", n_tau, alloc, params)
         js = execute(sample_path(dist, steps, seed) * stretch, n_tau)
-        rewards, utilities, resets = payoffs(js, spec, params.shift)
+        rows, *tables = payoffs(js, spec, params.shift)
+        rewards, utilities, resets = (table[rows] for table in tables)
         own = landing_rewards([alloc.weight(j) for j in js.tolist()], np.abs(js) > n_tau, params)
         assert rewards.tolist() == own.tolist()
         assert resets.tolist() == (np.abs(js) > n_tau).tolist()

@@ -10,7 +10,8 @@ numbers is |x - y| / max(|x|, |y|); a moved value that is not a number on
 both sides (text, a missing field or row) counts as inf. The last line is
 the count of files that differ and the largest relative difference over
 all of them. The exit code is 1 when anything differs, 0 when the trees
-are byte-identical, and 2 when the two arguments are not directories.
+are byte-identical, and 2 when the two arguments are not directories. A
+reader that closes the pipe early (``| head``) ends the report quietly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -113,9 +115,13 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python3 tools/cli_diff.py OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
     lines, differ, worst = compare(Path(args[0]), Path(args[1]))
-    for line in lines:
-        print(line)
-    print(f"{differ} files differ; largest relative difference {worst:.3g}")
+    try:
+        for line in lines:
+            print(line)
+        print(f"{differ} files differ; largest relative difference {worst:.3g}", flush=True)
+    except BrokenPipeError:  # the reader closed early, as `| head` does: stop quietly
+        # stdout's last buffered bytes would fail again at exit, so it points at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if differ else 0
 
 
