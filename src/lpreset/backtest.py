@@ -139,16 +139,20 @@ def replay(
         first[0] = True  # row 0 starts the run under the series' first bin
         starts = np.flatnonzero(first)
         # a run that starts at a reset is centred on the bin it reset to: the
-        # previous centre plus the landing offset of the step that reset
-        shifts = np.where(resets[starts], js[starts], 0)
-        shifts[0] += grid.price_to_bin(float(series.prices[0]))
-        distinct, edge_of_run = distinct_ranks(np.cumsum(shifts))
+        # previous centre plus the landing offset of the step that reset;
+        # every run but the first starts at a reset
+        centres = js[starts]
+        del js
+        if not resets[0]:
+            centres[0] = 0
+        centres[0] += grid.price_to_bin(float(series.prices[0]))
+        np.cumsum(centres, out=centres)
+        distinct, edge_of_run = distinct_ranks(centres)
+        del centres
         # band edges may poke past the grid's covered span near the series
         # extremes, so they are computed for any index, not read off the grid
         edges = grid.edges_at(distinct[:, None] + [-n_alpha, n_alpha + 1, -n_tau, n_tau + 1])
         band = Band(series.prices[1:], starts, edge_of_run, edges)
-
-    del js
     v2_mean = v2_baseline(series, grid, params)
     # the v2 utility may underflow to 0, or the quotient overflow
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan

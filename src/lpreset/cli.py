@@ -158,8 +158,10 @@ def _parse_grid(raw: str | None, typ) -> list:
 def cmd_simulate(args: argparse.Namespace) -> int:
     dist = NextPriceDistribution.load(args.distribution)
     spec = load_strategy(args.strategy, dist)
-    path = sample_path(dist, args.steps, args.seed)
-    report = run_strategy(path, spec, seed=args.seed, trace_out=args.trace_out)
+    # the path passes straight to run_strategy, which frees it once walked
+    report = run_strategy(
+        sample_path(dist, args.steps, args.seed), spec, seed=args.seed, trace_out=args.trace_out
+    )
     _emit_json(report.to_json_dict(), args.out, args.quiet)
     return 0
 

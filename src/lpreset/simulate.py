@@ -17,8 +17,9 @@ __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
 BLOCK_ROWS = 512  # rows of a per-step CSV (trace or band) formatted and written at once
+SUM_ROWS = 1 << 16  # steps whose rewards the running total gathers at once
 GUIDE_CELLS = 4096  # guide-table cells of sample_path; a power of two
-LOCKSTEP_MIN = 32  # fewer live stretches than this finish one step at a time
+LOCKSTEP_MIN = 32  # fewer live runs than this finish one step at a time
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,13 @@ def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarra
 
     A uniform u draws move k - k_max for k = searchsorted(cdf, u, "right"),
     the count of CDF entries <= u. A guide table over ``GUIDE_CELLS`` equal
-    cells of [0, 1) holds that count for each cell without a CDF entry
+    cells of [0, 1) holds that move for each cell without a CDF entry
     inside, where it is the same for every u of the cell; only draws in the
     few cells that hold an entry are searched. ``GUIDE_CELLS`` is a power of
-    two, so u * GUIDE_CELLS is exact and its floor is the cell of u: every
-    k is the one the search gives.
+    two, so u and the CDF scale by it exactly, in place, and the floor of a
+    scaled u is its cell: every k is the one the search gives. The searched
+    draws' u are taken before the moves are gathered, so u is freed first
+    and at most two arrays as long as the path are alive at once.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -61,14 +64,19 @@ def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarra
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0  # guard against cumulative rounding
+    cdf *= GUIDE_CELLS
     u = rng.random(steps)
-    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
-    lo = np.searchsorted(cdf, edges[:-1], side="right")  # entries <= cell start
-    hi = np.searchsorted(cdf, edges[1:], side="left")  # entries < cell end
-    ks = np.where(lo == hi, lo, -1)[(u * GUIDE_CELLS).astype(np.intp)]
-    split = np.flatnonzero(ks < 0)
-    ks[split] = np.searchsorted(cdf, u[split], side="right")
-    return ks - dist.k_max
+    u *= GUIDE_CELLS
+    bounds = np.arange(GUIDE_CELLS + 1)
+    lo = np.searchsorted(cdf, bounds[:-1], side="right")  # entries <= cell start
+    hi = np.searchsorted(cdf, bounds[1:], side="left")  # entries < cell end
+    cells = u.astype(np.intp)
+    split = np.flatnonzero((lo < hi)[cells])  # draws in a cell that holds an entry
+    u = u[split]
+    moves = (lo - dist.k_max)[cells]  # a split draw's move is set below
+    del cells
+    moves[split] = np.searchsorted(cdf, u, side="right") - dist.k_max
+    return moves
 
 
 def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
@@ -80,53 +88,63 @@ def execute(moves: np.ndarray, n_tau: int) -> np.ndarray:
 
     A *sure reset* is a move with |m| > 2*n_tau: from any offset o in B_tau
     it lands at |o + m| >= |m| - n_tau > n_tau, so it resets whatever the
-    offset. It is walked as +-(2*n_tau + 1), which resets the same way, and
-    the rest of it is added back to its landing offset, so no table grows
-    with the move. The walk splits into stretches, each ending with a sure
-    reset (or the path's end), that all start at offset 0 and are
-    independent of one another. The stretches advance side by side, one
-    position per numpy step, longest first, until fewer than
-    ``LOCKSTEP_MIN`` are left; those finish one step at a time, as does the
-    whole walk of a path without sure resets. Every step is the same integer
-    arithmetic as the one-step loop, so the offsets are the same.
+    offset. The sure resets cut the path into runs of other moves, each of
+    which starts at offset 0 and is independent of the others; a sure reset
+    lands at its move plus the offset the run before it left (0 after
+    another sure reset), and no table grows with the move. The runs advance
+    side by side, one position per numpy step, longest first, until fewer
+    than ``LOCKSTEP_MIN`` are left; those finish one step at a time, as does
+    the whole walk of a path without sure resets. Every step is the same
+    integer arithmetic as the one-step loop, so the offsets are the same.
+
+    The runs are found and ordered before the offsets are copied from the
+    moves, so besides ``moves`` one array as long as the path, and the runs'
+    starts, lengths and offsets, are alive at once.
     """
     moves = np.asarray(moves, dtype=np.int64)
-    sure = 2 * n_tau + 1
-    # the walk; each step's landing offset overwrites its move, once read
-    js = np.clip(moves, -sure, sure)
-    size = np.abs(js)
-    reach = n_tau + int(size.max(initial=0))
-    ends = np.flatnonzero(size == sure)  # the sure resets
+    size = np.abs(moves)
+    reach = n_tau + min(int(size.max(initial=0)), 2 * n_tau)  # bounds a walked |j|
+    cut = np.concatenate(([True], size > 2 * n_tau, [True]))  # sure resets, and both ends
     del size
-    rest = moves[ends] - js[ends]  # the only steps where walk and move differ
+    # a run starts after a cut and stops at the next: at a sure reset or the path's end
+    starts = np.flatnonzero(cut[1:] < cut[:-1])
+    lengths = np.flatnonzero(cut[:-1] < cut[1:]) - starts
+    del cut
+    order = np.argsort(-lengths)
+    starts, lengths = starts[order], lengths[order]
+    del order
+    js = moves.copy()  # each landing offset overwrites its move, once read
     del moves  # a caller that passes a temporary, as replay does, frees it here
     # settle[j] is the offset left after landing at j; negative j index from the end
     settle = np.roll(np.where(resets_over(reach, n_tau), 0, np.arange(-reach, reach + 1)), -reach)
-    starts = np.concatenate(([0], ends + 1))
-    lengths = np.append(starts[1:], len(js)) - starts
-    order = np.argsort(-lengths)
-    starts, lengths = starts[order], lengths[order]
-    # positions run side by side while LOCKSTEP_MIN stretches or more are live
+    # positions run side by side while LOCKSTEP_MIN runs or more are live
     lock = int(lengths[LOCKSTEP_MIN - 1]) if len(lengths) >= LOCKSTEP_MIN else 0
-    # live_at[pos]: the stretches longer than pos, which come first
+    # live_at[pos]: the runs longer than pos, which come first
     live_at = np.searchsorted(-lengths, -np.arange(lock + 1), side="left").tolist()
-    state = np.zeros(live_at[0], dtype=np.int64)
+    # state[r]: the offset run r has left so far
+    state = np.zeros(len(starts), dtype=np.int64)
     for pos, live in enumerate(live_at[:-1]):
         at = starts[:live] + pos
-        j = state[:live] + js[at]
+        j = js[at]
+        j += state[:live]
         js[at] = j
         state[:live] = settle[j]
     live = live_at[-1]
     settle_at = settle.tolist()
     tails = zip(starts[:live].tolist(), lengths[:live].tolist(), state[:live].tolist())
-    for start, length, offset in tails:
+    for run, (start, length, offset) in enumerate(tails):
         tail = []
         for move in js[start + lock : start + length].tolist():
             j = offset + move
             tail.append(j)  # a list appends faster than an array("q")
             offset = settle_at[j]
         js[start + lock : start + length] = np.frombuffer(array("q", tail), np.int64)
-    js[ends] += rest
+        state[run] = offset
+    # a sure reset lands at its move plus the offset the run before it left
+    stops = starts + lengths
+    del starts, lengths
+    before = stops < len(js)  # the runs a sure reset follows
+    js[stops[before]] += state[before]
     return js
 
 
@@ -177,25 +195,32 @@ def run_strategy(
     if n < 1:
         raise InputError("path must have at least one move")
     js = execute(path, spec.n_tau)
-    rows, *tables = payoffs(js, spec, spec.params.shift)
-    rewards, utilities, resets = (table[rows] for table in tables)
-    del rows
-    # a running sum in step order, from 0.0 (which turns a -0.0 total into 0.0)
+    del path  # a caller that passes a temporary, as cmd_simulate does, frees it here
+    rows, rewards, utilities, resets = payoffs(js, spec, spec.params.shift)
+    # a running sum in step order, from 0.0 (so a -0.0 total reads 0.0), of
+    # SUM_ROWS gathered rewards at a time, each block going on from the last
+    total = 0.0
     with np.errstate(over="ignore"):
-        total = float(np.cumsum(rewards)[-1]) + 0.0
+        for lo in range(0, n, SUM_ROWS):
+            summed = rewards[rows[lo : lo + SUM_ROWS]]
+            summed[0] += total
+            total = float(np.cumsum(summed, out=summed)[-1])
     if not math.isfinite(total):
         raise NumericalError(f"total reward of {n} steps overflows at kappa * ell = "
                              f"{spec.params.kappa * spec.params.ell!r}")
 
     if trace_out is not None:
         _write_trace(trace_out, js, rewards, resets)
-
+    del js
+    resets = int(np.count_nonzero(resets[rows]))
+    utilities = utilities[rows]
+    del rows
     scale = scale_down(utilities)
     mean = float(utilities.mean()) * scale
     std_error = float(utilities.std(ddof=1) * scale / math.sqrt(n)) if n > 1 else 0.0
     return SimReport(
         steps=n,
-        resets=int(np.count_nonzero(resets)),
+        resets=resets,
         total_reward=total,
         mean_utility_per_step=mean,
         std_error=std_error,
@@ -206,18 +231,20 @@ def run_strategy(
 def _write_trace(path: str, js: np.ndarray, rewards: np.ndarray, resets: np.ndarray) -> None:
     """Write the per-step trace CSV, with the bytes ``csv.writer`` gives.
 
-    A step's reward and reset flag depend only on its landing offset, so
-    the rest of a row is formatted once per distinct offset, when a block
-    first holds it. Rows are read, formatted and written a block at a time,
-    so the writer holds one block, never the path.
+    ``rewards`` and ``resets`` are the payoff tables of ``payoffs``, over
+    the offsets -far..far. A step's reward and reset flag depend only on
+    its landing offset, so the rest of a row is formatted once per distinct
+    offset, when a block first holds it, from the table row of the offset.
+    Rows are read, formatted and written a block at a time, so the writer
+    holds one block, never the path.
     """
+    far = len(rewards) // 2
     tails = {}
     with open(path, "w", newline="") as fh:
         fh.write("step,offset,reward,reset_flag\r\n")
         for lo in range(0, len(js), BLOCK_ROWS):
-            block = js[lo : lo + BLOCK_ROWS]
-            offsets, first = np.unique(block, return_index=True)
-            for j, i in zip(offsets.tolist(), (first + lo).tolist()):
-                if j not in tails:
-                    tails[j] = f",{j},{float(rewards[i])!r},{int(resets[i])}\r\n"
-            fh.write("".join([f"{t}{tails[j]}" for t, j in enumerate(block.tolist(), lo)]))
+            block = js[lo : lo + BLOCK_ROWS].tolist()
+            for j in set(block).difference(tails):
+                row = min(max(j, -far), far) + far
+                tails[j] = f",{j},{float(rewards[row])!r},{int(resets[row])}\r\n"
+            fh.write("".join([f"{t}{tails[j]}" for t, j in enumerate(block, lo)]))

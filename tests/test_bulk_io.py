@@ -28,12 +28,15 @@ from lpreset import (
     PriceSeries,
     StrategySpec,
     UtilityParams,
+    fit_distribution,
     load_price_csv,
+    percent_changes,
     replay,
     run_strategy,
     sample_path,
 )
 from lpreset.simulate import BLOCK_ROWS, _write_trace, execute, payoffs
+from lpreset.strategies import resolve_strategy
 from tests.conftest import band_rows, make_eth_like
 
 
@@ -416,10 +419,14 @@ class TestWriteBandCsv:
 # and replaying them with the band holds at most this many at once (the
 # column copy, the binning's np.unique and replay's dropped columns held 8.45)
 PATH_ARRAYS = 5.5
+# at n_tau 0, where 85% of the moves are sure resets and as many rows start
+# a band run, at most this many (execute's stretch bookkeeping, six arrays
+# as long as the sure resets, and the band's centres held 10.58)
+PATH_ARRAYS_AT_N_TAU_0 = 7.0
 
 
 class TestReplayMemory:
-    def test_load_and_replay_hold_few_path_arrays(self, tmp_path):
+    def backtest_peak(self, tmp_path, n_tau):
         rows = 200_000
         rng = np.random.default_rng(5)  # a Student-t walk like the benchmark's
         walk = np.concatenate([[0.0], np.cumsum(0.00114 * rng.standard_t(3.0, rows - 1))])
@@ -429,7 +436,7 @@ class TestReplayMemory:
             fh.writelines(f"{1_600_000_000 + 600 * i},{p!r}\n"
                           for i, p in enumerate((2000.0 * np.exp(walk)).tolist()))
         alloc = Allocation(5, np.full(11, 1 / 11))
-        spec = StrategySpec("custom", 3, alloc, UtilityParams(a=0.1))
+        spec = StrategySpec("custom", n_tau, alloc, UtilityParams(a=0.1))
         step = 0.0005
         reports = []
 
@@ -441,7 +448,40 @@ class TestReplayMemory:
 
         peak = traced_peak(backtest, tmp_path)
         assert reports[0].steps == rows - 1 and reports[0].resets > rows // 10
-        assert peak <= PATH_ARRAYS * 8 * rows
+        return peak / (8 * rows)
+
+    def test_load_and_replay_hold_few_path_arrays(self, tmp_path):
+        assert self.backtest_peak(tmp_path, 3) <= PATH_ARRAYS
+
+    def test_load_and_replay_at_n_tau_0_hold_few_path_arrays(self, tmp_path):
+        assert self.backtest_peak(tmp_path, 0) <= PATH_ARRAYS_AT_N_TAU_0
+
+
+# drawing and simulating a path holds at most this many at once: the draw's
+# uniforms and cells, the moves and the offsets they are walked to, or the
+# payoff rows and one gathered column (with the path kept until the report,
+# the draw's three temporaries, execute's stretch bookkeeping and three
+# gathered columns, it held 5.13 at n_tau 2 and 9.65 at n_tau 0)
+SIM_PATH_ARRAYS = 4.0
+
+
+class TestSimulateMemory:
+    @pytest.mark.parametrize("n_tau", [2, 0])
+    def test_sample_and_run_hold_few_path_arrays(self, tmp_path, n_tau):
+        # the benchmark's law: k_max 64, fitted to a 1,000-row Student-t walk
+        rng = np.random.default_rng(11)
+        walk = np.concatenate([[0.0], np.cumsum(0.00114 * rng.standard_t(3.0, 999))])
+        series = PriceSeries(600.0 * np.arange(1000), 2000.0 * np.exp(walk))
+        dist = fit_distribution(percent_changes(series), k_max=64)
+        doc = {"kind": "proportional", "n_tau": n_tau, "alpha_mass": 0.9, "params": {"a": 0.1}}
+        spec = resolve_strategy(doc, dist)
+        steps = 200_000
+        reports = []
+        peak = traced_peak(
+            lambda _: reports.append(run_strategy(sample_path(dist, steps, 3), spec)), tmp_path
+        )
+        assert reports[0].steps == steps and reports[0].resets > steps // 10
+        assert peak <= SIM_PATH_ARRAYS * 8 * steps
 
 
 class TestWriteTrace:
@@ -476,8 +516,7 @@ class TestWriteTrace:
 
         def peak(steps):
             js = execute(sample_path(dist, steps, seed=2), spec.n_tau)
-            rows, table, _, reset_table = payoffs(js, spec, spec.params.shift)
-            rewards, resets = table[rows], reset_table[rows]
+            _, rewards, _, resets = payoffs(js, spec, spec.params.shift)
             return traced_peak(lambda out: _write_trace(out, js, rewards, resets), tmp_path)
 
         assert peak(200_000) <= peak(10_000) + PEAK_MARGIN

@@ -1001,27 +1001,30 @@ class TestEveryInputEndsCleanly:
         risk=st.sampled_from([-1.0, 0.0, 1.0]),
         off=st.lists(st.sampled_from(OFF), max_size=3),
         anchor=st.sampled_from(["first", "low"]),
+        # eval's and sweep's E_u mode, or one argparse refuses
+        mode=st.sampled_from([MODE_STRICT, MODE_FULL, "exact"]),
     )
     # the inputs this property first found or pinned: a std_error whose squares
     # overflowed, kappa * ell under the smallest normal float, a count past int64,
     # a backtest mean whose sum overflowed, a utility -expm1(-a c) / a whose
     # division overflowed at a tiny a < 0, and a v2 baseline whose a * c underflowed
     @example(command="simulate", kind="uniform", risk=0.0, off=[("kappa", 1e200)],
-             anchor="first")
+             anchor="first", mode=MODE_STRICT)
     @example(command="backtest", kind="uniform", risk=1.0, off=[("kappa", 1e-320)],
-             anchor="first")
+             anchor="first", mode=MODE_STRICT)
     @example(command="optimize", kind="uniform", risk=1.0,
-             off=[("kappa", 1e-200), ("ell", 1e-200)], anchor="first")
-    @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)], anchor="first")
+             off=[("kappa", 1e-200), ("ell", 1e-200)], anchor="first", mode=MODE_STRICT)
+    @example(command="eval", kind="uniform", risk=0.0, off=[("n_tau", 2**63)], anchor="first",
+             mode=MODE_STRICT)
     @example(command="backtest", kind="uniform", risk=0.0, off=[("kappa", 1e308)],
-             anchor="first")
+             anchor="first", mode=MODE_STRICT)
     @example(command="eval", kind="uniform", risk=0.0, off=[("a", -1e-306), ("kappa", 1e308)],
-             anchor="first")
+             anchor="first", mode=MODE_STRICT)
     @example(command="optimize", kind="uniform", risk=0.0,
-             off=[("a", -1e-306), ("kappa", 1e307)], anchor="first")
+             off=[("a", -1e-306), ("kappa", 1e307)], anchor="first", mode=MODE_STRICT)
     @example(command="backtest", kind="uniform", risk=-1.0,
-             off=[("kappa", 1e-200), ("a", 1e-306)], anchor="first")
-    def test_exit_code_and_stderr(self, inputs, command, kind, risk, off, anchor):
+             off=[("kappa", 1e-200), ("a", 1e-306)], anchor="first", mode=MODE_STRICT)
+    def test_exit_code_and_stderr(self, inputs, command, kind, risk, off, anchor, mode):
         v = {name: valid for name, (valid, _) in INPUTS.items()} | dict(off)
         a = risk if v["a"] is None else v["a"]
         body = {"kind": kind, "params": {"a": a, "kappa": v["kappa"], "ell": v["ell"]}}
@@ -1054,9 +1057,9 @@ class TestEveryInputEndsCleanly:
         widths = [] if v["width"] is None else [f"--bin-width-pct={v['width']!r}"]
         argv = {
             "fit": ["fit", prices, "--k-max", str(v["k_max"]), *widths],
-            "eval": ["eval", dist, str(doc)],
+            "eval": ["eval", dist, str(doc), "--mode", mode],
             "optimize": ["optimize", dist, *taus, *flags],
-            "sweep": ["sweep", dist, *windows, *flags],
+            "sweep": ["sweep", dist, *windows, *flags, "--mode", mode],
             "simulate": ["simulate", dist, str(doc), "--steps", str(v["steps"]),
                          "--seed", str(v["seed"])],
             "backtest": ["backtest", prices, str(doc), "--k-max", str(v["k_max"]), *widths,
