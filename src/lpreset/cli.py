@@ -1,10 +1,12 @@
 """Command-line front end: fit, eval, optimize, sweep, simulate, backtest.
 
 Every command writes deterministic JSON (sorted keys) or CSV so reruns with
-identical inputs and seeds are byte-identical. Figures are plotted from
-these artifacts by external tooling; no images are emitted here. Strategy
-documents are read by ``strategies.load_strategy``; this module only maps
-arguments to library calls and errors to one ``error:`` line.
+identical inputs and seeds are byte-identical at a fixed BLAS thread count
+(the chain solve may round differently across thread counts). Figures are
+plotted from these artifacts by external tooling; no images are emitted
+here. Strategy documents are read by ``strategies.load_strategy``; this
+module only maps arguments to library calls and errors to one ``error:``
+line.
 """
 
 from __future__ import annotations

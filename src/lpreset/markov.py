@@ -66,12 +66,10 @@ class LandingLaw:
 
 
 @dataclass(frozen=True)
-class ResetChain:
-    """Transition matrix over B_tau plus its stationary distribution p_tau."""
+class ResetChain(LandingLaw):
+    """The ``LandingLaw`` of B_tau plus the chain's transition matrix M over it."""
 
-    n_tau: int
     M: np.ndarray
-    stationary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,12 +89,12 @@ def _f_block(dist: NextPriceDistribution, n_rows: int, n_cols: int) -> np.ndarra
     reach = n_rows + n_cols
     pad = max(dist.k_max, reach)
     h = centred(dist.probs, pad)
-    return np.lib.stride_tricks.as_strided(  # row i + 1 starts one offset back
-        h[pad - reach + 2 * n_rows :],
-        shape=(2 * n_rows + 1, 2 * n_cols + 1),
-        strides=(-h.itemsize, h.itemsize),
-        writeable=False,
+    F = np.ndarray(  # row i + 1 starts one offset back
+        (2 * n_rows + 1, 2 * n_cols + 1), h.dtype, h,
+        offset=(pad - reach + 2 * n_rows) * h.itemsize, strides=(-h.itemsize, h.itemsize),
     )
+    F.flags.writeable = False
+    return F
 
 
 def _cycle_visits(F: np.ndarray) -> np.ndarray | None:
@@ -137,10 +135,10 @@ def landing_law(dist: NextPriceDistribution, n_tau: int) -> LandingLaw:
 
 
 def build_reset_chain(dist: NextPriceDistribution, n_tau: int) -> ResetChain:
-    p = landing_law(dist, n_tau).stationary
+    law = landing_law(dist, n_tau)
     M = _f_block(dist, n_tau, n_tau).copy()
     M[:, n_tau] += np.maximum(1.0 - M.sum(axis=1), 0.0)
-    return ResetChain(n_tau=n_tau, M=M, stationary=p)
+    return ResetChain(**vars(law), M=M)
 
 
 def stationary_distribution(M: np.ndarray) -> np.ndarray:
@@ -184,8 +182,6 @@ def landing_distribution(chain: ResetChain, O: OutcomeMatrix) -> np.ndarray:
     return chain.stationary @ O.O
 
 
-def landing_over(
-    dist: NextPriceDistribution, chain: ResetChain, js: np.ndarray
-) -> np.ndarray:
+def landing_over(chain: LandingLaw, js: np.ndarray) -> np.ndarray:
     """q(j) over arbitrary relative offsets js (zero beyond the reach)."""
-    return at_offsets(np.convolve(chain.stationary, dist.probs), js)
+    return at_offsets(chain.q, js)

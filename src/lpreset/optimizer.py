@@ -190,21 +190,19 @@ def kkt_residual(problem: OptimizationProblem, weights: np.ndarray) -> float:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based).
 
-    For the largest entry the threshold test u - (u - 1) > 0 holds exactly,
-    but it rounds to 0 once v passes 2**53. The projection is
-    translation-invariant, so such a v is projected as v - max(v).
+    The projection is translation-invariant, so v is projected as v - max(v).
+    Then the largest entry passes the threshold test u - (u - 1) > 0 exactly,
+    which for v itself rounds to 0 once v passes 2**53.
     """
     v = np.asarray(v, dtype=float)
+    top = v.max()
+    if not np.isfinite(top):  # a NaN or +inf entry, or every entry -inf
+        raise NumericalError("simplex projection of a vector that is not finite")
+    v = v - top
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ind = np.arange(1, len(v) + 1)
-    passing = np.nonzero(u - css / ind > 0)[0]
-    if passing.size == 0:
-        shifted = v - v.max()
-        if not np.all(np.isfinite(shifted)):  # NaN never passes the test above
-            raise NumericalError("simplex projection of a vector that is not finite")
-        return project_simplex(shifted)
-    rho = passing[-1]
+    rho = np.nonzero(u - css / ind > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

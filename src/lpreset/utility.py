@@ -111,25 +111,25 @@ class Allocation:
 
 
 def exp_utility(c: float | np.ndarray, params: UtilityParams) -> float | np.ndarray:
-    """u(c) = (1 - exp(-a c)) / a for a != 0, and c at a = 0.
+    """u(c) = (1 - exp(-a c)) / a, whose limit at a = 0 is c.
 
     ``c`` is a number, which gives a float, or an array, which gives the
     utility of each element. It is computed as -expm1(-a c) / a, which keeps
     every digit when a*c is tiny; 1 - exp(-a c) cancels to 0 below a*c of
-    about 1e-16. np.expm1 gives an element the same bits alone as in an array.
-    At a huge a > 0, a*c may overflow to inf, where u saturates at its limit 1/a.
+    about 1e-16. Where a*c underflows, u is c to the last bit: at a = 0 that
+    is every element, so one formula serves every a. np.expm1 gives an
+    element the same bits alone as in an array. At a huge a > 0, a*c may
+    overflow to inf, where u saturates at its limit 1/a.
     """
     a = params.a
     c = np.asarray(c, dtype=float)
-    if a == 0.0:
-        u = c.copy()
-    else:
-        with np.errstate(over="ignore"):  # -inf at a > 0 gives 1/a; an inf u is refused below
-            arg = -a * c  # where a*c underflows, u is c to the last bit
-            u = np.where(np.abs(arg) < sys.float_info.min, c, -np.expm1(arg) / a)
-        i = np.argmax(arg) if arg.size else None  # |u| grows with arg: u overflows here first
-        if i is not None and (arg.flat[i] > _EXP_ARG_LIMIT or not math.isfinite(u.flat[i])):
-            raise NumericalError(f"exp_utility overflow: a={a}, c={float(c.flat[i])}")
+    # -inf at a > 0 gives 1/a, and an inf u is refused below; the 0/0 at a = 0 is not kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -a * c
+        u = np.where(np.abs(arg) < sys.float_info.min, c, -np.expm1(arg) / a)
+    i = np.argmax(arg) if arg.size else None  # |u| grows with arg: u overflows here first
+    if i is not None and (arg.flat[i] > _EXP_ARG_LIMIT or not math.isfinite(u.flat[i])):
+        raise NumericalError(f"exp_utility overflow: a={a}, c={float(c.flat[i])}")
     return float(u) if u.ndim == 0 else u
 
 

@@ -139,7 +139,7 @@ class TestExactOracle:
         js = np.arange(-n_alpha, n_alpha + 1)
         assert_close(landing_distribution(chain, outcome_matrix(dist, n_tau, n_alpha)), q_at,
                      scale=float(max(q)))
-        assert_close(landing_over(dist, chain, js), q_at, scale=float(max(q)))
+        assert_close(landing_over(chain, js), q_at, scale=float(max(q)))
 
         raw = np.array(alloc_weights, dtype=float)
         alloc = Allocation(n_alpha, raw / raw.sum() if raw.sum() > 0 else raw)

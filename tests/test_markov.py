@@ -1,9 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lpreset
 from lpreset import (
     InputError,
+    LandingLaw,
+    NextPriceDistribution,
     build_reset_chain,
     landing_distribution,
     landing_law,
@@ -180,9 +189,25 @@ class TestOutcomeAndLanding:
     def test_landing_over_matches_outcome_columns(self, five_dist):
         chain = build_reset_chain(five_dist, 1)
         js = np.arange(-3, 4)
-        q = landing_over(five_dist, chain, js)
+        q = landing_over(chain, js)
         O = outcome_matrix(five_dist, 1, 3)
         np.testing.assert_allclose(q, chain.stationary @ O.O, atol=1e-15)
+
+
+# the traced peak of 15,000 f blocks, cycling the n_tau of perfbench's sweep
+F_BLOCK_LOOP = """
+import tracemalloc
+import numpy as np
+from lpreset.distribution import NextPriceDistribution
+from lpreset.markov import _f_block
+h = np.exp(-0.2 * np.abs(np.arange(-64, 65)))
+dist = NextPriceDistribution(64, h / h.sum(), 1.0)
+shapes = [(n, n) for n in (0, 1, 2, 4, 8, 16, 32, 64)]
+tracemalloc.start()
+for k in range(15_000):
+    _f_block(dist, *shapes[k % len(shapes)])
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 class TestFBlock:
@@ -197,6 +222,17 @@ class TestFBlock:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
+        # a view of one zero-padded h
+        pad = max(dist.k_max, n_rows + n_cols)
+        assert got.base.shape == (2 * pad + 1,) and np.shares_memory(got, got.base)
+
+    def test_many_calls_hold_no_memory(self):
+        # a fresh process: numpy's as_strided keeps a block of about 939 KiB
+        # once a process has made some 10,000 views, so earlier tests would hide it
+        env = dict(os.environ, PYTHONPATH=str(Path(lpreset.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", F_BLOCK_LOOP], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert int(run.stdout) < 100 * 1024
 
     def test_reset_chain_gets_its_own_copy(self, toy_dist):
         M = build_reset_chain(toy_dist, 1).M
@@ -217,3 +253,34 @@ class TestLandingLawMemory:
         with pytest.raises(InputError, match="n_tau 100000 is too large"):
             landing_law(toy_dist, 100_000)
         assert landing_law(toy_dist, 2).n_tau == 2
+
+
+class TestChainIsItsLandingLaw:
+    @settings(max_examples=200, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 12))
+    def test_chain_carries_the_law_bit_for_bit(self, dist, n_tau):
+        law = landing_law(dist, n_tau)
+        chain = build_reset_chain(dist, n_tau)
+        assert isinstance(chain, LandingLaw) and chain.n_tau == n_tau
+        assert chain.stationary.tobytes() == law.stationary.tobytes()
+        assert chain.q.tobytes() == law.q.tobytes()
+        assert chain.cycle_length == law.cycle_length
+
+    @pytest.mark.parametrize("n_tau", [0, 1, 5])
+    def test_no_move_chain_has_an_infinite_cycle(self, n_tau):
+        dist = NextPriceDistribution(2, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1.0)
+        law, chain = landing_law(dist, n_tau), build_reset_chain(dist, n_tau)
+        assert chain.cycle_length == law.cycle_length == math.inf
+        assert chain.stationary.tobytes() == law.stationary.tobytes()
+        assert chain.q.tobytes() == law.q.tobytes()
+        assert np.array_equal(chain.M, np.eye(2 * n_tau + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=dists(), n_tau=st.integers(0, 6),
+           js=st.lists(st.integers(-(10**12), 10**12), max_size=20))
+    def test_landing_over_reads_q(self, dist, n_tau, js):
+        js = np.array(js, dtype=np.int64)
+        law = landing_law(dist, n_tau)
+        want = at_offsets(law.q, js).tobytes()
+        assert landing_over(law, js).tobytes() == want
+        assert landing_over(build_reset_chain(dist, n_tau), js).tobytes() == want

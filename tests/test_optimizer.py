@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lpreset import (
     InputError,
+    NumericalError,
     OptimizationProblem,
     UtilityParams,
     kkt_residual,
@@ -18,7 +19,7 @@ def toy_full_problem(toy_dist, a, kappa=1.0, ell=1.0):
     """Full-coverage problem for the three-bin worked example (n_tau = 1)."""
     chain = build_reset_chain(toy_dist, 1)
     js = np.arange(-2, 3)
-    q = landing_over(toy_dist, chain, js)
+    q = landing_over(chain, js)
     return OptimizationProblem(
         q=q,
         tau_membership=np.abs(js) <= 1,
@@ -111,7 +112,7 @@ class TestSolve:
         chain = build_reset_chain(eth_dist, 2)
         js = np.arange(-66, 67)
         prob = OptimizationProblem(
-            q=landing_over(eth_dist, chain, js),
+            q=landing_over(chain, js),
             tau_membership=np.abs(js) <= 2,
             params=UtilityParams(a=15.0, kappa=1.0, ell=100.0),
         )
@@ -121,7 +122,7 @@ class TestSolve:
     def test_monotone_risk_response(self, eth_dist):
         chain = build_reset_chain(eth_dist, 2)
         js = np.arange(-66, 67)
-        q = landing_over(eth_dist, chain, js)
+        q = landing_over(chain, js)
         spreads = []
         for a in (0.0, 0.1, 1.0, 10.0, 15.0):
             prob = OptimizationProblem(
@@ -271,3 +272,64 @@ class TestProjectSimplex:
             z = rng.random(6)
             z /= z.sum()
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - z) + 1e-12
+
+
+def reference_projection(v):
+    """The projection before it always shifted: of v itself, and of v - max(v)
+    only when no entry of v passes the threshold test."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    passing = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0]
+    if passing.size == 0:
+        shifted = v - v.max()
+        if not np.all(np.isfinite(shifted)):
+            raise NumericalError("simplex projection of a vector that is not finite")
+        return reference_projection(shifted)
+    rho = passing[-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+class TestOneProjectionPath:
+    """``project_simplex`` always projects v - max(v), which is v where max(v) == 0."""
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e3, 0.0), st.sampled_from([0.0, -0.0, -0.5, -1.0, -1e-300])),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300)
+    def test_unchanged_bit_for_bit_where_the_max_is_zero(self, values):
+        v = np.array(values)
+        v = v - v.max()  # the form solve's water-filling hands over: its top entry is 0.0
+        assert project_simplex(v).tobytes() == reference_projection(v).tobytes()
+
+    @pytest.mark.parametrize("v", [
+        [1e17, 1e17 - 2**12, 5e16, -3.0],
+        [2.0**60, 2.0**60, 2.0**60 - 2**9],
+        [-1e300, 3e18, 3e18],
+    ])
+    def test_entries_past_two_to_the_53_project_as_before(self, v):
+        v = np.array(v)
+        w = project_simplex(v)
+        assert w.tobytes() == reference_projection(v).tobytes()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("top", [0.0, 0.5, 1e17])
+    def test_nan_or_inf_is_refused_as_before(self, bad, top):
+        v = np.array([top, bad, -1.0])
+        for project in (project_simplex, reference_projection):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+                project(v)
+        with pytest.raises(NumericalError, match="not finite"):
+            project_simplex(np.array([-np.inf, -np.inf]))
+
+    @pytest.mark.parametrize("top", [0.0, 0.5])
+    def test_minus_inf_entry_gets_nothing_as_before(self, top):
+        v = np.array([top, -np.inf, top - 1.0])
+        with np.errstate(invalid="ignore"):  # -inf - -inf in the threshold test
+            w = project_simplex(v)
+            assert w.tobytes() == reference_projection(v).tobytes()
+        assert w.tolist() == [1.0, 0.0, 0.0]

@@ -90,6 +90,20 @@ class TestExpUtility:
             exp_utility(800.0, UtilityParams(a=-1.0))
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_risk_neutral_is_c_bit_for_bit(self):
+        # at a = 0 every a*c underflows, so the one formula hands back c itself
+        p = UtilityParams(a=0.0)
+        c = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.5, -1.0, 1e-310, 3e-17])
+        for x in c.tolist():
+            u = exp_utility(x, p)
+            assert type(u) is float and np.float64(u).tobytes() == np.float64(x).tobytes()
+            assert np.float64(exp_utility(np.array(x), p)).tobytes() == np.float64(x).tobytes()
+        for shaped in (c, c.reshape(2, 5), c.reshape(5, 1, 2)):
+            u = exp_utility(shaped, p)
+            assert u.shape == shaped.shape and u.tobytes() == shaped.tobytes()
+            assert not np.shares_memory(u, shaped)
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     def test_huge_a_saturates_at_one_over_a(self):
         # a*c overflows to inf for every c > 1: u is its limit 1/a, and u(0) = 0
         c = np.array([0.0, 0.5, 2.0, 101.0])
@@ -309,7 +323,7 @@ class TestOneWindowReader:
         assert law.over(n).tolist() == centred(law.q, n).tolist()
         js = np.arange(-n, n + 1)
         chain = build_reset_chain(dist, n_tau)
-        assert landing_over(dist, chain, js).tolist() == centred(law.q, n).tolist()
+        assert landing_over(chain, js).tolist() == centred(law.q, n).tolist()
         n = data.draw(half_widths(dist.k_max))
         assert at_offsets(dist.probs, np.arange(-n, n + 1)).tolist() == centred(dist.probs, n).tolist()
         n = data.draw(half_widths(alloc.n_alpha))

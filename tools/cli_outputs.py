@@ -34,7 +34,9 @@ bins for 10,000 rows), the same ``backtest --band-out`` at
 and a mass grid, plus proportional, uniform and optimal in both modes over
 an n_alpha grid that passes k_max and the reach, with a repeated n_tau),
 and ``eval`` in both modes and ``simulate --trace-out`` for every strategy
-document. The documents are the constructor form with counts, the
+document. On the first fit (k_max 64), at each a: ``optimize`` at n_tau 64
+and 256 and an optimal ``sweep`` over both, chains of 129 and 513 states.
+The documents are the constructor form with counts, the
 constructor form with masses, two optimal documents that give B_alpha (as
 a count and as a mass), the weights form, and two uniform documents at
 n_tau 0 and 40 (every move a sure reset of ``simulate.execute``, and
@@ -52,7 +54,7 @@ the smallest normal float; ``eval`` of a document with n_tau
 every array size; and ``simulate --trace-out`` of the kappa 1e307 document
 at the default 50,000 steps, whose total reward overflows. The run exits 0
 when every command exits 0 and every such refusal exits 1. In all: 48
-documents, 647 commands and 999 files with ``exit_codes.txt`` and
+documents, 659 commands and 1,011 files with ``exit_codes.txt`` and
 ``stderr.txt``.
 """
 
@@ -91,6 +93,9 @@ DOCUMENTS = {
 GRID = ["--n-tau-grid", "0,1,2,4,8", "--n-alpha-grid", "0,1,3,6,12"]
 # n_alpha past k_max (64) and past the reach n_tau + 64, with a repeated n_tau
 WIDE_GRID = ["--n-tau-grid", "0,2,8,2", "--n-alpha-grid", "0,70,200"]
+# chains of 129 and 513 states; B_alpha up to the reach 256 + 64
+LARGE_N_TAUS = ("64", "256")
+LARGE_GRID = ["--n-tau-grid", ",".join(LARGE_N_TAUS), "--n-alpha-grid", "64,320"]
 MODES = ("strict-paper", "full-coverage")
 FINE_WIDTH = ["--bin-width-pct", "1e-6"]
 # at this width nearly every move passes k_max, so h has its mass at the two
@@ -244,6 +249,16 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                 cmds.append(["backtest", str(csv_path), str(doc), "--grid-anchor", anchor,
                              "--band-out", str(out / f"band_{tag}.csv"),
                              "--out", str(out / f"backtest_{tag}.json")])
+    # the largest chains of the set, on the first fit (k_max 64)
+    for a in map(str, RISKS):
+        tag = f"{dists[0].stem}_a{a}"
+        cmds += [
+            ["optimize", str(dists[0]), "--n-tau", n_tau, "--a", a,
+             "--out", str(out / f"optimize_tau{n_tau}_{tag}.json")]
+            for n_tau in LARGE_N_TAUS
+        ]
+        cmds.append(["sweep", str(dists[0]), "--strategy", "optimal", *LARGE_GRID, "--a", a,
+                     "--out", str(out / f"sweep_large_{tag}.csv")])
     # a grid of about 20 million bins for 10,000 rows: work must follow the rows
     base, doc = inputs / "prices" / "prices_00000.csv", inputs / document_name(*FINE_DOCUMENT)
     cmds.append(["fit", str(base), *FINE_WIDTH, "--out", str(out / "fit_fine.json")])
