@@ -1,12 +1,13 @@
 """Command-line front end: fit, eval, optimize, sweep, simulate, backtest.
 
 Every command writes deterministic JSON (sorted keys) or CSV so reruns with
-identical inputs and seeds are byte-identical at a fixed BLAS thread count
-(the chain solve may round differently across thread counts). Figures are
-plotted from these artifacts by external tooling; no images are emitted
-here. Strategy documents are read by ``strategies.load_strategy``; this
-module only maps arguments to library calls and errors to one ``error:``
-line.
+identical inputs and seeds are byte-identical. The chain solve rounds
+differently under more than one BLAS thread, so this module pins one before
+numpy loads, whatever the environment says; a library caller that does not
+import it keeps its own setting. Figures are plotted from these artifacts
+by external tooling; no images are emitted here. Strategy documents are
+read by ``strategies.load_strategy``; this module only maps arguments to
+library calls and errors to one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
+
+# set, not defaulted, before the first package import loads numpy and BLAS
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
 
 from . import backtest as bt
 from .bins import BinGrid

@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import lpreset
 from lpreset import (
     MODE_FULL,
     MODE_STRICT,
@@ -1095,3 +1100,42 @@ class TestEveryInputEndsCleanly:
             assert code == 2
             assert lines[0].startswith("usage: lpreset")
             assert lines[-1].startswith(f"lpreset {command}: error: argument")
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# runs each argv of the JSON list in argv[1]; lpreset.cli comes first, so its
+# thread pin is set before numpy loads
+THREAD_CHILD = """
+import lpreset.cli
+import json, sys
+for argv in json.loads(sys.argv[1]):
+    assert lpreset.cli.main(argv) == 0
+"""
+
+
+class TestThreadCount:
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, eth_dist):
+        # chains of 129 and 513 states, whose dense solve rounds differently
+        # under 1 and 2 OpenBLAS threads
+        dist = write_dist(eth_dist, tmp_path / "dist.json")
+        # importing lpreset.cli pinned this process's environment too, so each
+        # child's is built without the three variables, then given its setting
+        base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        base["PYTHONPATH"] = str(Path(lpreset.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2", None):
+            out = tmp_path / f"threads_{threads}"
+            out.mkdir()
+            argvs = [
+                *(["optimize", dist, "--n-tau", n_tau, "--a", "0.1",
+                   "--out", str(out / f"optimize_{n_tau}.json")] for n_tau in ("64", "256")),
+                ["sweep", dist, "--strategy", "optimal", "--n-tau-grid", "64,256",
+                 "--n-alpha-grid", "64,320", "--a", "0.1", "--out", str(out / "sweep.csv")],
+            ]
+            env = base if threads is None else {**base, **dict.fromkeys(THREAD_VARS, threads)}
+            subprocess.run([sys.executable, "-c", THREAD_CHILD, json.dumps(argvs)],
+                           env=env, timeout=120, check=True)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

@@ -14,10 +14,12 @@ fields padded with spaces and one quoted price. Both take the row-by-row
 path. Later runs reuse the directory, so every tree reads the same files;
 a directory that lacks any of them (one an older checkout built) stops the
 run with the list of what is missing. The commands then run in one child
-process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1;
-each writes its output with ``--out`` (and ``--trace-out``/``--band-out``)
-under ``--out``, and ``exit_codes.txt`` lists each command with its exit
-code. A command that raises instead of returning is listed with -1.
+process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1.
+The CLI pins one thread itself, but a tree from before it did so writes
+bytes that depend on the thread count, and the tool compares against such
+trees. Each command writes its output with ``--out`` (and
+``--trace-out``/``--band-out``) under ``--out``, and ``exit_codes.txt``
+lists each command with its exit code. A command that raises instead of returning is listed with -1.
 ``stderr.txt`` holds, after a ``$`` line naming it, what each command wrote
 to stderr (an ``error:`` line, a numpy warning, a traceback), so a new or
 changed message shows up in ``tools/cli_diff.py`` too. In both files the
