@@ -21,7 +21,7 @@ import numpy as np
 from .bins import BinGrid, distinct_ranks
 from .distribution import PriceSeries
 from .errors import InputError, NumericalError
-from .simulate import BLOCK_ROWS, execute, payoffs, scale_down
+from .simulate import BLOCK_ROWS, count_stats, execute, payoffs
 from .strategies import StrategySpec
 from .utility import UtilityParams, exp_utility
 
@@ -117,34 +117,35 @@ def replay(
     Multi-bin jumps are allowed; a jump beyond B_tau is a single reset at the
     fixed cost of 1, re-centering on the landing bin. The step moves are the
     bin differences: bins[t] - center = (bins[t] - bins[t-1]) + offset left
-    by step t-1. Each path-sized array is freed once it is used: the bins
-    once differenced, the moves once walked, the payoff rows once gathered,
-    the utilities once averaged and the landing offsets once they have
-    given the band's centres. A ratio that is not finite is refused.
+    by step t-1. The mean and reset count come from the landings per payoff
+    row, as in ``run_strategy``; only the band gathers the reset flags, which
+    start its runs. Each path-sized array is freed once used: the bins once
+    differenced, the moves once walked, the rows once counted or gathered and
+    the offsets once they have given the band's centres. A ratio that is not
+    finite is refused.
     """
     params = spec.params
     n_tau, n_alpha = spec.n_tau, spec.n_alpha
 
     js = execute(np.diff(grid.prices_to_bins(series.prices)), n_tau)
     rows, _, utilities, resets = payoffs(js, spec, 0.0)
-    utilities, resets = utilities[rows], resets[rows]
-    del rows
-    scale = scale_down(utilities)
-    mean = float(utilities.mean()) * scale
-    del utilities
+    counts = np.bincount(rows, minlength=len(resets))
+    mean, _ = count_stats(counts, utilities)
 
     band = None
     if collect_band:
-        first = resets.copy()
-        first[0] = True  # row 0 starts the run under the series' first bin
+        first = resets[rows]
+        del rows
+        if not first[0]:
+            js[0] = 0  # the first run is centred on the series' first bin
+        first[0] = True  # row 0 starts the first run
         starts = np.flatnonzero(first)
+        del first
         # a run that starts at a reset is centred on the bin it reset to: the
         # previous centre plus the landing offset of the step that reset;
         # every run but the first starts at a reset
         centres = js[starts]
         del js
-        if not resets[0]:
-            centres[0] = 0
         centres[0] += grid.price_to_bin(float(series.prices[0]))
         np.cumsum(centres, out=centres)
         distinct, edge_of_run = distinct_ranks(centres)
@@ -161,8 +162,8 @@ def replay(
             f"ratio of mean utility {mean!r} to the v2 baseline's {v2_mean!r} is not finite"
         )
     return BacktestReport(
-        steps=len(resets),
-        resets=int(np.count_nonzero(resets)),
+        steps=int(counts.sum()),
+        resets=int(counts[resets].sum()),
         mean_utility_per_step=mean,
         v2_mean_utility_per_step=v2_mean,
         ratio=ratio,

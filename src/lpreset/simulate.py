@@ -17,7 +17,6 @@ __all__ = ["SimReport", "sample_path", "execute", "payoffs", "run_strategy"]
 
 RNG_ALGORITHM = "pcg64"
 BLOCK_ROWS = 512  # rows of a per-step CSV (trace or band) formatted and written at once
-SUM_ROWS = 1 << 16  # steps whose rewards the running total gathers at once
 GUIDE_CELLS = 4096  # guide-table cells of sample_path; a power of two
 LOCKSTEP_MIN = 32  # fewer live runs than this finish one step at a time
 
@@ -156,8 +155,8 @@ def payoffs(
 
     Every offset past far - 1 = max(n_tau, n_alpha) earns exactly -1 and
     resets, so the tables cover the offsets -far..far and a step's row is
-    its offset clipped to +-far, plus far. Step t earns ``rewards[rows[t]]``:
-    a caller gathers the per-step columns it uses and no other. Every step's
+    its offset clipped to +-far, plus far. Step t earns ``rewards[rows[t]]``,
+    so a path's sums are its landings per row times the tables. Every step's
     reset flag is read here, from ``resets_over``.
     """
     far = max(spec.n_tau, spec.n_alpha) + 1
@@ -168,13 +167,23 @@ def payoffs(
     return rows, table, exp_utility(table + shift, spec.params), resets
 
 
-def scale_down(utilities: np.ndarray) -> float:
-    """Divide ``utilities`` in place by 2**k, k >= 0 the least with max |u| / 2**k < 2,
-    and return 2**k. The mean and std of the scaled values times 2**k are the same
-    bits as the unscaled ones, but their sums cannot overflow."""
-    scale = max(1.0, math.ldexp(0.5, math.frexp(max(utilities.max(), -utilities.min()))[1]))
-    utilities /= scale  # in place: one more path-sized array here raised the peak RSS
-    return scale
+def count_stats(counts: np.ndarray, table: np.ndarray) -> tuple[float, float]:
+    """Mean and i.i.d. standard error std(ddof=1) / sqrt(n) (0.0 at n = 1) of the
+    n = sum(counts) values of which ``counts[r]`` are ``table[r]``.
+
+    The landed rows' values are divided by 2**k, k >= 0 the least with max |u|
+    / 2**k < 2, so no sum overflows; a power of two changes no other bit. Each
+    sum is ``(counts * values).sum()``: no BLAS call, whose bits vary by CPU.
+    """
+    landed = counts > 0
+    counts, values = counts[landed], table[landed]
+    n = int(counts.sum())
+    scale = max(1.0, math.ldexp(0.5, math.frexp(float(np.abs(values).max()))[1]))
+    values = values / scale
+    mean = (counts * values).sum() / n
+    deviations = values - mean  # exactly 0.0 at n = 1, where the error is 0.0
+    variance = (counts * deviations * deviations).sum() / max(n - 1, 1)
+    return float(mean) * scale, math.sqrt(variance) * scale / math.sqrt(n)
 
 
 def run_strategy(
@@ -190,6 +199,9 @@ def run_strategy(
     additionally pays the fixed reset fee of 1 and re-centers the strategy.
     Per-step utilities use the same shift convention as expected_utility, so
     the sample mean estimates the analytic full-coverage E_u.
+
+    The total reward, reset count, mean and i.i.d. standard error (which
+    treats the steps as independent) come from the landings per payoff row.
     """
     n = len(path)
     if n < 1:
@@ -197,14 +209,10 @@ def run_strategy(
     js = execute(path, spec.n_tau)
     del path  # a caller that passes a temporary, as cmd_simulate does, frees it here
     rows, rewards, utilities, resets = payoffs(js, spec, spec.params.shift)
-    # a running sum in step order, from 0.0 (so a -0.0 total reads 0.0), of
-    # SUM_ROWS gathered rewards at a time, each block going on from the last
-    total = 0.0
+    counts = np.bincount(rows, minlength=len(rewards))
+    del rows
     with np.errstate(over="ignore"):
-        for lo in range(0, n, SUM_ROWS):
-            summed = rewards[rows[lo : lo + SUM_ROWS]]
-            summed[0] += total
-            total = float(np.cumsum(summed, out=summed)[-1])
+        total = 0.0 + float((counts * rewards).sum())  # 0.0 +: a -0.0 total reads 0.0
     if not math.isfinite(total):
         raise NumericalError(f"total reward of {n} steps overflows at kappa * ell = "
                              f"{spec.params.kappa * spec.params.ell!r}")
@@ -212,15 +220,10 @@ def run_strategy(
     if trace_out is not None:
         _write_trace(trace_out, js, rewards, resets)
     del js
-    resets = int(np.count_nonzero(resets[rows]))
-    utilities = utilities[rows]
-    del rows
-    scale = scale_down(utilities)
-    mean = float(utilities.mean()) * scale
-    std_error = float(utilities.std(ddof=1) * scale / math.sqrt(n)) if n > 1 else 0.0
+    mean, std_error = count_stats(counts, utilities)
     return SimReport(
         steps=n,
-        resets=resets,
+        resets=int(counts[resets].sum()),
         total_reward=total,
         mean_utility_per_step=mean,
         std_error=std_error,

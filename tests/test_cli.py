@@ -1139,3 +1139,36 @@ class TestThreadCount:
         assert len(outputs[0]) == 3
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestBlasKernel:
+    def test_simulate_and_backtest_bytes_do_not_depend_on_the_openblas_core(
+        self, tmp_path, eth_dist
+    ):
+        # the sums of a path's rewards and utilities take no BLAS call, so a
+        # generic core writes the bytes that the one OpenBLAS picks here writes
+        dist = write_dist(eth_dist, tmp_path / "dist.json")
+        doc = tmp_path / "strategy.json"
+        doc.write_text(json.dumps({"kind": "proportional", "tau_mass": 0.5,
+                                   "alpha_mass": 0.9, "params": {"a": 0.1}}))
+        steps = np.random.default_rng(5).standard_t(3.0, size=1999) * 0.00114
+        prices = (2000.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))).tolist()
+        csv_path = write_price_csv(tmp_path / "px.csv", prices)
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        base["PYTHONPATH"] = str(Path(lpreset.__file__).resolve().parents[1])
+        outputs = []
+        for core in (None, "Prescott"):
+            out = tmp_path / f"core_{core}"
+            out.mkdir()
+            argvs = [
+                ["simulate", dist, str(doc), "--steps", "20000", "--seed", "3",
+                 "--out", str(out / "simulate.json")],
+                ["backtest", csv_path, str(doc), "--band-out", str(out / "band.csv"),
+                 "--out", str(out / "backtest.json")],
+            ]
+            env = base if core is None else {**base, "OPENBLAS_CORETYPE": core}
+            subprocess.run([sys.executable, "-c", THREAD_CHILD, json.dumps(argvs)],
+                           env=env, timeout=120, check=True)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[1] == outputs[0]

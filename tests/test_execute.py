@@ -5,7 +5,10 @@
 loops and the plain search that ``run_strategy``, ``replay``,
 ``BinGrid.price_to_bin``, ``execute`` and ``sample_path`` used to be. The
 vectorized code must give the same bits, so every comparison here is ``==``,
-never approximate.
+never approximate. The two walks count their landings per payoff row and
+form their sums from the counts, as the package does;
+the step-order sums they used to report must lie within the
+recursive-summation bound of those (``assert_near_step_order``).
 """
 
 import csv
@@ -60,17 +63,47 @@ def reference_sample_path(dist, steps, seed):
     return np.searchsorted(cdf, rng.random(steps), side="right") - dist.k_max
 
 
+def reference_mean_and_error(counts, utilities):
+    """Mean and i.i.d. standard error of a walk that landed ``counts[r]`` times
+    on a step of utility ``utilities[r]``, from count-times-value sums over
+    the landed rows."""
+    counts = np.asarray(counts)
+    landed = counts > 0
+    counts, utilities = counts[landed], np.asarray(utilities)[landed]
+    n = int(counts.sum())
+    biggest = float(np.abs(utilities).max())
+    scale = math.ldexp(1.0, math.frexp(biggest)[1] - 1) if biggest >= 2.0 else 1.0
+    scaled = utilities / scale
+    mean = (counts * scaled).sum() / n
+    if n == 1:
+        return float(mean) * scale, 0.0
+    squares = (counts * (scaled - mean) * (scaled - mean)).sum()
+    return float(mean) * scale, math.sqrt(squares / (n - 1)) * scale / math.sqrt(n)
+
+
+def assert_near_step_order(values, counts, table):
+    """The step-order sum of ``values``, the per-step values of ``table`` at the
+    walk's rows, lies within (n - 1) eps sum|x| of its sum from the counts."""
+    step_order = 0.0
+    for value in values:
+        step_order += value
+    counted = float((np.asarray(counts) * np.asarray(table)).sum())
+    bound = (len(values) - 1) * np.finfo(float).eps * math.fsum(abs(v) for v in values)
+    assert abs(step_order - counted) <= bound
+
+
 def reference_run_strategy(path, spec, seed=0, trace_out=None):
     params = spec.params
     alloc = spec.allocation
     scale = params.kappa * params.ell
     shift = params.shift
     n_tau = spec.n_tau
+    far = max(n_tau, spec.n_alpha) + 1
 
     offset = 0
     resets = 0
-    total_reward = 0.0
-    utilities = np.empty(len(path))
+    counts, rewards, utilities = [0] * (2 * far + 1), [0.0] * (2 * far + 1), [0.0] * (2 * far + 1)
+    step_rewards, step_utilities = [], []
     rows = []
     for t, move in enumerate(path):
         j = offset + int(move)
@@ -83,8 +116,12 @@ def reference_run_strategy(path, spec, seed=0, trace_out=None):
         else:
             offset = j
             reset_flag = 0
-        total_reward += r
-        utilities[t] = exp_utility(r + shift, params)
+        row = min(max(j, -far), far) + far
+        counts[row] += 1
+        rewards[row] = r
+        utilities[row] = exp_utility(r + shift, params)
+        step_rewards.append(r)
+        step_utilities.append(utilities[row])
         if trace_out is not None:
             rows.append((t, j, r, reset_flag))
 
@@ -94,11 +131,12 @@ def reference_run_strategy(path, spec, seed=0, trace_out=None):
             writer.writerow(["step", "offset", "reward", "reset_flag"])
             writer.writerows(rows)
 
-    n = len(path)
-    mean = float(utilities.mean())
-    std_error = float(utilities.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    total_reward = 0.0 + float((np.array(counts) * np.array(rewards)).sum())
+    mean, std_error = reference_mean_and_error(counts, utilities)
+    assert_near_step_order(step_rewards, counts, rewards)
+    assert_near_step_order(step_utilities, counts, utilities)
     return SimReport(
-        steps=n,
+        steps=len(path),
         resets=resets,
         total_reward=total_reward,
         mean_utility_per_step=mean,
@@ -126,11 +164,13 @@ def reference_replay(series, spec, grid, collect_band=False):
     alloc = spec.allocation
     scale = params.kappa * params.ell
     n_tau, n_alpha = spec.n_tau, spec.n_alpha
+    far = max(n_tau, n_alpha) + 1
 
     bins = [reference_price_to_bin(grid, float(p)) for p in series.prices]
     center = bins[0]
     resets = 0
-    utilities = []
+    counts, utilities = [0] * (2 * far + 1), [0.0] * (2 * far + 1)
+    step_utilities = []
     band = [] if collect_band else None
 
     for t in range(1, len(bins)):
@@ -140,7 +180,10 @@ def reference_replay(series, spec, grid, collect_band=False):
             r -= 1.0
             resets += 1
             center = bins[t]
-        utilities.append(exp_utility(r, params))
+        row = min(max(j, -far), far) + far
+        counts[row] += 1
+        utilities[row] = exp_utility(r, params)
+        step_utilities.append(utilities[row])
         if band is not None:
             band.append(
                 (
@@ -153,11 +196,12 @@ def reference_replay(series, spec, grid, collect_band=False):
                 )
             )
 
-    mean = float(np.mean(utilities))
+    mean, _ = reference_mean_and_error(counts, utilities)
+    assert_near_step_order(step_utilities, counts, utilities)
     v2_mean = v2_baseline(series, grid, params)
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan
     report = BacktestReport(
-        steps=len(utilities),
+        steps=len(step_utilities),
         resets=resets,
         mean_utility_per_step=mean,
         v2_mean_utility_per_step=v2_mean,

@@ -11,9 +11,11 @@ from lpreset import (
     UtilityParams,
     expected_utility,
     landing_law,
+    proportional_strategy,
     run_strategy,
     sample_path,
     uniform_strategy,
+    window_for_mass,
 )
 from lpreset.simulate import execute, payoffs
 
@@ -120,6 +122,21 @@ class TestRunStrategy:
         report = run_strategy(np.zeros(2, dtype=np.int64), spec)
         assert report.total_reward == pytest.approx(2 * (1e308 / 3), rel=1e-15)
         assert report.mean_utility_per_step == pytest.approx(1e308 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 15.0])
+    def test_total_reward_is_within_a_few_roundings_of_the_exact_sum(self, eth_dist, a):
+        # the total is the landings per payoff row times the reward table, a
+        # sum of 2 far + 1 terms, so its error is bounded by a few roundings
+        # of sum |r| however long the path; a running sum's bound grows with it
+        spec = proportional_strategy(eth_dist, UtilityParams(a=a), 2,
+                                     window_for_mass(eth_dist, 0.9))
+        far = max(spec.n_tau, spec.n_alpha) + 1
+        for seed in range(4):
+            path = sample_path(eth_dist, 200_000, seed)
+            rows, rewards, _, _ = payoffs(execute(path, spec.n_tau), spec, 0.0)
+            steps = rewards[rows].tolist()
+            bound = (2 * far + 2) * np.finfo(float).eps * math.fsum(map(abs, steps))
+            assert abs(run_strategy(path, spec).total_reward - math.fsum(steps)) <= bound
 
     def test_trace_csv(self, tmp_path, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
