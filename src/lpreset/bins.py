@@ -75,9 +75,12 @@ class BinGrid:
 
     def _edge(self, index: int) -> float:
         try:
-            return self.reference_price * (1.0 + self.step) ** index
-        except OverflowError as exc:
-            raise RangeError(f"edge of bin {index} overflows at step {self.step}") from exc
+            edge = self.reference_price * (1.0 + self.step) ** index
+        except OverflowError:
+            edge = math.inf
+        if edge == math.inf:  # the power, or its product with the reference price
+            raise RangeError(f"edge of bin {index} overflows at step {self.step}")
+        return edge
 
     def edges_at(self, indices) -> np.ndarray:
         """``_edge(i)`` for each i of the int array ``indices``, of any shape: one

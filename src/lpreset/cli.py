@@ -1,13 +1,15 @@
 """Command-line front end: fit, eval, optimize, sweep, simulate, backtest.
 
 Every command writes deterministic JSON (sorted keys) or CSV so reruns with
-identical inputs and seeds are byte-identical. The chain solve rounds
-differently under more than one BLAS thread, so this module pins one before
-numpy loads, whatever the environment says; a library caller that does not
-import it keeps its own setting. Figures are plotted from these artifacts
-by external tooling; no images are emitted here. Strategy documents are
-read by ``strategies.load_strategy``; this module only maps arguments to
-library calls and errors to one ``error:`` line.
+identical inputs and seeds are byte-identical on one CPU class: the OpenBLAS
+kernel, numpy's CPU dispatch and glibc's libm pick code by CPU, and their
+last bits can differ between classes. The chain solve rounds differently
+under more than one BLAS thread, so this module pins one before numpy loads,
+whatever the environment says; a library caller that does not import it
+keeps its own setting. Figures are plotted from these artifacts by external
+tooling; no images are emitted here. Strategy documents are read by
+``strategies.load_strategy``; this module only maps arguments to library
+calls and errors to one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     n_tau = (
         args.n_tau if args.n_tau is not None else window_for_mass(dist, args.tau_mass)
     )
-    spec, solution = optimal_strategy(dist, n_tau, params)
+    spec, solution = optimal_strategy(landing_law(dist, n_tau), params)
     _emit_json({**spec.to_json_dict(), **solution.to_json_dict()}, args.out, args.quiet)
     return 0
 
@@ -136,11 +138,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if strategy == "proportional":  # allocations independent of n_tau (given as 0)
         allocs = [proportional_strategy(dist, params, 0, a).allocation for a in n_alphas]
     elif strategy == "uniform":
-        allocs = [uniform_strategy(dist, 0, a, params).allocation for a in n_alphas]
+        allocs = [uniform_strategy(0, a, params).allocation for a in n_alphas]
     rows = {}
     for n_tau, law in laws.items():
         if strategy == "optimal":  # solved over each B_alpha; None is the reach
-            allocs = [optimal_strategy(dist, n_tau, params, a, law)[0].allocation for a in n_alphas]
+            allocs = [optimal_strategy(law, params, a)[0].allocation for a in n_alphas]
         values = expected_utilities(law, allocs, params, args.mode)
         rows[n_tau] = [(alloc.n_alpha, v) for alloc, v in zip(allocs, values)]
     buf = io.StringIO()

@@ -87,7 +87,7 @@ class NextPriceDistribution:
         if not np.all(p >= 0.0):  # NaN fails too; inf fails the sum below
             raise InputError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise InputError(f"probabilities must sum to 1, got {p.sum()!r}")
+            raise InputError(f"probabilities must sum to 1, got {float(p.sum())!r}")
 
     def prob(self, k: int) -> float:
         """h(k); zero outside the support."""
@@ -282,8 +282,8 @@ def percent_changes(series: PriceSeries) -> np.ndarray:
     """Per-step percent change, 100 * (P_{n+1} - P_n) / P_n."""
     px = series.prices
     changes = np.diff(px)
-    changes *= 100.0  # in place, in the order of 100.0 * diff / px
-    changes /= px[:-1]
+    changes /= px[:-1]  # in place, and divided first: 100 * diff can overflow
+    changes *= 100.0
     return changes
 
 

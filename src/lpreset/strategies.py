@@ -12,7 +12,8 @@ A strategy document is a JSON object in one of two forms:
 
 ``resolve_strategy`` is the one reader of both forms and ``load_strategy``
 reads one from a file; a missing or malformed field is an InputError. The
-constructors take window counts.
+constructors take window counts, but the optimal one takes the landing law of
+B_tau in place of n_tau: that law is all it reads of the distribution.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
     n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
     n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass", optional=kind == "optimal")
     if kind == "optimal":
-        return optimal_strategy(dist, n_tau, params, n_alpha)[0]
+        return optimal_strategy(landing_law(dist, n_tau), params, n_alpha)[0]
     if kind == "uniform":
-        return uniform_strategy(dist, n_tau, n_alpha, params)
+        return uniform_strategy(n_tau, n_alpha, params)
     return proportional_strategy(dist, params, n_tau, n_alpha)
 
 
@@ -152,12 +153,7 @@ def window_for_mass(dist: NextPriceDistribution, mass: float) -> int:
     return min(int(np.searchsorted(within, mass)), k)
 
 
-def uniform_strategy(
-    dist: NextPriceDistribution,
-    n_tau: int,
-    n_alpha: int,
-    params: UtilityParams,
-) -> StrategySpec:
+def uniform_strategy(n_tau: int, n_alpha: int, params: UtilityParams) -> StrategySpec:
     """A(j) = 1 / (2 n_alpha + 1) on every bin of B_alpha."""
     if n_alpha < 0:
         raise InputError(f"n_alpha must be >= 0, got {n_alpha}")
@@ -196,24 +192,17 @@ def proportional_strategy(
 
 
 def optimal_strategy(
-    dist: NextPriceDistribution,
-    n_tau: int,
-    params: UtilityParams,
-    n_alpha: int | None = None,
-    law: LandingLaw | None = None,
+    law: LandingLaw, params: UtilityParams, n_alpha: int | None = None
 ) -> tuple[StrategySpec, Solution]:
-    """Optimal allocation over B_alpha, |j| <= n_alpha (None: every bin reachable from B_tau).
+    """Optimal allocation over B_alpha, |j| <= n_alpha, for the window of ``law``.
 
-    Past B_alpha, E_u adds a term free of the allocation (full-coverage) or
-    nothing (strict-paper), so one solve is optimal in both modes. ``law`` is
-    ``landing_law(dist, n_tau)`` when the caller already holds it.
+    n_alpha None is the reach, every bin reachable from B_tau. Past B_alpha,
+    E_u adds a term free of the allocation (full-coverage) or nothing
+    (strict-paper), so one solve is optimal in both modes.
     """
-    law = landing_law(dist, n_tau) if law is None else law
-    if law.n_tau != n_tau:
-        raise InputError(f"landing law is for n_tau={law.n_tau}, not {n_tau}")
     n_alpha = law.reach if n_alpha is None else n_alpha
     if n_alpha < 0:
         raise InputError(f"n_alpha must be >= 0, got {n_alpha}")
-    tau = ~resets_over(n_alpha, n_tau)
+    tau = ~resets_over(n_alpha, law.n_tau)
     solution = solve(OptimizationProblem(q=law.over(n_alpha), tau_membership=tau, params=params))
-    return StrategySpec("optimal", n_tau, solution.allocation, params), solution
+    return StrategySpec("optimal", law.n_tau, solution.allocation, params), solution

@@ -24,6 +24,7 @@ from lpreset import (
     fit_distribution,
     kkt_residual,
     landing_distribution,
+    landing_law,
     optimal_strategy,
     outcome_matrix,
     percent_changes,
@@ -134,7 +135,7 @@ class TestAcceptance:
 
     def test_criterion_3_risk_neutral_single_bin(self, request, eth_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
-        spec, _ = optimal_strategy(eth_dist, 0, params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, 0), params)
         w = spec.allocation.weights
         one_hot = int(np.sum(w > 0)) == 1 and w[spec.n_alpha] == 1.0
 
@@ -172,7 +173,7 @@ class TestAcceptance:
         n_alpha = None
         for a in (-1.0, 0.0, 0.1, 1.0, 10.0, 15.0):
             params = UtilityParams(a=a, kappa=1.0, ell=100.0)
-            spec, _ = optimal_strategy(eth_dist, n_tau, params)
+            spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
             w = spec.allocation.weights
             n_alpha = spec.n_alpha
             spreads[a] = float(w.max() - w.min())
@@ -210,7 +211,7 @@ class TestAcceptance:
         checks = []
         for a in (0.0, 0.1):
             params = UtilityParams(a=a, kappa=1.0, ell=100.0)
-            spec, _ = optimal_strategy(eth_dist, n_tau, params)
+            spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
             e_opt = expected_utility(
                 eth_dist, n_tau, spec.allocation, params, MODE_FULL
             )
@@ -228,11 +229,11 @@ class TestAcceptance:
             checks.append((f"proportional at a={a}", best_prop, e_opt))
 
         params = UtilityParams(a=15.0, kappa=1.0, ell=100.0)
-        spec, _ = optimal_strategy(eth_dist, n_tau, params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
         e_opt = expected_utility(eth_dist, n_tau, spec.allocation, params, MODE_FULL)
         best_uni = -np.inf
         for n_alpha in (n_tau, 10, 20, 40, spec.n_alpha):
-            uni = uniform_strategy(eth_dist, n_tau, n_alpha, params)
+            uni = uniform_strategy(n_tau, n_alpha, params)
             best_uni = max(
                 best_uni,
                 expected_utility(eth_dist, n_tau, uni.allocation, params, MODE_FULL),
@@ -257,7 +258,7 @@ class TestAcceptance:
             row = []
             for mass in masses:
                 n_tau = window_for_mass(eth_dist, mass)
-                spec, _ = optimal_strategy(eth_dist, n_tau, params)
+                spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
                 row.append(
                     expected_utility(
                         eth_dist, n_tau, spec.allocation, params, MODE_FULL
@@ -335,7 +336,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         params = UtilityParams(a=0.1, kappa=1.0, ell=100.0)
         n_tau = window_for_mass(eth_dist, 0.5)
-        spec, _ = optimal_strategy(eth_dist, n_tau, params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
 
         step = eth_dist.bin_width_pct / 100.0
         moves = sample_path(eth_dist, 50_000, seed=7)
@@ -418,9 +419,9 @@ class TestAcceptance:
         for a in (0.0, 0.1, 15.0, -1.0):
             params = UtilityParams(a=a, kappa=1.0, ell=100.0)
             for spec in (
-                uniform_strategy(eth_dist, 2, 6, params),
+                uniform_strategy(2, 6, params),
                 proportional_strategy(eth_dist, params, n_tau=2, n_alpha=6),
-                optimal_strategy(eth_dist, 2, params)[0],
+                optimal_strategy(landing_law(eth_dist, 2), params)[0],
             ):
                 w = spec.allocation.weights
                 if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):

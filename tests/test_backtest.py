@@ -64,7 +64,7 @@ class TestV2Baseline:
 class TestReplay:
     def test_constant_series_never_resets(self, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0] * 20)
         grid = BinGrid(reference_price=99.0, step=0.05, index_range=(-5, 5))
         report = replay(series, spec, grid)
@@ -77,7 +77,7 @@ class TestReplay:
         # at kappa * ell = 1e308 each step earns 1e308 / 3, and 20 steps sum past
         # the float range; the mean is taken of u scaled by a power of two
         params = UtilityParams(a=0.0, kappa=1e307, ell=10.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0] * 21)
         grid = BinGrid(reference_price=99.0, step=0.05, index_range=(-5, 5))
         report = replay(series, spec, grid)
@@ -88,7 +88,7 @@ class TestReplay:
         # 1e17 bins of width 1e-15 share kappa * ell = 1e-307: the v2 utility
         # rounds to 0, where the ratio read NaN
         params = UtilityParams(a=0.0, kappa=1e-307, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0] * 20)
         grid = BinGrid(reference_price=99.0, step=1e-15, index_range=(0, 10**17))
         assert v2_baseline(series, grid, params) == 0.0
@@ -98,7 +98,7 @@ class TestReplay:
     def test_hand_stepped_trace_without_resets(self, toy_dist):
         # bins along the path: 0, +1, 0 (step 1% grid anchored at 100)
         params = UtilityParams(a=0.0, kappa=1.0, ell=3.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 101.5, 100.0])
         grid = grid_for(series)
         report = replay(series, spec, grid)
@@ -110,7 +110,7 @@ class TestReplay:
         # 100 -> 103 jumps two bins (beyond n_tau = 1): reset, re-center on
         # bin 2; the fall back to 100 is again a two-bin jump and resets too
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 103.0, 100.0])
         grid = grid_for(series)
         report = replay(series, spec, grid)
@@ -119,7 +119,7 @@ class TestReplay:
 
     def test_matches_simulation_on_synthetic_prices(self, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         moves = sample_path(toy_dist, 300, seed=11)
         step = 0.01
         levels = np.concatenate([[0], np.cumsum(moves)])
@@ -138,7 +138,7 @@ class TestReplay:
 
     def test_band_trace_brackets_the_price(self, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 101.5, 103.0, 101.5, 100.0])
         grid = grid_for(series)
         report = replay(series, spec, grid, collect_band=True)
@@ -150,7 +150,7 @@ class TestReplay:
 
     def test_band_csv(self, toy_dist, tmp_path):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 101.5, 100.0])
         report = replay(series, spec, grid_for(series), collect_band=True)
         out = tmp_path / "band.csv"
@@ -161,7 +161,7 @@ class TestReplay:
 
     def test_band_csv_requires_collection(self, toy_dist, tmp_path):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 101.5, 100.0])
         report = replay(series, spec, grid_for(series))
         with pytest.raises(InputError):
@@ -171,7 +171,7 @@ class TestReplay:
 class TestCompare:
     def test_equals_report_ratio(self, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         series = series_from_prices([100.0, 101.5, 100.0])
         report = replay(series, spec, grid_for(series))
         assert report.ratio == pytest.approx(

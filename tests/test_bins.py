@@ -143,6 +143,20 @@ def test_edge_past_the_float_range_is_an_error():
         BinGrid.from_price_range(100.0, 1e300, 1e298, anchor=100.0)
 
 
+def test_edge_whose_product_overflows_is_an_error():
+    # 1.5 ** 8 is finite, but the reference price times it is not; the edge
+    # was returned as inf, and a band or a covered span held it
+    g = BinGrid(reference_price=1e307, step=0.5, index_range=(0, 7))
+    assert g.edges_at([3, 7]).tolist() == [1e307 * 1.5**3, 1e307 * 1.5**7]
+    for at in ([8], [9, 8], [[7], [8]]):
+        with pytest.raises(RangeError, match="edge of bin 8 overflows at step 0.5"):
+            g.edges_at(at)
+    with pytest.raises(RangeError, match="edge of bin 8 overflows at step 0.5"):
+        g.covered_span()
+    with pytest.raises(RangeError, match="edge of bin 8 overflows at step 0.5"):
+        BinGrid.from_price_range(1e307, 1.75e308, 0.5, anchor=1e307)
+
+
 def test_grid_anchor_alignment():
     anchored = BinGrid.from_price_range(90.0, 200.0, 0.01, anchor=100.0)
     assert anchored.price_to_bin(100.0) == 0

@@ -20,6 +20,7 @@ from lpreset import (
     NextPriceDistribution,
     UtilityParams,
     expected_utility,
+    landing_law,
     optimal_strategy,
     proportional_strategy,
     run_strategy,
@@ -76,7 +77,7 @@ class TestEval:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         want = expected_utility(toy_dist, 1, spec.allocation, params, MODE_STRICT)
         assert doc["expected_utility"] == pytest.approx(want, abs=1e-15)
         assert doc["expected_utility"] == pytest.approx(5 / 18, abs=1e-12)
@@ -111,7 +112,7 @@ class TestEval:
                                     "params": params.to_json_dict()}))
         assert main(["eval", dist_file, str(path), "--mode", mode]) == 0
         out = json.loads(capsys.readouterr().out)
-        spec = optimal_strategy(toy_dist, 1, params, n_alpha)[0]
+        spec = optimal_strategy(landing_law(toy_dist, 1), params, n_alpha)[0]
         assert (out["n_alpha"], spec.n_alpha) == (n_alpha, n_alpha)
         assert out["expected_utility"] == expected_utility(
             toy_dist, 1, spec.allocation, params, mode)
@@ -154,7 +155,8 @@ class TestOptimize:
         out = tmp_path / "optimal.json"
         argv = ["optimize", dist_file, "--n-tau", "1", "--a", a, "--kappa", "2", "--ell", "3"]
         assert main([*argv, "--out", str(out)]) == 0
-        want = optimal_strategy(toy_dist, 1, UtilityParams(a=float(a), kappa=2.0, ell=3.0))[0]
+        params = UtilityParams(a=float(a), kappa=2.0, ell=3.0)
+        want = optimal_strategy(landing_law(toy_dist, 1), params)[0]
         got = load_strategy(str(out), toy_dist)
         assert (got.kind, got.n_tau, got.n_alpha, got.params) == (
             "optimal", 1, want.n_alpha, want.params
@@ -220,7 +222,7 @@ class TestSweep:
         assert lines[0] == "n_tau,n_alpha,expected_utility"
         assert len(lines) == 3
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         want = expected_utility(toy_dist, 1, spec.allocation, params, MODE_STRICT)
         got = float(lines[1].split(",")[2])
         assert got == pytest.approx(want, abs=1e-15)
@@ -238,9 +240,9 @@ class TestSweep:
                 if strategy == "proportional":
                     spec = proportional_strategy(toy_dist, params, n_tau=n_tau, n_alpha=n_alpha)
                 elif strategy == "uniform":
-                    spec = uniform_strategy(toy_dist, n_tau, n_alpha, params)
+                    spec = uniform_strategy(n_tau, n_alpha, params)
                 else:
-                    spec = optimal_strategy(toy_dist, n_tau, params, n_alpha)[0]
+                    spec = optimal_strategy(landing_law(toy_dist, n_tau), params, n_alpha)[0]
                 value = expected_utility(toy_dist, n_tau, spec.allocation, params, MODE_FULL)
                 want.append([str(n_tau), str(n_alpha), repr(value)])
         assert rows == want
@@ -266,7 +268,7 @@ class TestSweep:
         params = UtilityParams(a=1.0)
         want = []
         for n_tau in (0, 1):
-            spec = optimal_strategy(toy_dist, n_tau, params)[0]
+            spec = optimal_strategy(landing_law(toy_dist, n_tau), params)[0]
             value = expected_utility(toy_dist, n_tau, spec.allocation, params)
             want.append([str(n_tau), str(n_tau + toy_dist.k_max), repr(value)])
         assert rows == want
@@ -392,9 +394,9 @@ class TestSweepCells:
                     if strategy == "proportional":
                         spec = proportional_strategy(dist, params, n_tau, n_alpha)
                     elif strategy == "uniform":
-                        spec = uniform_strategy(dist, n_tau, n_alpha, params)
+                        spec = uniform_strategy(n_tau, n_alpha, params)
                     else:
-                        spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+                        spec = optimal_strategy(landing_law(dist, n_tau), params, n_alpha)[0]
                     value = expected_utility(dist, n_tau, spec.allocation, params, mode)
                     want.append([str(n_tau), str(n_alpha), repr(value)])
         except LpresetError:
@@ -421,7 +423,7 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         want = run_strategy(sample_path(toy_dist, 2000, seed=3), spec, seed=3)
         assert doc["mean_utility_per_step"] == want.mean_utility_per_step
         assert doc["resets"] == want.resets
@@ -623,6 +625,35 @@ class TestErrorHandling:
         assert main(argv + ["--out", str(out)]) == 1
         assert_one_error_line(capsys, message)
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_band_edge_past_the_float_range_is_one_line_and_nonzero(self, tmp_path, capsys):
+        # the grid spans the series, but alpha_high, the edge n_alpha + 1 = 21
+        # bins of 50% over the first price, is past the float range; the band
+        # wrote inf there
+        prices = [1.0e305, 1.1e305, 1.3e305, 1.2e305, 1.05e305]
+        csv_path = write_price_csv(tmp_path / "px.csv", prices)
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({"kind": "uniform", "n_tau": 1, "n_alpha": 20,
+                                   "params": {"a": 0.1}}))
+        band, out = tmp_path / "band.csv", tmp_path / "out.json"
+        argv = ["backtest", csv_path, str(doc), "--bin-width-pct", "50"]
+        assert main(argv + ["--band-out", str(band), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "edge of bin 21 overflows at step 0.5")
+        assert not band.exists()
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_fit_of_prices_near_the_float_range(self, tmp_path, capsys):
+        # each step is 100 * diff / p, within -23.1% .. +20%, though 100 * diff
+        # alone is past the float range
+        prices = [1.0e307, 1.2e307, 1.3e307, 1.0e307, 1.1e307]
+        csv_path = write_price_csv(tmp_path / "px.csv", prices)
+        out = tmp_path / "dist.json"
+        assert main(["fit", csv_path, "--bin-width-pct", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        dist = NextPriceDistribution.load(str(out))
+        assert (np.flatnonzero(dist.probs) - dist.k_max).tolist() == [-23, 8, 10, 20]
 
     @pytest.mark.parametrize("command", ["fit", "backtest"])
     @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
@@ -929,6 +960,7 @@ class TestMalformedStrategyDocuments:
             {"kind": "uniform", "n_tau": 1, "n_alpha": 1, "params": "q"},
             {"kind": "uniform", "n_tau": 1, "tau_mass": 0.5, "n_alpha": 1},
             {"kind": "custom", "n_tau": 0, "n_alpha": 0, "weights": [math.nan]},
+            {"kind": "custom", "n_tau": 0, "weights": [1.0]},
         ],
     )
     def test_named_cases(self, doc, dist_file, tmp_path, capsys):
@@ -1105,70 +1137,61 @@ class TestEveryInputEndsCleanly:
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # runs each argv of the JSON list in argv[1]; lpreset.cli comes first, so its
 # thread pin is set before numpy loads
-THREAD_CHILD = """
+CHILD = """
 import lpreset.cli
 import json, sys
 for argv in json.loads(sys.argv[1]):
     assert lpreset.cli.main(argv) == 0
 """
+# one row per environment setting that must not move an output byte: the
+# variables it sets, the values compared (None: none of them set) and the
+# commands each child runs, with {dist}, {doc} and {prices} the shared inputs
+# and {out} the child's own output directory
+BYTE_GATES = {
+    # chains of 129 and 513 states, whose dense solve rounds differently
+    # under 1 and 2 OpenBLAS threads
+    "blas_threads": (THREAD_VARS, ("1", "2", None), [
+        *(["optimize", "{dist}", "--n-tau", n_tau, "--a", "0.1",
+           "--out", f"{{out}}/optimize_{n_tau}.json"] for n_tau in ("64", "256")),
+        ["sweep", "{dist}", "--strategy", "optimal", "--n-tau-grid", "64,256",
+         "--n-alpha-grid", "64,320", "--a", "0.1", "--out", "{out}/sweep.csv"],
+    ]),
+    # the sums of a path's rewards and utilities take no BLAS call, so a
+    # generic core writes the bytes that the one OpenBLAS picks here writes
+    "openblas_core": (("OPENBLAS_CORETYPE",), (None, "Prescott"), [
+        ["simulate", "{dist}", "{doc}", "--steps", "20000", "--seed", "3",
+         "--out", "{out}/simulate.json"],
+        ["backtest", "{prices}", "{doc}", "--band-out", "{out}/band.csv",
+         "--out", "{out}/backtest.json"],
+    ]),
+}
 
 
-class TestThreadCount:
-    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, eth_dist):
-        # chains of 129 and 513 states, whose dense solve rounds differently
-        # under 1 and 2 OpenBLAS threads
-        dist = write_dist(eth_dist, tmp_path / "dist.json")
-        # importing lpreset.cli pinned this process's environment too, so each
-        # child's is built without the three variables, then given its setting
-        base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-        base["PYTHONPATH"] = str(Path(lpreset.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2", None):
-            out = tmp_path / f"threads_{threads}"
-            out.mkdir()
-            argvs = [
-                *(["optimize", dist, "--n-tau", n_tau, "--a", "0.1",
-                   "--out", str(out / f"optimize_{n_tau}.json")] for n_tau in ("64", "256")),
-                ["sweep", dist, "--strategy", "optimal", "--n-tau-grid", "64,256",
-                 "--n-alpha-grid", "64,320", "--a", "0.1", "--out", str(out / "sweep.csv")],
-            ]
-            env = base if threads is None else {**base, **dict.fromkeys(THREAD_VARS, threads)}
-            subprocess.run([sys.executable, "-c", THREAD_CHILD, json.dumps(argvs)],
-                           env=env, timeout=120, check=True)
-            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-        assert len(outputs[0]) == 3
-        assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
-
-
-class TestBlasKernel:
-    def test_simulate_and_backtest_bytes_do_not_depend_on_the_openblas_core(
-        self, tmp_path, eth_dist
-    ):
-        # the sums of a path's rewards and utilities take no BLAS call, so a
-        # generic core writes the bytes that the one OpenBLAS picks here writes
-        dist = write_dist(eth_dist, tmp_path / "dist.json")
+class TestByteGates:
+    @pytest.mark.parametrize("gate", BYTE_GATES)
+    def test_output_bytes_do_not_depend_on_the_setting(self, gate, tmp_path, eth_dist):
+        names, values, argvs = BYTE_GATES[gate]
         doc = tmp_path / "strategy.json"
         doc.write_text(json.dumps({"kind": "proportional", "tau_mass": 0.5,
                                    "alpha_mass": 0.9, "params": {"a": 0.1}}))
         steps = np.random.default_rng(5).standard_t(3.0, size=1999) * 0.00114
         prices = (2000.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))).tolist()
-        csv_path = write_price_csv(tmp_path / "px.csv", prices)
-        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        inputs = {"dist": write_dist(eth_dist, tmp_path / "dist.json"), "doc": str(doc),
+                  "prices": write_price_csv(tmp_path / "px.csv", prices)}
+        # importing lpreset.cli pinned this process's thread variables too, so
+        # each child's environment is built without the gate's variables, then
+        # given its setting
+        base = {k: v for k, v in os.environ.items() if k not in names}
         base["PYTHONPATH"] = str(Path(lpreset.__file__).resolve().parents[1])
         outputs = []
-        for core in (None, "Prescott"):
-            out = tmp_path / f"core_{core}"
+        for value in values:
+            out = tmp_path / f"{gate}_{value}"
             out.mkdir()
-            argvs = [
-                ["simulate", dist, str(doc), "--steps", "20000", "--seed", "3",
-                 "--out", str(out / "simulate.json")],
-                ["backtest", csv_path, str(doc), "--band-out", str(out / "band.csv"),
-                 "--out", str(out / "backtest.json")],
-            ]
-            env = base if core is None else {**base, "OPENBLAS_CORETYPE": core}
-            subprocess.run([sys.executable, "-c", THREAD_CHILD, json.dumps(argvs)],
+            filled = [[arg.format(out=out, **inputs) for arg in argv] for argv in argvs]
+            env = base if value is None else {**base, **dict.fromkeys(names, value)}
+            subprocess.run([sys.executable, "-c", CHILD, json.dumps(filled)],
                            env=env, timeout=120, check=True)
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-        assert len(outputs[0]) == 3
-        assert outputs[1] == outputs[0]
+        assert len(outputs[0]) == sum(arg.startswith("{out}") for argv in argvs for arg in argv)
+        for other in outputs[1:]:
+            assert other == outputs[0]

@@ -92,6 +92,10 @@ class TestFitDistribution:
         assert d.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
         assert d.source_rows == 1
 
+    def test_no_changes_is_an_error(self):
+        with pytest.raises(InputError, match="no percent changes to fit"):
+            fit_distribution(np.array([]), k_max=2, bin_width_pct=1.0)
+
     def test_all_dropped_is_an_error(self):
         with pytest.raises(InputError, match="outside the binned range"):
             fit_distribution(np.array([50.0]), k_max=2, bin_width_pct=1.0, clamp_tails=False)
@@ -135,6 +139,12 @@ class TestStabilityCorrelation:
     def test_shape_mismatch(self, toy_dist, five_dist):
         with pytest.raises(InputError):
             stability_correlation(toy_dist, five_dist)
+
+    def test_constant_law_has_no_correlation(self, toy_dist):
+        # equal thirds: every entry is the mean, so the deviation is 0
+        other = NextPriceDistribution(1, np.array([0.25, 0.5, 0.25]), 1.0)
+        with pytest.raises(InputError, match="degenerate"):
+            stability_correlation(toy_dist, other)
 
 
 class TestSeriesAndIO:
@@ -195,6 +205,10 @@ class TestSeriesAndIO:
         with pytest.raises(InputError, match="timestamps must be finite"):
             PriceSeries(np.array([1.0, 2.0, bad]), np.array([100.0, 101.0, 102.0]))
 
+    def test_columns_of_two_lengths_rejected(self):
+        with pytest.raises(InputError, match="same length"):
+            PriceSeries(np.array([1.0, 2.0, 3.0]), np.array([100.0, 101.0]))
+
     def test_non_monotone_timestamps(self):
         with pytest.raises(InputError):
             PriceSeries(np.array([1.0, 1.0]), np.array([100.0, 101.0]))
@@ -224,6 +238,23 @@ class TestSeriesAndIO:
         assert NextPriceDistribution.from_json_dict(doc).k_max == 1
         with pytest.raises(InputError, match="bad distribution document"):
             NextPriceDistribution.from_json_dict({**doc, field: value})
+
+    @pytest.mark.parametrize("field", ["k_max", "bin_width_pct", "probs"])
+    def test_document_without_a_field_is_an_error(self, field):
+        doc = {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25]}
+        del doc[field]
+        with pytest.raises(InputError, match=f"distribution document missing field '{field}'"):
+            NextPriceDistribution.from_json_dict(doc)
+
+    @pytest.mark.parametrize("k_max, probs, message", [
+        (0, [1.0], "k_max must be >= 1, got 0"),
+        (1, [0.5, 0.5], r"probs must have length 3, got \(2,\)"),
+        (1, [-0.25, 0.75, 0.5], "probabilities must be non-negative"),
+        (1, [0.25, 0.5, 0.3], r"probabilities must sum to 1, got 1\.05$"),  # not np.float64(1.05)
+    ], ids=["k_max_0", "wrong_length", "negative", "sum_off_1"])
+    def test_law_that_is_not_a_probability_vector_is_an_error(self, k_max, probs, message):
+        with pytest.raises(InputError, match=message):
+            NextPriceDistribution(k_max, np.array(probs), bin_width_pct=1.0)
 
 
 @pytest.fixture

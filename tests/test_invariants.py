@@ -65,7 +65,7 @@ class TestCriterion7:
             problem = landing_problem(dist, n_tau, params, n_alpha)
         except InputError:  # the landing law has no mass over B_alpha
             with pytest.raises(InputError, match="zero mass over B_alpha"):
-                optimal_strategy(dist, n_tau, params, n_alpha)
+                optimal_strategy(landing_law(dist, n_tau), params, n_alpha)
             return
         sol = solve(problem)
         assert sol.kkt_residual <= 1e-8
@@ -75,7 +75,7 @@ class TestCriterion7:
         else:
             w, w_check = sol.allocation.weights, check.allocation.weights
             assert exact_objective(problem, w) >= exact_objective(problem, w_check) - 1e-12
-        spec, _ = optimal_strategy(dist, n_tau, params, n_alpha)
+        spec, _ = optimal_strategy(landing_law(dist, n_tau), params, n_alpha)
         assert np.array_equal(spec.allocation.weights, sol.allocation.weights)
 
 
@@ -96,10 +96,11 @@ class TestCriterion9:
     @given(dist=dists(), n_tau=st.integers(0, 8), n_alpha=st.integers(0, 16), a=RISK)
     def test_every_constructor_lands_on_the_simplex(self, dist, n_tau, n_alpha, a):
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
-        specs = [uniform_strategy(dist, n_tau, n_alpha, params)]
-        specs.append(optimal_strategy(dist, n_tau, params)[0])
-        if landing_law(dist, n_tau).over(n_alpha).sum() > 0.0:
-            specs.append(optimal_strategy(dist, n_tau, params, n_alpha)[0])
+        law = landing_law(dist, n_tau)
+        specs = [uniform_strategy(n_tau, n_alpha, params)]
+        specs.append(optimal_strategy(law, params)[0])
+        if law.over(n_alpha).sum() > 0.0:
+            specs.append(optimal_strategy(law, params, n_alpha)[0])
         if centred(dist.probs, n_alpha).sum() > 0.0:
             specs.append(proportional_strategy(dist, params, n_tau, n_alpha))
         else:  # h has no mass over B_alpha
@@ -118,14 +119,15 @@ class TestCriterion5:
            mode=st.sampled_from([MODE_STRICT, MODE_FULL]))
     def test_optimal_dominates_on_the_same_windows(self, dist, n_tau, n_alpha, a, ell, mode):
         params = UtilityParams(a=a, kappa=1.0, ell=ell)
-        if landing_law(dist, n_tau).over(n_alpha).sum() == 0.0:
+        law = landing_law(dist, n_tau)
+        if law.over(n_alpha).sum() == 0.0:
             with pytest.raises(InputError, match="zero mass over B_alpha"):
-                optimal_strategy(dist, n_tau, params, n_alpha)
+                optimal_strategy(law, params, n_alpha)
             return
-        others = [uniform_strategy(dist, n_tau, n_alpha, params)]
+        others = [uniform_strategy(n_tau, n_alpha, params)]
         if centred(dist.probs, n_alpha).sum() > 0.0:
             others.append(proportional_strategy(dist, params, n_tau, n_alpha))
-        spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+        spec = optimal_strategy(law, params, n_alpha)[0]
         assert spec.n_alpha == n_alpha
         best = expected_utility(dist, n_tau, spec.allocation, params, mode)
         for other in others:

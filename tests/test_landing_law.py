@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lpreset import (
     MODE_FULL,
     MODE_STRICT,
-    InputError,
     NextPriceDistribution,
     NumericalError,
     OptimizationProblem,
@@ -26,7 +25,6 @@ from lpreset import (
     expected_utility,
     kkt_residual,
     landing_law,
-    optimal_strategy,
     run_strategy,
     sample_path,
     solve,
@@ -174,7 +172,7 @@ class TestLandingLaw:
     def test_expected_utility_equals_dense_path(self, dist, n_tau, n_alpha, a, scale):
         assume(not no_move(dist))
         params = UtilityParams(a=a, kappa=1.0, ell=scale)
-        alloc = uniform_strategy(dist, n_tau, n_alpha, params).allocation
+        alloc = uniform_strategy(n_tau, n_alpha, params).allocation
         p = reference_stationary(build_reset_chain(dist, n_tau).M)
         law = landing_law(dist, n_tau)
         for mode, n in ((MODE_STRICT, n_alpha), (MODE_FULL, law.reach)):
@@ -209,7 +207,7 @@ class TestLandingLaw:
         probs = rng.random(9) * (rng.random(9) > 0.3)
         probs[4] += 0.5
         dist = make_eth_like() if seed == 0 else NextPriceDistribution(4, probs / probs.sum(), 1.0)
-        spec = uniform_strategy(dist, n_tau, n_tau, UtilityParams())
+        spec = uniform_strategy(n_tau, n_tau, UtilityParams())
         steps, batches = 100_000, 50
         path = sample_path(dist, steps, seed=seed + 17)
         report = run_strategy(path, spec, seed=seed)
@@ -224,11 +222,6 @@ class TestLandingLaw:
         law = landing_law(toy_dist, 1)
         assert law.over(0).tolist() == [law.q[2]]
         assert law.over(4).tolist() == [0.0, 0.0, *law.q.tolist(), 0.0, 0.0]
-
-    def test_law_for_another_window_is_rejected(self, toy_dist):
-        law = landing_law(toy_dist, 1)
-        with pytest.raises(InputError):
-            optimal_strategy(toy_dist, 2, UtilityParams(a=1.0), law=law)
 
 
 class TestStationaryDistribution:

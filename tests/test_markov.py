@@ -137,6 +137,10 @@ class TestStationary:
         with pytest.raises(InputError):
             stationary_distribution(np.array([[0.5, 0.5]]))
 
+    def test_rows_that_do_not_sum_to_one_rejected(self):
+        with pytest.raises(InputError, match="rows must sum to 1"):
+            stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.4]]))
+
 
 class TestOutcomeAndLanding:
     def test_worked_example_outcome(self, toy_dist):
@@ -164,6 +168,11 @@ class TestOutcomeAndLanding:
         chain = build_reset_chain(eth_dist, 0)
         q = landing_distribution(chain, outcome_matrix(eth_dist, 0, eth_dist.k_max))
         np.testing.assert_allclose(q, eth_dist.probs, atol=1e-14)
+
+    @pytest.mark.parametrize("n_tau, n_alpha", [(-1, 1), (1, -1)])
+    def test_negative_window_rejected(self, toy_dist, n_tau, n_alpha):
+        with pytest.raises(InputError, match="n_tau and n_alpha must be >= 0"):
+            outcome_matrix(toy_dist, n_tau, n_alpha)
 
     def test_shape_mismatch(self, toy_dist):
         chain = build_reset_chain(toy_dist, 1)

@@ -142,6 +142,23 @@ class TestSolve:
                 params=UtilityParams(),
             )
 
+    @pytest.mark.parametrize("q, tau, message", [
+        ([0.2, 0.5, 0.3], [True, True], "must be 1-d and share a length"),
+        ([0.5, 0.5], [True, True], "bin count must be odd"),
+        ([0.2, -0.1, 0.3], [True, True, True], "must be non-negative"),
+    ], ids=["shapes_differ", "even_length", "negative_q"])
+    def test_malformed_problem_rejected(self, q, tau, message):
+        with pytest.raises(InputError, match=message):
+            OptimizationProblem(q=np.array(q), tau_membership=np.array(tau),
+                                params=UtilityParams())
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_residual_without_an_active_bin_is_the_largest_marginal_utility(self, a):
+        prob = OptimizationProblem(q=np.array([0.2, 0.5, 0.3]),
+                                   tau_membership=np.ones(3, bool), params=UtilityParams(a=a))
+        zero = np.zeros(3)
+        assert kkt_residual(prob, zero) == float(np.max(prob.gradient(zero))) > 0.0
+
     @pytest.mark.parametrize("a", [0.05, 1.0, 12.0])
     def test_feasibility_exact(self, a):
         rng = np.random.default_rng(int(a * 100))

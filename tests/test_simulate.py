@@ -53,7 +53,7 @@ class TestSamplePath:
 class TestRunStrategy:
     def test_worked_example_converges_to_analytic(self, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         analytic = expected_utility(toy_dist, 1, spec.allocation, params, MODE_FULL)
         path = sample_path(toy_dist, 50_000, seed=7)
         report = run_strategy(path, spec, seed=7)
@@ -62,7 +62,7 @@ class TestRunStrategy:
     def test_static_price_never_resets(self):
         d = NextPriceDistribution(1, np.array([0.0, 1.0, 0.0]), 1.0)
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(d, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         report = run_strategy(sample_path(d, 200, seed=1), spec, seed=1)
         assert report.resets == 0
         assert report.total_reward == pytest.approx(200 * spec.allocation.weight(0))
@@ -72,7 +72,7 @@ class TestRunStrategy:
         # all liquidity on the center bin of a 0-width window: per-step mean
         # reward approaches ell * h(0) = 15
         params = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
-        spec = uniform_strategy(eth_dist, 0, 0, params)
+        spec = uniform_strategy(0, 0, params)
         path = sample_path(eth_dist, 50_000, seed=13)
         report = run_strategy(path, spec, seed=13)
         analytic = expected_utility(eth_dist, 0, spec.allocation, params, MODE_FULL)
@@ -82,7 +82,7 @@ class TestRunStrategy:
     def test_reset_frequency_matches_chain(self, eth_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
         n_tau = 2
-        spec = uniform_strategy(eth_dist, n_tau, 4, params)
+        spec = uniform_strategy(n_tau, 4, params)
         path = sample_path(eth_dist, 50_000, seed=21)
         report = run_strategy(path, spec, seed=21)
         expected_rate = 1.0 / landing_law(eth_dist, n_tau).cycle_length
@@ -92,7 +92,7 @@ class TestRunStrategy:
 
     def test_bitwise_reproducible(self, eth_dist):
         params = UtilityParams(a=0.5, kappa=1.0, ell=100.0)
-        spec = uniform_strategy(eth_dist, 2, 4, params)
+        spec = uniform_strategy(2, 4, params)
         path = sample_path(eth_dist, 5000, seed=5)
         r1 = run_strategy(path, spec, seed=5)
         r2 = run_strategy(path, spec, seed=5)
@@ -103,7 +103,7 @@ class TestRunStrategy:
     def test_std_error_where_the_squares_pass_the_float_range(self, toy_dist):
         # at kappa * ell = 1e200 and a = 0 a deviation's square overflows; the
         # report scales u by a power of two first
-        spec = uniform_strategy(toy_dist, 1, 1, UtilityParams(kappa=1e200, ell=1.0))
+        spec = uniform_strategy(1, 1, UtilityParams(kappa=1e200, ell=1.0))
         path = sample_path(toy_dist, 400, seed=3)
         rows, _, table, _ = payoffs(execute(path, spec.n_tau), spec, spec.params.shift)
         utilities = table[rows]
@@ -114,7 +114,7 @@ class TestRunStrategy:
     def test_total_reward_past_the_float_range_is_refused(self, toy_dist, tmp_path):
         # each step at offset 0 earns 1e308 / 3: two steps sum inside the float
         # range and twenty do not, which is refused before a trace is written
-        spec = uniform_strategy(toy_dist, 1, 1, UtilityParams(kappa=1e307, ell=10.0))
+        spec = uniform_strategy(1, 1, UtilityParams(kappa=1e307, ell=10.0))
         trace = tmp_path / "trace.csv"
         with pytest.raises(NumericalError, match="total reward of 20 steps overflows"):
             run_strategy(np.zeros(20, dtype=np.int64), spec, trace_out=str(trace))
@@ -140,7 +140,7 @@ class TestRunStrategy:
 
     def test_trace_csv(self, tmp_path, toy_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
-        spec = uniform_strategy(toy_dist, 1, 1, params)
+        spec = uniform_strategy(1, 1, params)
         out = tmp_path / "trace.csv"
         run_strategy(sample_path(toy_dist, 50, seed=2), spec, trace_out=str(out))
         lines = out.read_text().strip().splitlines()
@@ -149,7 +149,7 @@ class TestRunStrategy:
 
     def test_nonzero_risk_aversion_agrees_with_analytic(self, eth_dist):
         params = UtilityParams(a=1.0, kappa=1.0, ell=100.0)
-        spec = uniform_strategy(eth_dist, 3, 10, params)
+        spec = uniform_strategy(3, 10, params)
         analytic = expected_utility(eth_dist, 3, spec.allocation, params, MODE_FULL)
         path = sample_path(eth_dist, 50_000, seed=31)
         report = run_strategy(path, spec, seed=31)

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from lpreset import (
     MODE_FULL,
+    Allocation,
     InputError,
     NextPriceDistribution,
+    StrategySpec,
     UtilityParams,
     expected_utility,
+    landing_law,
     optimal_strategy,
     proportional_strategy,
     uniform_strategy,
@@ -56,15 +59,15 @@ class TestWindowForMass:
 
 class TestUniformStrategy:
     def test_three_bins(self, toy_dist, neutral_params):
-        spec = uniform_strategy(toy_dist, 1, 1, neutral_params)
+        spec = uniform_strategy(1, 1, neutral_params)
         np.testing.assert_allclose(spec.allocation.weights, [1 / 3] * 3)
 
     def test_single_bin(self, toy_dist, neutral_params):
-        spec = uniform_strategy(toy_dist, 0, 0, neutral_params)
+        spec = uniform_strategy(0, 0, neutral_params)
         np.testing.assert_array_equal(spec.allocation.weights, [1.0])
 
     def test_five_bins(self, eth_dist, neutral_params):
-        spec = uniform_strategy(eth_dist, 1, 2, neutral_params)
+        spec = uniform_strategy(1, 2, neutral_params)
         np.testing.assert_allclose(spec.allocation.weights, [0.2] * 5)
 
 
@@ -98,34 +101,34 @@ class TestProportionalStrategy:
 class TestOptimalStrategy:
     def test_risk_neutral_is_single_center_bin(self, eth_dist):
         params = UtilityParams(a=0.0, kappa=1.0, ell=100.0)
-        spec, _ = optimal_strategy(eth_dist, 2, params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, 2), params)
         w = spec.allocation.weights
         assert np.sum(w > 0) == 1
         assert w[spec.n_alpha] == 1.0  # center bin
 
     def test_risk_seeking_is_vertex(self, eth_dist):
         params = UtilityParams(a=-1.0, kappa=1.0, ell=100.0)
-        spec, sol = optimal_strategy(eth_dist, 2, params)
+        spec, sol = optimal_strategy(landing_law(eth_dist, 2), params)
         assert np.sum(spec.allocation.weights > 0) == 1
         assert sol.method == "vertex-enumeration"
 
     def test_very_risk_averse_spreads_widely(self, eth_dist):
         params = UtilityParams(a=15.0, kappa=1.0, ell=100.0)
-        spec, _ = optimal_strategy(eth_dist, window_for_mass(eth_dist, 0.5), params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, window_for_mass(eth_dist, 0.5)), params)
         w = spec.allocation.weights
         assert w.max() - w.min() < 1e-2
 
     def test_alpha_covers_all_reachable_bins(self, eth_dist, neutral_params):
-        spec, _ = optimal_strategy(eth_dist, 3, neutral_params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, 3), neutral_params)
         assert spec.n_alpha == 3 + eth_dist.k_max
 
     @pytest.mark.parametrize("a", [0.0, 0.5, 5.0])
     def test_dominates_uniform_and_proportional(self, eth_dist, a):
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
         n_tau = 2
-        spec, _ = optimal_strategy(eth_dist, n_tau, params)
+        spec, _ = optimal_strategy(landing_law(eth_dist, n_tau), params)
         e_opt = expected_utility(eth_dist, n_tau, spec.allocation, params, MODE_FULL)
-        uni = uniform_strategy(eth_dist, n_tau, spec.n_alpha, params)
+        uni = uniform_strategy(n_tau, spec.n_alpha, params)
         e_uni = expected_utility(eth_dist, n_tau, uni.allocation, params, MODE_FULL)
         best_prop = -np.inf
         for alpha_mass in (0.2, 0.5, 0.8, 0.99):
@@ -143,11 +146,11 @@ class TestSimplexInvariant:
     def test_every_constructor_lands_on_simplex(self, eth_dist, a):
         params = UtilityParams(a=a, kappa=1.0, ell=100.0)
         specs = [
-            uniform_strategy(eth_dist, 2, 5, params),
+            uniform_strategy(2, 5, params),
             proportional_strategy(
                 eth_dist, params, window_for_mass(eth_dist, 0.5), window_for_mass(eth_dist, 0.9)
             ),
-            optimal_strategy(eth_dist, 2, params)[0],
+            optimal_strategy(landing_law(eth_dist, 2), params)[0],
         ]
         for spec in specs:
             w = spec.allocation.weights
@@ -162,6 +165,10 @@ class TestStrategySpecIO:
         assert back.kind == "proportional"
         assert back.n_tau == 2
         np.testing.assert_array_equal(back.allocation.weights, spec.allocation.weights)
+
+    def test_negative_window_rejected(self, neutral_params):
+        with pytest.raises(InputError, match="n_tau must be >= 0, got -1"):
+            StrategySpec("custom", -1, Allocation(0, np.array([1.0])), neutral_params)
 
     @pytest.mark.parametrize("doc", [[1], "n_alpha", 3, None])
     def test_document_that_is_not_an_object_rejected(self, doc, toy_dist):
@@ -213,9 +220,9 @@ class TestDocumentProperties:
             return
         try:
             if kind == "optimal":
-                want = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+                want = optimal_strategy(landing_law(dist, n_tau), params, n_alpha)[0]
             elif kind == "uniform":
-                want = uniform_strategy(dist, n_tau, n_alpha, params)
+                want = uniform_strategy(n_tau, n_alpha, params)
             else:
                 want = proportional_strategy(dist, params, n_tau, n_alpha)
         except InputError:  # h, or the landing law, has no mass over B_alpha
@@ -232,9 +239,9 @@ class TestDocumentProperties:
     def test_save_then_load_is_the_same_spec(self, dist, kind, n_tau, n_alpha, params):
         try:
             if kind == "optimal":
-                spec = optimal_strategy(dist, n_tau, params, n_alpha)[0]
+                spec = optimal_strategy(landing_law(dist, n_tau), params, n_alpha)[0]
             elif kind == "uniform":
-                spec = uniform_strategy(dist, n_tau, n_alpha, params)
+                spec = uniform_strategy(n_tau, n_alpha, params)
             else:
                 spec = proportional_strategy(dist, params, n_tau, n_alpha)
         except InputError:  # h or the landing law has no mass over B_alpha

@@ -222,6 +222,13 @@ class TestExpectedUtility:
         assert e1 > e0
 
 
+class TestUtilityParams:
+    @pytest.mark.parametrize("ell", [0.0, -0.0, -1.0])
+    def test_liquidity_that_is_not_positive_rejected(self, ell):
+        with pytest.raises(InputError, match="ell must be > 0"):
+            UtilityParams(ell=ell)
+
+
 class TestAllocation:
     def test_weight_lookup_and_outside(self):
         alloc = Allocation(1, np.array([0.2, 0.5, 0.3]))
@@ -231,6 +238,15 @@ class TestAllocation:
     def test_negative_weights_rejected(self):
         with pytest.raises(InputError):
             Allocation(1, np.array([-0.1, 0.6, 0.5]))
+
+    @pytest.mark.parametrize("n_alpha, weights, message", [
+        (-1, [], "n_alpha must be >= 0, got -1"),
+        (1, [0.5, 0.5], r"weights must have length 3, got \(2,\)"),
+        (0, [0.2, 0.5, 0.3], r"weights must have length 1, got \(3,\)"),
+    ], ids=["negative_window", "too_few_weights", "too_many_weights"])
+    def test_window_and_weights_that_disagree_rejected(self, n_alpha, weights, message):
+        with pytest.raises(InputError, match=message):
+            Allocation(n_alpha, np.array(weights))
 
     def test_overfull_rejected(self):
         with pytest.raises(InputError, match=r"sum to 1\.6 > 1$"):  # a float, not np.float64(1.6)
