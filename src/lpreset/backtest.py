@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bins import BinGrid, distinct_ranks
-from .distribution import PriceSeries
+from .distribution import PriceSeries, json_fields
 from .errors import InputError, NumericalError
 from .simulate import BLOCK_ROWS, count_stats, execute, payoffs
 from .strategies import StrategySpec
@@ -56,14 +56,7 @@ class BacktestReport:
     band: Band | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": int(self.steps),
-            "resets": int(self.resets),
-            "mean_utility_per_step": float(self.mean_utility_per_step),
-            "v2_mean_utility_per_step": float(self.v2_mean_utility_per_step),
-            "ratio": float(self.ratio),
-            "grid_bins": int(self.grid_bins),
-        }
+        return json_fields(self, skip=("band",))
 
     def write_band_csv(self, path: str) -> None:
         """Write the band as CSV, with the bytes ``csv.writer`` gives.
@@ -76,7 +69,7 @@ class BacktestReport:
         band = self.band
         if band is None:
             raise InputError("replay was run without band collection")
-        values, at = np.unique(band.edges, return_inverse=True)
+        values, at = distinct_ranks(band.edges.ravel())
         text = np.array(["," + repr(v) for v in values.tolist()], dtype=object)[at]
         tails = [a + b + c + d + "\r\n" for a, b, c, d in text.reshape(-1, 4).tolist()]
         n = len(band.prices)

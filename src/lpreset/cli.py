@@ -15,9 +15,7 @@ calls and errors to one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -145,12 +143,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             allocs = [optimal_strategy(law, params, a)[0].allocation for a in n_alphas]
         values = expected_utilities(law, allocs, params, args.mode)
         rows[n_tau] = [(alloc.n_alpha, v) for alloc, v in zip(allocs, values)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n_tau", "n_alpha", "expected_utility"])
-    for n_tau in n_taus:
-        writer.writerows([n_tau, a, repr(value)] for a, value in rows[n_tau])
-    _emit(buf.getvalue(), args.out, args.quiet)
+    lines = [f"{n_tau},{a},{value!r}\r\n" for n_tau in n_taus for a, value in rows[n_tau]]
+    _emit("".join(["n_tau,n_alpha,expected_utility\r\n", *lines]), args.out, args.quiet)
     return 0
 
 

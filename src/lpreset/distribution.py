@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -94,12 +94,7 @@ class NextPriceDistribution:
         return float(self.probs[k + self.k_max]) if abs(k) <= self.k_max else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "k_max": int(self.k_max),
-            "bin_width_pct": float(self.bin_width_pct),
-            "probs": [float(p) for p in self.probs],
-            "source_rows": int(self.source_rows),
-        }
+        return json_fields(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NextPriceDistribution":
@@ -157,6 +152,20 @@ def json_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
+
+
+JSON_CASTS = {"int": int, "float": float, "str": str, "bool": bool,
+              "np.ndarray": np.ndarray.tolist}
+
+
+def json_fields(obj, skip=()) -> dict:
+    """The dataclass ``obj``'s fields but ``skip``, each cast by its annotation.
+
+    A number goes out as its declared type (``0`` as ``0.0`` for a float) and
+    an array as a list; an annotation outside ``JSON_CASTS`` is a KeyError.
+    """
+    return {f.name: JSON_CASTS[f.type](getattr(obj, f.name))
+            for f in fields(obj) if f.name not in skip}
 
 
 def json_count(value) -> int:

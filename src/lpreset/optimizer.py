@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import json_fields
 from .errors import InputError, NumericalError
 from .utility import Allocation, UtilityParams, exp_utility, landing_rewards
 
@@ -102,13 +103,7 @@ class Solution:
 
     def to_json_dict(self) -> dict:
         """The certificate; ``StrategySpec.to_json_dict`` writes the allocation."""
-        return {
-            "objective": float(self.objective),
-            "kkt_residual": float(self.kkt_residual),
-            "iterations": int(self.iterations),
-            "method": self.method,
-            "converged": bool(self.converged),
-        }
+        return json_fields(self, skip=("allocation",))
 
 
 def _argmax_center_first(values: np.ndarray, n_alpha: int) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution
+from .distribution import NextPriceDistribution, json_fields
 from .errors import InputError, NumericalError
 from .strategies import StrategySpec
 from .utility import exp_utility, landing_rewards, resets_over
@@ -32,15 +32,7 @@ class SimReport:
     rng: str = RNG_ALGORITHM
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": int(self.steps),
-            "resets": int(self.resets),
-            "total_reward": float(self.total_reward),
-            "mean_utility_per_step": float(self.mean_utility_per_step),
-            "std_error": float(self.std_error),
-            "seed": int(self.seed),
-            "rng": self.rng,
-        }
+        return json_fields(self)
 
 
 def sample_path(dist: NextPriceDistribution, steps: int, seed: int) -> np.ndarray:

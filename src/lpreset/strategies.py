@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution, centred, json_count, json_number, read_json
+from .distribution import NextPriceDistribution, centred, json_count, json_fields, json_number
+from .distribution import read_json
 from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
@@ -63,13 +64,8 @@ class StrategySpec:
         return self.allocation.n_alpha
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_tau": int(self.n_tau),
-            "n_alpha": int(self.n_alpha),
-            "weights": [float(w) for w in self.allocation.weights],
-            "params": self.params.to_json_dict(),
-        }
+        return {**json_fields(self, skip=("allocation", "params")),
+                **json_fields(self.allocation), "params": self.params.to_json_dict()}
 
 
 def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution, centred
+from .distribution import NextPriceDistribution, centred, json_fields
 from .errors import InputError, NumericalError
 from .markov import LandingLaw, landing_law
 
@@ -77,7 +77,7 @@ class UtilityParams:
         return 0.0 if self.a == 0.0 else 1.0
 
     def to_json_dict(self) -> dict:
-        return {"a": float(self.a), "kappa": float(self.kappa), "ell": float(self.ell)}
+        return json_fields(self)
 
 
 @dataclass(frozen=True)

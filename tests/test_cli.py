@@ -671,6 +671,17 @@ class TestErrorHandling:
         assert not (tmp_path / "band.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit", "backtest"])
+    def test_k_max_below_1_is_one_line_and_nonzero(
+        self, command, strategy_file, tmp_path, capsys
+    ):
+        csv_path = write_price_csv(tmp_path / "px.csv", [100.0, 100.4, 99.8, 100.9])
+        argv = [command, csv_path] + ([strategy_file] if command == "backtest" else [])
+        out = tmp_path / "out.json"
+        assert main(argv + ["--k-max", "0", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "k_max must be >= 1, got 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
     def test_short_row_is_one_line_and_nonzero(
         self, command, strategy_file, tmp_path, capsys
     ):

@@ -1,5 +1,6 @@
 import time
-from datetime import datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lpreset import (
     percent_changes,
     stability_correlation,
 )
+from lpreset.distribution import json_fields
 from tests.conftest import write_dist, write_price_csv
 
 
@@ -91,6 +93,11 @@ class TestFitDistribution:
         )
         assert d.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
         assert d.source_rows == 1
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_1_is_an_error(self, k_max):
+        with pytest.raises(InputError, match=f"k_max must be >= 1, got {k_max}"):
+            fit_distribution(np.array([0.0, 1.0]), k_max=k_max, bin_width_pct=1.0)
 
     def test_no_changes_is_an_error(self):
         with pytest.raises(InputError, match="no percent changes to fit"):
@@ -221,6 +228,14 @@ class TestSeriesAndIO:
         ))
         with pytest.raises(InputError, match="bin_width_pct must be finite and > 0"):
             NextPriceDistribution.load(str(path))
+
+    def test_annotation_without_a_json_cast_is_a_key_error(self):
+        @dataclass
+        class Dated:
+            day: "date"  # a string, as under ``from __future__ import annotations``
+
+        with pytest.raises(KeyError, match="date"):
+            json_fields(Dated(date(2021, 5, 5)))
 
     def test_distribution_json_round_trip(self, tmp_path, eth_dist):
         loaded = NextPriceDistribution.load(write_dist(eth_dist, tmp_path / "dist.json"))

@@ -1,6 +1,8 @@
 """The package namespace: each public name is imported on first use."""
 
 import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +67,24 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lpreset.no_such_name
+
+
+def traced_names():
+    """The ``per_layer`` metric names of the benchmark that name a function or method."""
+    bench = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    names = [m["name"].split(".") for m in json.loads(bench.read_text())["per_layer"]]
+    return [n[:-1] for n in names if n[0] != "trace" and n[1] != "errors"]
+
+
+@pytest.mark.parametrize("name", sorted({".".join(n) for n in traced_names()}))
+def test_each_traced_name_exists(name):
+    # the benchmark's tracer wraps these by name; a deleted one fails only a traced run
+    module, *path = name.split(".")
+    mod = importlib.import_module(f"lpreset.{module}")
+    if len(path) == 1:
+        assert path[0] in mod.__all__
+        fn = getattr(mod, path[0])
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    else:
+        cls_name, method = path
+        assert method in vars(getattr(mod, cls_name))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -227,6 +228,11 @@ class TestUtilityParams:
     def test_liquidity_that_is_not_positive_rejected(self, ell):
         with pytest.raises(InputError, match="ell must be > 0"):
             UtilityParams(ell=ell)
+
+    def test_whole_numbers_are_written_as_floats(self):
+        # dataclasses.asdict would keep the ints and write 0, 1 and 100
+        doc = UtilityParams(a=0, kappa=1, ell=100).to_json_dict()
+        assert json.dumps(doc, sort_keys=True) == '{"a": 0.0, "ell": 100.0, "kappa": 1.0}'
 
 
 class TestAllocation:
