@@ -1,8 +1,9 @@
-"""Historical price ingestion and the stationary next-price distribution h(k).
+"""Historical price ingestion, the next-price distribution h(k) and the JSON rules.
 
 h(k) is the probability that the price moves k bins in one time step,
 estimated as a normalized histogram of percent changes over 2*k_max+1 bins
-of width ``bin_width_pct`` centered on zero.
+of width ``bin_width_pct`` centered on zero. ``json_fields`` writes a document and
+``json_read`` reads one back, a dataclass field by field; ``doc_field`` words each field error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -98,17 +99,7 @@ class NextPriceDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NextPriceDistribution":
-        try:
-            return cls(
-                k_max=json_count(doc["k_max"]),
-                probs=np.array([json_number(p) for p in doc["probs"]]),
-                bin_width_pct=json_number(doc["bin_width_pct"]),
-                source_rows=json_count(doc.get("source_rows", 0)),
-            )
-        except KeyError as exc:
-            raise InputError(f"distribution document missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad distribution document: {exc}") from exc
+        return json_read(cls, doc, "distribution")
 
     @classmethod
     def load(cls, path: str) -> "NextPriceDistribution":
@@ -177,6 +168,32 @@ def json_count(value) -> int:
     if not json_number(value).is_integer() or abs(value) >= 2**53:
         raise ValueError(f"{value!r} is not a whole number below 2**53")
     return int(value)
+
+
+JSON_READS = {"int": json_count, "float": json_number,
+              "np.ndarray": lambda values: np.array([json_number(v) for v in values])}
+
+
+def json_read(cls, doc, what: str):
+    """The dataclass ``cls`` read from the JSON object ``doc``: the mirror of ``json_fields``.
+
+    Each field that ``doc`` gives, or that has no default, goes through ``doc_field``
+    with the ``JSON_READS`` entry of its annotation; ``what`` names the document.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} document must be an object, got {doc!r}")
+    return cls(**{f.name: doc_field(doc, f.name, JSON_READS[f.type], what)
+                  for f in fields(cls) if f.name in doc or f.default is MISSING})
+
+
+def doc_field(doc: dict, key: str, convert, what: str):
+    """``convert(doc[key])``; a missing or unconvertible field is an InputError."""
+    if key not in doc:
+        raise InputError(f"{what} document missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} field {key!r}: bad value {doc[key]!r}") from exc
 
 
 def _parse_timestamp(raw: str) -> float:

@@ -11,7 +11,8 @@ A strategy document is a JSON object in one of two forms:
   leave out B_alpha, which is then the reach.
 
 ``resolve_strategy`` is the one reader of both forms and ``load_strategy``
-reads one from a file; a missing or malformed field is an InputError. The
+reads one from a file; every field, ``params`` too, goes through ``json_read``
+or ``doc_field``, so a missing or malformed one is an InputError. The
 constructors take window counts, but the optimal one takes the landing law of
 B_tau in place of n_tau: that law is all it reads of the distribution.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import NextPriceDistribution, centred, json_count, json_fields, json_number
-from .distribution import read_json
+from .distribution import NextPriceDistribution, centred, doc_field, json_count, json_fields
+from .distribution import json_number, json_read, read_json
 from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
@@ -76,16 +77,11 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
     """
     if not isinstance(doc, dict):
         raise InputError(f"strategy document must be an object, got {doc!r}")
-    params = _params(doc.get("params", {}))
-    if "weights" in doc:
-        n_alpha = doc_field(doc, "n_alpha", json_count)
-        weights = doc_field(doc, "weights", lambda ws: [json_number(w) for w in ws])
-        return StrategySpec(
-            kind=doc.get("kind", "custom"),
-            n_tau=doc_field(doc, "n_tau", json_count),
-            allocation=Allocation(n_alpha=n_alpha, weights=np.array(weights)),
-            params=params,
-        )
+    params = json_read(UtilityParams, doc.get("params", {}), "params")
+    if "weights" in doc:  # n_alpha and weights are read, and named when missing, before n_tau
+        allocation = json_read(Allocation, doc, "strategy")
+        n_tau = doc_field(doc, "n_tau", json_count, "strategy")
+        return StrategySpec(doc.get("kind", "custom"), n_tau, allocation, params)
     kind = doc.get("kind")
     if kind not in ("uniform", "proportional", "optimal"):
         raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
@@ -103,14 +99,6 @@ def load_strategy(path: str, dist: NextPriceDistribution) -> StrategySpec:
     return resolve_strategy(read_json(path), dist)
 
 
-def _params(doc: dict) -> UtilityParams:
-    """A document's ``params`` as UtilityParams; absent fields keep their defaults."""
-    if not isinstance(doc, dict):
-        raise InputError(f"params must be an object, got {doc!r}")
-    given = [k for k in ("a", "kappa", "ell") if k in doc]
-    return UtilityParams(**{k: doc_field(doc, k, json_number) for k in given})
-
-
 def _window_field(
     doc: dict, dist: NextPriceDistribution, count_key: str, mass_key: str, optional: bool = False
 ) -> int | None:
@@ -118,22 +106,12 @@ def _window_field(
     if count_key in doc and mass_key in doc:
         raise InputError(f"strategy document gives both {count_key} and {mass_key}")
     if count_key in doc:
-        return doc_field(doc, count_key, json_count)
+        return doc_field(doc, count_key, json_count, "strategy")
     if mass_key in doc:
-        return window_for_mass(dist, doc_field(doc, mass_key, json_number))
+        return window_for_mass(dist, doc_field(doc, mass_key, json_number, "strategy"))
     if not optional:
         raise InputError(f"strategy document needs {count_key} or {mass_key}")
     return None
-
-
-def doc_field(doc: dict, key: str, convert):
-    """``convert(doc[key])``; a missing or unconvertible field is an InputError."""
-    if key not in doc:
-        raise InputError(f"strategy document missing field {key!r}")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"strategy field {key!r}: bad value {doc[key]!r}") from exc
 
 
 def window_for_mass(dist: NextPriceDistribution, mass: float) -> int:

@@ -251,7 +251,7 @@ class TestSeriesAndIO:
     def test_document_fields_follow_the_strategy_field_rules(self, field, value):
         doc = {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25], "source_rows": 4}
         assert NextPriceDistribution.from_json_dict(doc).k_max == 1
-        with pytest.raises(InputError, match="bad distribution document"):
+        with pytest.raises(InputError, match=f"distribution field '{field}': bad value"):
             NextPriceDistribution.from_json_dict({**doc, field: value})
 
     @pytest.mark.parametrize("field", ["k_max", "bin_width_pct", "probs"])

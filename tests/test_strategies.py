@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ class TestSimplexInvariant:
             assert np.all(w >= 0)
 
 
+# documents each test row varies by one field
+TOY = {"k_max": 1, "bin_width_pct": 1.0, "probs": [1.0, 0.0, 0.0]}
+UNIFORM = {"kind": "uniform", "n_tau": 1, "n_alpha": 1}
+WEIGHTS = {"kind": "custom", "n_tau": 1, "n_alpha": 1, "weights": [0.25, 0.5, 0.25]}
+
+
 class TestStrategySpecIO:
     def test_json_round_trip(self, eth_dist, neutral_params):
         spec = proportional_strategy(eth_dist, neutral_params, n_tau=2, n_alpha=3)
@@ -174,6 +181,30 @@ class TestStrategySpecIO:
     def test_document_that_is_not_an_object_rejected(self, doc, toy_dist):
         with pytest.raises(InputError, match="must be an object"):
             resolve_strategy(doc, toy_dist)
+
+    @pytest.mark.parametrize("reader, doc, message", [
+        ("distribution", [1], "distribution document must be an object, got [1]"),
+        ("distribution", {**TOY, "k_max": 1.9}, "distribution field 'k_max': bad value 1.9"),
+        ("distribution", {"k_max": 1, "probs": [1.0, 0.0, 0.0]},
+         "distribution document missing field 'bin_width_pct'"),
+        ("distribution", {**TOY, "probs": ["1", 0, 0]},
+         "distribution field 'probs': bad value ['1', 0, 0]"),
+        ("strategy", "n_alpha", "strategy document must be an object, got 'n_alpha'"),
+        ("strategy", {"weights": [1.0]}, "strategy document missing field 'n_alpha'"),
+        ("strategy", {**WEIGHTS, "weights": [0.5, True, 0.25]},
+         "strategy field 'weights': bad value [0.5, True, 0.25]"),
+        ("strategy", {"n_alpha": 1, "weights": [0.25, 0.5, 0.25]},
+         "strategy document missing field 'n_tau'"),
+        ("strategy", {**UNIFORM, "n_tau": 1.5}, "strategy field 'n_tau': bad value 1.5"),
+        ("strategy", {**UNIFORM, "params": "q"}, "params document must be an object, got 'q'"),
+        ("strategy", {**UNIFORM, "params": {"a": "q"}}, "params field 'a': bad value 'q'"),
+        ("strategy", {**WEIGHTS, "params": {"ell": None}}, "params field 'ell': bad value None"),
+    ])
+    def test_every_document_words_its_errors_alike(self, reader, doc, message, toy_dist):
+        read = {"distribution": NextPriceDistribution.from_json_dict,
+                "strategy": lambda doc: resolve_strategy(doc, toy_dist)}[reader]
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            read(doc)
 
 
 def assert_same_spec(got, want):

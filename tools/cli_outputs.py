@@ -46,17 +46,20 @@ none), each at risk aversion a in {-1, 0, 0.1, 15}. Inputs that once ended
 in a numpy warning or a traceback close the set: ``eval``, ``optimize``
 and ``simulate --trace-out`` at a = 1e308, where a*c overflows and u
 saturates at 1/a; ``backtest --band-out`` of a document at kappa 1e307 and
-ell 10, whose per-step sum passes the float range; and eight refusals,
+ell 10, whose per-step sum passes the float range; and twelve refusals,
 which must exit 1 with one ``error:`` line: ``simulate --seed -1``;
 ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose product
 overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
 ``backtest`` of a document with kappa 1e-320, whose products fall below
 the smallest normal float; ``eval`` of a document with n_tau
 99999999999999999999 and ``sweep`` with that n_alpha grid, counts past
-every array size; and ``simulate --trace-out`` of the kappa 1e307 document
-at the default 50,000 steps, whose total reward overflows. The run exits 0
-when every command exits 0 and every such refusal exits 1. In all: 48
-documents, 659 commands and 1,011 files with ``exit_codes.txt`` and
+every array size; ``simulate --trace-out`` of the kappa 1e307 document
+at the default 50,000 steps, whose total reward overflows; and ``eval`` of
+a distribution document that is a list, of one with k_max 1.9, and of
+strategy documents whose params are ``"q"`` and ``{"a": "q"}``, so that
+every form of a document error shows in ``stderr.txt``. The run exits 0
+when every command exits 0 and every such refusal exits 1. In all: 52
+documents, 663 commands and 1,011 files with ``exit_codes.txt`` and
 ``stderr.txt``.
 """
 
@@ -112,11 +115,17 @@ HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
 # float range; the backtest mean is taken of scaled utilities, a simulate total is refused
 OVERFLOW_DOCUMENT = "overflow/uniform_count_kappa1e307.json"
 # documents that must be refused: kappa * ell below the smallest normal float,
-# and an n_tau past every array size
+# an n_tau past every array size, a distribution that is not an object and one
+# whose k_max is not whole, and params that are not an object or not numbers
 REFUSED_DOCUMENTS = {
     "refused/uniform_count_kappa1e-320.json":
         {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kappa": 1e-320, "ell": 1}},
     "refused/uniform_n_tau_1e20.json": {**DOCUMENTS["uniform_count"], "n_tau": 10**20 - 1},
+    "refused/dist_list.json": [0.25, 0.5, 0.25],
+    "refused/dist_k_max_1.9.json":
+        {"k_max": 1.9, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25]},
+    "refused/uniform_count_params_q.json": {**DOCUMENTS["uniform_count"], "params": "q"},
+    "refused/uniform_count_a_q.json": {**DOCUMENTS["uniform_count"], "params": {"a": "q"}},
 }
 # the documents outside strategies/
 EXTRA_DOCUMENTS = {
@@ -293,7 +302,8 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
     huge = ["--kappa", "1e200", "--ell", "1e200"]
     tiny = ["--kappa", "1e-200", "--ell", "1e-200"]
     prices = inputs / "prices" / "prices_00000.csv"
-    tiny_doc, far_doc = (inputs / name for name in REFUSED_DOCUMENTS)
+    tiny_doc, far_doc, list_dist, k_max_dist, params_q_doc, a_q_doc = (
+        inputs / name for name in REFUSED_DOCUMENTS)
     return [
         ["simulate", str(dist), str(doc), "--seed", "-1",
          "--out", str(out / "simulate_negative_seed.json")],
@@ -312,6 +322,11 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
         ["simulate", str(dist), str(inputs / OVERFLOW_DOCUMENT),
          "--trace-out", str(out / "trace_overflow.csv"),
          "--out", str(out / "simulate_overflow.json")],
+        # documents malformed as a whole or in one field
+        ["eval", str(list_dist), str(doc), "--out", str(out / "eval_dist_list.json")],
+        ["eval", str(k_max_dist), str(doc), "--out", str(out / "eval_dist_k_max_1.9.json")],
+        ["eval", str(dist), str(params_q_doc), "--out", str(out / "eval_params_q.json")],
+        ["eval", str(dist), str(a_q_doc), "--out", str(out / "eval_params_a_q.json")],
     ]
 
 
