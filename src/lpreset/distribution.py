@@ -3,7 +3,8 @@
 h(k) is the probability that the price moves k bins in one time step,
 estimated as a normalized histogram of percent changes over 2*k_max+1 bins
 of width ``bin_width_pct`` centered on zero. ``json_fields`` writes a document and
-``json_read`` reads one back, a dataclass field by field; ``doc_field`` words each field error.
+``json_read`` reads one back, a dataclass field by field, refusing a key that is no field;
+``doc_field`` words each field error, and ``json_number`` refuses a number past the float range.
 """
 
 from __future__ import annotations
@@ -139,10 +140,13 @@ def read_json(path: str):
 
 
 def json_number(value) -> float:
-    """A JSON number as a float; a string or a bool is a ValueError."""
+    """A JSON number as a float; a string, a bool or an int past float range is a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # only an int: a float is already in range
+        raise ValueError("an int past the float range") from None
 
 
 JSON_CASTS = {"int": int, "float": float, "str": str, "bool": bool,
@@ -177,11 +181,13 @@ JSON_READS = {"int": json_count, "float": json_number,
 def json_read(cls, doc, what: str):
     """The dataclass ``cls`` read from the JSON object ``doc``: the mirror of ``json_fields``.
 
-    Each field that ``doc`` gives, or that has no default, goes through ``doc_field``
-    with the ``JSON_READS`` entry of its annotation; ``what`` names the document.
+    Each field ``doc`` gives, or that has no default, goes through ``doc_field`` with its
+    annotation's ``JSON_READS`` entry, and any other key is refused; ``what`` names the document.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} document must be an object, got {doc!r}")
+    if unknown := doc.keys() - {f.name for f in fields(cls)}:
+        raise InputError(f"{what} document has unknown field {min(unknown, key=str)!r}")
     return cls(**{f.name: doc_field(doc, f.name, JSON_READS[f.type], what)
                   for f in fields(cls) if f.name in doc or f.default is MISSING})
 
@@ -192,7 +198,7 @@ def doc_field(doc: dict, key: str, convert, what: str):
         raise InputError(f"{what} document missing field {key!r}")
     try:
         return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{what} field {key!r}: bad value {doc[key]!r}") from exc
 
 

@@ -13,7 +13,8 @@ g(i) = 1 - sum_{j in B_tau} f(i, j).
   block of f; its expected visits to each state are e_0 (I - F)^-1, which
   normalize to p and sum to the expected cycle length (1 / reset rate).
 * the landing law q(j) = sum_i p(i) h(j - i) over |j| <= n_tau + k_max: the
-  convolution of p with h.
+  convolution of p with h. That convolution is the one place q is formed;
+  ``landing_distribution`` reads the same q over an outcome matrix's columns.
 """
 
 from __future__ import annotations
@@ -174,12 +175,12 @@ def outcome_matrix(
 
 
 def landing_distribution(chain: ResetChain, O: OutcomeMatrix) -> np.ndarray:
-    """q(j) = sum_i p_tau(i) f(i, j); sum q <= 1, deficit = mass beyond B_alpha."""
+    """The law's q(j) over O's columns B_alpha; sum q <= 1, deficit = mass beyond B_alpha."""
     if chain.n_tau != O.n_tau:
         raise InputError(
             f"chain n_tau {chain.n_tau} != outcome matrix n_tau {O.n_tau}"
         )
-    return chain.stationary @ O.O
+    return chain.over(O.n_alpha)
 
 
 def landing_over(chain: LandingLaw, js: np.ndarray) -> np.ndarray:

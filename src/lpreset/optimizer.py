@@ -40,6 +40,7 @@ __all__ = [
 
 ACTIVE_TOL = 1e-12
 KKT_TOL = 1e-10  # largest KKT residual solve() certifies for a > 0
+VERIFY_MAX_ITERS = 200_000  # ascent steps projected_gradient_verify takes at most
 
 
 @dataclass(frozen=True)
@@ -202,11 +203,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def projected_gradient_verify(
-    problem: OptimizationProblem,
-    tol: float = 1e-12,
-    max_iters: int = 200_000,
-) -> Solution:
+def projected_gradient_verify(problem: OptimizationProblem, tol: float = 1e-12) -> Solution:
     """Independent check of solve() by projected gradient ascent (a >= 0 only).
 
     Backtracking step size; stops when the per-step objective gain drops
@@ -220,7 +217,7 @@ def projected_gradient_verify(
     step = 1.0 / max(1.0, problem.params.kappa * problem.params.ell)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, VERIFY_MAX_ITERS + 1):
         grad = problem.gradient(w)
         trial_step = step
         improved = False

@@ -79,7 +79,8 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
         raise InputError(f"strategy document must be an object, got {doc!r}")
     params = json_read(UtilityParams, doc.get("params", {}), "params")
     if "weights" in doc:  # n_alpha and weights are read, and named when missing, before n_tau
-        allocation = json_read(Allocation, doc, "strategy")
+        form = {key: doc[key] for key in ("n_alpha", "weights") if key in doc}
+        allocation = json_read(Allocation, form, "strategy")
         n_tau = doc_field(doc, "n_tau", json_count, "strategy")
         return StrategySpec(doc.get("kind", "custom"), n_tau, allocation, params)
     kind = doc.get("kind")

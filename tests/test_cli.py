@@ -447,7 +447,8 @@ class TestSimulate:
                 "25",
                 "--trace-out",
                 str(trace),
-                "--quiet",
+                "--out",
+                str(tmp_path / "s.json"),
             ]
         )
         assert code == 0
@@ -495,7 +496,8 @@ class TestBacktest:
                 "0.5",
                 "--band-out",
                 str(band),
-                "--quiet",
+                "--out",
+                str(tmp_path / "b.json"),
             ]
         )
         assert code == 0
@@ -919,6 +921,17 @@ class TestParserReuse:
         assert exc.value.code == 2
         flag = next(arg for arg in argv if arg in ("--mode", "--clamp-tails"))
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "x"], ["eval", "x", "y"], ["optimize", "x", "--n-tau", "1"],
+        ["sweep", "x"], ["simulate", "x", "y"], ["backtest", "x", "y"],
+    ])
+    def test_no_quiet_flag(self, argv, capsys):
+        # --out PATH is what keeps stdout empty
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--compare-v2", "--no-compare-v2"])
     def test_backtest_always_compares_with_v2(self, flag, capsys):

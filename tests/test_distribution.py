@@ -15,7 +15,7 @@ from lpreset import (
     percent_changes,
     stability_correlation,
 )
-from lpreset.distribution import json_fields
+from lpreset.distribution import json_fields, json_number
 from tests.conftest import write_dist, write_price_csv
 
 
@@ -253,6 +253,11 @@ class TestSeriesAndIO:
         assert NextPriceDistribution.from_json_dict(doc).k_max == 1
         with pytest.raises(InputError, match=f"distribution field '{field}': bad value"):
             NextPriceDistribution.from_json_dict({**doc, field: value})
+
+    @pytest.mark.parametrize("value", [10**400, -(10**309)], ids=["1e400", "-1e309"])
+    def test_int_past_the_float_range_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="past the float range"):
+            json_number(value)
 
     @pytest.mark.parametrize("field", ["k_max", "bin_width_pct", "probs"])
     def test_document_without_a_field_is_an_error(self, field):

@@ -179,6 +179,13 @@ class TestOutcomeAndLanding:
         with pytest.raises(InputError):
             landing_distribution(chain, outcome_matrix(toy_dist, 0, 1))
 
+    @pytest.mark.parametrize("n_tau, n_alpha", [(2, 5), (4, 4), (6, 70), (16, 20)])
+    def test_landing_distribution_is_the_laws_q(self, eth_dist, n_tau, n_alpha):
+        # one home for q: the outcome matrix picks the columns, not a second product
+        chain = build_reset_chain(eth_dist, n_tau)
+        q = landing_distribution(chain, outcome_matrix(eth_dist, n_tau, n_alpha))
+        assert q.tobytes() == chain.over(n_alpha).tobytes()
+
     def test_landing_deficit_conservation(self, eth_dist):
         # deficit must equal the stationary-weighted mass of h beyond B_alpha
         for n_tau, n_alpha in ((2, 5), (4, 4), (6, 70)):

@@ -1,0 +1,101 @@
+"""The analytic layer against 40-digit arithmetic at risk aversion a != 0.
+
+``test_exact_oracle`` checks the float pipeline against exact rationals, which
+exist only at a = 0: at any other a, u(c) = (1 - exp(-a c)) / a leaves the
+rationals. Here the float h is read exactly as mpmath numbers, the cycle
+visits solve (I - F)^T v = e_center by ``mp.lu_solve`` at 40 digits, q comes
+from its defining sum and E_u from ``mp.exp``. At 40 digits the oracle's own
+error is far below a float ulp, so each difference is the float pipeline's.
+
+The bounds were tuned on hypothesis draws of the problems below: 4,500 of
+the law (k_max up to 16, n_tau up to 16) and 2,600 of E_u. The worst errors
+seen are in each bound's comment.
+"""
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from lpreset import (
+    MODE_FULL,
+    MODE_STRICT,
+    UtilityParams,
+    expected_utility,
+    landing_law,
+    proportional_strategy,
+)
+
+from conftest import dists, make_eth_like
+
+mp = pytest.importorskip("mpmath", reason="the 40-digit oracle needs mpmath").mp
+
+DIGITS = 40
+EPS = 2.0**-52
+# the law's errors grow with the 2 n_tau + 1 states of the solve, so their bounds
+# are ulps per state: the cycle length's worst was 2.4 (1.7e-14 at n_tau 15) and
+# q's, relative to max q, 0.52 (3.4e-15)
+CYCLE_ULPS_PER_STATE = 8
+Q_ULPS_PER_STATE = 2
+# u = e^c - 1 at a = -1 magnifies the rounding of c = kappa*ell*A + 1 by up to c,
+# 51 here: worst 5.2e-15 seen, against 1.4e-15 at a = 0.1 and 6.9e-16 at a = 15
+EU_REL = 1.6e-14
+RISKS = (-1.0, 0.1, 15.0)
+# kappa * ell and every product of it with a float weight are exact in floats
+KAPPA_ELL = [(1.0, 1.0), (1.0, 37.0), (0.5, 100.0), (2.0, 0.25)]
+
+
+def mp_law(probs, n_tau):
+    """(cycle length, q over the reach) of the reset chain of the float h ``probs``."""
+    k_max = (len(probs) - 1) // 2
+    h = [mp.mpf(float(x)) for x in probs]
+
+    def hk(k):
+        return h[k + k_max] if abs(k) <= k_max else mp.zero
+
+    n = 2 * n_tau + 1
+    # (I - F)^T, F(i, j) = h(j - i) over B_tau
+    transposed = mp.matrix([[int(i == j) - hk(i - j) for j in range(n)] for i in range(n)])
+    visits = mp.lu_solve(transposed, mp.matrix([int(i == n_tau) for i in range(n)]))
+    cycle = mp.fsum(visits)
+    p = [v / cycle for v in visits]
+    reach = n_tau + k_max
+    q = [mp.fsum(p[i] * hk(j - i + n_tau) for i in range(n)) for j in range(-reach, reach + 1)]
+    return cycle, q
+
+
+def mp_expected_utility(q, n_tau, weights, params, m):
+    """sum_{|j| <= m} q(j) u(R(j) + 1) at a != 0, and the sum of its terms' magnitudes."""
+    reach, n_alpha = (len(q) - 1) // 2, (len(weights) - 1) // 2
+    a, kappa_ell = mp.mpf(params.a), mp.mpf(params.kappa) * mp.mpf(params.ell)
+    terms = []
+    for j in range(-m, m + 1):
+        weight = mp.mpf(float(weights[j + n_alpha])) if abs(j) <= n_alpha else mp.zero
+        c = kappa_ell * weight - (abs(j) > n_tau) + 1
+        terms.append((q[j + reach] if abs(j) <= reach else mp.zero) * (1 - mp.exp(-a * c)) / a)
+    return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+def relative(got, want, scale):
+    return float(abs(mp.mpf(float(got)) - want) / scale)
+
+
+class TestMpOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(dists(), st.integers(0, 16), st.sampled_from(RISKS), st.sampled_from(KAPPA_ELL))
+    @example(make_eth_like(), 16, -1.0, (1.0, 37.0))
+    @example(make_eth_like(), 16, 15.0, (0.5, 100.0))
+    def test_float_pipeline_within_a_few_ulps_at_a_nonzero(self, dist, n_tau, a, kappa_ell):
+        assume(dist.prob(0) < 1.0)  # the no-move h never resets: the rational oracle's case
+        assume(sum(dist.prob(k) for k in range(-n_tau, n_tau + 1)) > 0)  # proportional has mass
+        params = UtilityParams(a, *kappa_ell)
+        alloc = proportional_strategy(dist, params, n_tau, n_tau).allocation
+        law = landing_law(dist, n_tau)
+        ulp_states = (2 * n_tau + 1) * EPS
+        with mp.workdps(DIGITS):
+            cycle, q = mp_law(dist.probs, n_tau)
+            assert relative(law.cycle_length, cycle, cycle) <= CYCLE_ULPS_PER_STATE * ulp_states
+            q_err = max(relative(got, want, max(q)) for got, want in zip(law.q, q))
+            assert q_err <= Q_ULPS_PER_STATE * ulp_states
+            for mode, m in ((MODE_STRICT, n_tau), (MODE_FULL, law.reach)):
+                want, scale = mp_expected_utility(q, n_tau, alloc.weights, params, m)
+                got = expected_utility(dist, n_tau, alloc, params, mode)
+                assert relative(got, want, scale) <= EU_REL, (mode, got, float(want))

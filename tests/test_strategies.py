@@ -199,6 +199,10 @@ class TestStrategySpecIO:
         ("strategy", {**UNIFORM, "params": "q"}, "params document must be an object, got 'q'"),
         ("strategy", {**UNIFORM, "params": {"a": "q"}}, "params field 'a': bad value 'q'"),
         ("strategy", {**WEIGHTS, "params": {"ell": None}}, "params field 'ell': bad value None"),
+        ("distribution", {**TOY, "extra": 1}, "distribution document has unknown field 'extra'"),
+        ("strategy", {**UNIFORM, "params": {"kapa": 2}}, "params document has unknown field 'kapa'"),
+        ("strategy", {**WEIGHTS, "params": {"a": 0.1, "zzz": 3}},
+         "params document has unknown field 'zzz'"),
     ])
     def test_every_document_words_its_errors_alike(self, reader, doc, message, toy_dist):
         read = {"distribution": NextPriceDistribution.from_json_dict,

@@ -46,7 +46,7 @@ none), each at risk aversion a in {-1, 0, 0.1, 15}. Inputs that once ended
 in a numpy warning or a traceback close the set: ``eval``, ``optimize``
 and ``simulate --trace-out`` at a = 1e308, where a*c overflows and u
 saturates at 1/a; ``backtest --band-out`` of a document at kappa 1e307 and
-ell 10, whose per-step sum passes the float range; and twelve refusals,
+ell 10, whose per-step sum passes the float range; and fourteen refusals,
 which must exit 1 with one ``error:`` line: ``simulate --seed -1``;
 ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose product
 overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
@@ -57,10 +57,11 @@ every array size; ``simulate --trace-out`` of the kappa 1e307 document
 at the default 50,000 steps, whose total reward overflows; and ``eval`` of
 a distribution document that is a list, of one with k_max 1.9, and of
 strategy documents whose params are ``"q"`` and ``{"a": "q"}``, so that
-every form of a document error shows in ``stderr.txt``. The run exits 0
-when every command exits 0 and every such refusal exits 1. In all: 52
-documents, 663 commands and 1,011 files with ``exit_codes.txt`` and
-``stderr.txt``.
+every form of a document error shows in ``stderr.txt``; and ``eval`` of
+params that misspell kappa as ``kapa`` and of a distribution with an extra
+field, each an unknown field. The run exits 0 when every command exits 0
+and every such refusal exits 1. In all: 54 documents, 665 commands and
+1,011 files with ``exit_codes.txt`` and ``stderr.txt``.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ HUGE_A_DOCUMENT = "huge_a/uniform_count_a1e308.json"
 OVERFLOW_DOCUMENT = "overflow/uniform_count_kappa1e307.json"
 # documents that must be refused: kappa * ell below the smallest normal float,
 # an n_tau past every array size, a distribution that is not an object and one
-# whose k_max is not whole, and params that are not an object or not numbers
+# whose k_max is not whole, params that are not an object or not numbers, and
+# params and a distribution with an unknown field
 REFUSED_DOCUMENTS = {
     "refused/uniform_count_kappa1e-320.json":
         {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kappa": 1e-320, "ell": 1}},
@@ -126,6 +128,10 @@ REFUSED_DOCUMENTS = {
         {"k_max": 1.9, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25]},
     "refused/uniform_count_params_q.json": {**DOCUMENTS["uniform_count"], "params": "q"},
     "refused/uniform_count_a_q.json": {**DOCUMENTS["uniform_count"], "params": {"a": "q"}},
+    "refused/uniform_count_kapa.json":
+        {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kapa": 2}},
+    "refused/dist_extra.json":
+        {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25], "extra": 1},
 }
 # the documents outside strategies/
 EXTRA_DOCUMENTS = {
@@ -302,7 +308,7 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
     huge = ["--kappa", "1e200", "--ell", "1e200"]
     tiny = ["--kappa", "1e-200", "--ell", "1e-200"]
     prices = inputs / "prices" / "prices_00000.csv"
-    tiny_doc, far_doc, list_dist, k_max_dist, params_q_doc, a_q_doc = (
+    tiny_doc, far_doc, list_dist, k_max_dist, params_q_doc, a_q_doc, kapa_doc, extra_dist = (
         inputs / name for name in REFUSED_DOCUMENTS)
     return [
         ["simulate", str(dist), str(doc), "--seed", "-1",
@@ -327,6 +333,9 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
         ["eval", str(k_max_dist), str(doc), "--out", str(out / "eval_dist_k_max_1.9.json")],
         ["eval", str(dist), str(params_q_doc), "--out", str(out / "eval_params_q.json")],
         ["eval", str(dist), str(a_q_doc), "--out", str(out / "eval_params_a_q.json")],
+        # a misspelt field is refused, not read as its default
+        ["eval", str(dist), str(kapa_doc), "--out", str(out / "eval_params_kapa.json")],
+        ["eval", str(extra_dist), str(doc), "--out", str(out / "eval_dist_extra.json")],
     ]
 
 
