@@ -20,10 +20,9 @@ import json
 import os
 import sys
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # set, not defaulted, before the first package import loads numpy and BLAS
-os.environ.update(
-    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-)
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
 from . import backtest as bt
 from .bins import BinGrid
@@ -40,13 +39,14 @@ from .errors import InputError, LpresetError
 from .markov import landing_law
 from .simulate import run_strategy, sample_path
 from .strategies import (
+    CONSTRUCTORS,
     load_strategy,
     optimal_strategy,
     proportional_strategy,
     uniform_strategy,
     window_for_mass,
 )
-from .utility import MODE_FULL, MODE_STRICT, UtilityParams
+from .utility import MODE_STRICT, MODES, UtilityParams
 from .utility import expected_utilities, expected_utility
 
 __all__ = ["main"]
@@ -194,16 +194,16 @@ def _add_common(p: argparse.ArgumentParser, mode: bool = False) -> None:
     if mode:
         p.add_argument(
             "--mode",
-            choices=[MODE_STRICT, MODE_FULL],
+            choices=MODES,
             default=MODE_STRICT,
             help="expected-utility evaluation mode",
         )
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=0.0, help="absolute risk aversion")
-    p.add_argument("--kappa", type=float, default=1.0, help="fee yield per step")
-    p.add_argument("--ell", type=float, default=100.0, help="total liquidity")
+    p.add_argument("--a", type=float, default=UtilityParams.a, help="absolute risk aversion")
+    p.add_argument("--kappa", type=float, default=UtilityParams.kappa, help="fee yield per step")
+    p.add_argument("--ell", type=float, default=UtilityParams.ell, help="total liquidity")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     strategies._group_actions.append(mass)
     strategies.add_argument(
         "--strategy",
-        choices=["proportional", "uniform", "optimal"],
+        choices=CONSTRUCTORS,
         help="strategy on the window grids (default: proportional)",
     )
     _add_params(p)

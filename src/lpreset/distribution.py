@@ -80,6 +80,8 @@ class NextPriceDistribution:
         object.__setattr__(self, "probs", p)
         if self.k_max < 1:
             raise InputError(f"k_max must be >= 1, got {self.k_max}")
+        if self.source_rows < 0:
+            raise InputError(f"source_rows must be >= 0, got {self.source_rows}")
         if not 0 < self.bin_width_pct < math.inf:
             raise InputError(f"bin_width_pct must be finite and > 0, got {self.bin_width_pct}")
         if p.shape != (2 * self.k_max + 1,):
@@ -186,10 +188,15 @@ def json_read(cls, doc, what: str):
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} document must be an object, got {doc!r}")
-    if unknown := doc.keys() - {f.name for f in fields(cls)}:
-        raise InputError(f"{what} document has unknown field {min(unknown, key=str)!r}")
+    refuse_unknown(doc, {f.name for f in fields(cls)}, what)
     return cls(**{f.name: doc_field(doc, f.name, JSON_READS[f.type], what)
                   for f in fields(cls) if f.name in doc or f.default is MISSING})
+
+
+def refuse_unknown(doc: dict, known, what: str) -> None:
+    """An InputError naming the least key of ``doc`` outside ``known``, if there is one."""
+    if unknown := doc.keys() - set(known):
+        raise InputError(f"{what} document has unknown field {min(unknown, key=str)!r}")
 
 
 def doc_field(doc: dict, key: str, convert, what: str):

@@ -41,6 +41,7 @@ __all__ = [
 ACTIVE_TOL = 1e-12
 KKT_TOL = 1e-10  # largest KKT residual solve() certifies for a > 0
 VERIFY_MAX_ITERS = 200_000  # ascent steps projected_gradient_verify takes at most
+VERIFY_TOL = 1e-14  # the per-step objective gain below which it stops
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def projected_gradient_verify(problem: OptimizationProblem, tol: float = 1e-12) -> Solution:
+def projected_gradient_verify(problem: OptimizationProblem) -> Solution:
     """Independent check of solve() by projected gradient ascent (a >= 0 only).
 
     Backtracking step size; stops when the per-step objective gain drops
-    below ``tol``.
+    below ``VERIFY_TOL``.
     """
     if problem.params.a < 0:
         raise InputError("projected gradient verification requires a >= 0")
@@ -235,7 +236,7 @@ def projected_gradient_verify(problem: OptimizationProblem, tol: float = 1e-12) 
         gain = cand_obj - obj
         w, obj = cand, cand_obj
         step = min(trial_step * 2.0, 1e6)
-        if gain < tol:
+        if gain < VERIFY_TOL:
             converged = True
             break
     return Solution(

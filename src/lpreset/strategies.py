@@ -4,27 +4,29 @@ A strategy document is a JSON object in one of two forms:
 
 * the weights form, ``{"kind", "n_tau", "n_alpha", "weights", "params"}``,
   which ``StrategySpec.to_json_dict`` writes;
-* the constructor form, ``{"kind": "uniform" | "proportional" | "optimal",
-  ...}``, whose windows are each a count (``n_tau``, ``n_alpha``) or a
+* the constructor form, ``{"kind", ...}`` with a kind of ``CONSTRUCTORS``,
+  whose windows are each a count (``n_tau``, ``n_alpha``) or a
   probability mass (``tau_mass``, ``alpha_mass``) resolved against the
   next-price distribution by ``window_for_mass``. An optimal document may
   leave out B_alpha, which is then the reach.
 
 ``resolve_strategy`` is the one reader of both forms and ``load_strategy``
 reads one from a file; every field, ``params`` too, goes through ``json_read``
-or ``doc_field``, so a missing or malformed one is an InputError. The
-constructors take window counts, but the optimal one takes the landing law of
-B_tau in place of n_tau: that law is all it reads of the distribution.
+or ``doc_field``, so a missing or malformed one is an InputError, as is a key
+that the document's form does not read (the weights form may also carry an
+``optimize`` output's certificate). The constructors take window counts,
+but the optimal one takes the landing law of B_tau in place of n_tau: that
+law is all it reads of the distribution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .distribution import NextPriceDistribution, centred, doc_field, json_count, json_fields
-from .distribution import json_number, json_read, read_json
+from .distribution import json_number, json_read, read_json, refuse_unknown
 from .errors import InputError
 from .markov import LandingLaw, landing_law
 from .markov import build_reset_chain  # noqa: F401  (perfbench patches it here)
@@ -41,7 +43,12 @@ __all__ = [
     "optimal_strategy",
 ]
 
-KINDS = ("uniform", "proportional", "optimal", "custom")
+CONSTRUCTORS = ("proportional", "uniform", "optimal")  # the kinds a constructor form names
+KINDS = (*CONSTRUCTORS, "custom")
+# the keys of each form; the weights form may carry an optimize output's certificate
+CONSTRUCTOR_FORM = ("kind", "n_tau", "tau_mass", "n_alpha", "alpha_mass", "params")
+WEIGHTS_FORM = ("kind", "n_tau", "n_alpha", "weights", "params",
+                *(f.name for f in fields(Solution) if f.name != "allocation"))
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,7 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
     """
     if not isinstance(doc, dict):
         raise InputError(f"strategy document must be an object, got {doc!r}")
+    refuse_unknown(doc, WEIGHTS_FORM if "weights" in doc else CONSTRUCTOR_FORM, "strategy")
     params = json_read(UtilityParams, doc.get("params", {}), "params")
     if "weights" in doc:  # n_alpha and weights are read, and named when missing, before n_tau
         form = {key: doc[key] for key in ("n_alpha", "weights") if key in doc}
@@ -84,7 +92,7 @@ def resolve_strategy(doc: dict, dist: NextPriceDistribution) -> StrategySpec:
         n_tau = doc_field(doc, "n_tau", json_count, "strategy")
         return StrategySpec(doc.get("kind", "custom"), n_tau, allocation, params)
     kind = doc.get("kind")
-    if kind not in ("uniform", "proportional", "optimal"):
+    if kind not in CONSTRUCTORS:
         raise InputError(f"cannot resolve strategy (kind={kind!r}, no weights)")
     n_tau = _window_field(doc, dist, "n_tau", "tau_mass")
     n_alpha = _window_field(doc, dist, "n_alpha", "alpha_mass", optional=kind == "optimal")

@@ -42,7 +42,7 @@ __all__ = [
 
 MODE_STRICT = "strict-paper"
 MODE_FULL = "full-coverage"
-_MODES = (MODE_STRICT, MODE_FULL)
+MODES = (MODE_STRICT, MODE_FULL)
 
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard
 
@@ -171,8 +171,8 @@ def expected_utilities(
 
     E_u sums over |j| <= n_alpha (strict) or the reach (full coverage), zero-padding q.
     """
-    if mode not in _MODES:
-        raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
     ms = [alloc.n_alpha if mode == MODE_STRICT else law.reach for alloc in allocs]
     n = max(ms, default=0)
     resets = resets_over(n, law.n_tau)

@@ -297,7 +297,7 @@ class TestAcceptance:
                     params=UtilityParams(a=a, kappa=1.0, ell=1.0),
                 )
                 sol = solve(prob)
-                pg = projected_gradient_verify(prob, tol=1e-14)
+                pg = projected_gradient_verify(prob)
                 worst_gap = max(worst_gap, abs(sol.objective - pg.objective))
                 worst_kkt = max(worst_kkt, kkt_residual(prob, sol.allocation.weights))
 

@@ -27,7 +27,7 @@ from lpreset import (
     sample_path,
     uniform_strategy,
 )
-from lpreset.cli import main
+from lpreset.cli import THREAD_VARS, main
 from lpreset.strategies import load_strategy, resolve_strategy
 
 from conftest import dists, write_dist, write_price_csv
@@ -1158,7 +1158,6 @@ class TestEveryInputEndsCleanly:
             assert lines[-1].startswith(f"lpreset {command}: error: argument")
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # runs each argv of the JSON list in argv[1]; lpreset.cli comes first, so its
 # thread pin is set before numpy loads
 CHILD = """

@@ -194,7 +194,7 @@ class TestProjectedGradient:
     def test_matches_water_filling_on_worked_example(self, toy_dist):
         prob = toy_full_problem(toy_dist, a=1.0)
         exact = solve(prob)
-        pg = projected_gradient_verify(prob, tol=1e-14)
+        pg = projected_gradient_verify(prob)
         assert abs(pg.objective - exact.objective) < 1e-6
 
     def test_linear_case_reaches_argmax_vertex(self):
@@ -202,7 +202,7 @@ class TestProjectedGradient:
         prob = OptimizationProblem(
             q=q, tau_membership=np.ones(5, bool), params=UtilityParams(a=0.0, ell=1.0)
         )
-        pg = projected_gradient_verify(prob, tol=1e-14)
+        pg = projected_gradient_verify(prob)
         assert abs(pg.objective - q.max() * 1.0) < 1e-9
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
@@ -211,7 +211,7 @@ class TestProjectedGradient:
         for _ in range(20):
             prob = random_problem(rng, a)
             exact = solve(prob)
-            pg = projected_gradient_verify(prob, tol=1e-14)
+            pg = projected_gradient_verify(prob)
             assert abs(pg.objective - exact.objective) < 1e-6
 
     def test_negative_a_rejected(self):

@@ -203,6 +203,13 @@ class TestStrategySpecIO:
         ("strategy", {**UNIFORM, "params": {"kapa": 2}}, "params document has unknown field 'kapa'"),
         ("strategy", {**WEIGHTS, "params": {"a": 0.1, "zzz": 3}},
          "params document has unknown field 'zzz'"),
+        ("distribution", {**TOY, "source_rows": -5}, "source_rows must be >= 0, got -5"),
+        ("strategy", {**WEIGHTS, "tau_mass": 0.3}, "strategy document has unknown field 'tau_mass'"),
+        ("strategy", {**UNIFORM, "zzz": 1}, "strategy document has unknown field 'zzz'"),
+        ("strategy", {**UNIFORM, "zzz": 1, "weight": 2},
+         "strategy document has unknown field 'weight'"),
+        # a certificate key belongs to the weights form alone
+        ("strategy", {**UNIFORM, "objective": 1.0}, "strategy document has unknown field 'objective'"),
     ])
     def test_every_document_words_its_errors_alike(self, reader, doc, message, toy_dist):
         read = {"distribution": NextPriceDistribution.from_json_dict,

@@ -3,6 +3,7 @@
     python3 tools/cli_outputs.py --src OLD/src --inputs IN --out out_old --seed 7
     python3 tools/cli_outputs.py --src src --inputs IN --out out_new --seed 7
     python3 tools/cli_diff.py out_old out_new    # exit 0: no output byte moved
+    diff tools/cli_outputs.sha256 out_new/digest.sha256    # the committed bytes
 
 When ``--inputs`` does not exist yet it is built from ``--seed`` with this
 checkout's ``perfbench/gen.py``, which fits with this checkout's ``lpreset
@@ -14,17 +15,22 @@ fields padded with spaces and one quoted price. Both take the row-by-row
 path. Later runs reuse the directory, so every tree reads the same files;
 a directory that lacks any of them (one an older checkout built) stops the
 run with the list of what is missing. The commands then run in one child
-process with ``--src`` as its PYTHONPATH and the BLAS threads pinned to 1.
-The CLI pins one thread itself, but a tree from before it did so writes
-bytes that depend on the thread count, and the tool compares against such
-trees. Each command writes its output with ``--out`` (and
-``--trace-out``/``--band-out``) under ``--out``, and ``exit_codes.txt``
-lists each command with its exit code. A command that raises instead of returning is listed with -1.
+process with ``--src`` as its PYTHONPATH and this environment otherwise;
+``lpreset.cli`` pins the BLAS threads to 1 itself. Each command writes its
+output with ``--out`` (and ``--trace-out``/``--band-out``) under ``--out``,
+and ``exit_codes.txt`` lists each command with its exit code. A command
+that raises instead of returning is listed with -1.
 ``stderr.txt`` holds, after a ``$`` line naming it, what each command wrote
 to stderr (an ``error:`` line, a numpy warning, a traceback), so a new or
 changed message shows up in ``tools/cli_diff.py`` too. In both files the
 ``--out``, ``--inputs`` and ``--src`` directories read ``OUT``, ``IN`` and
-``SRC``.
+``SRC``. Last, ``digest.sha256`` holds the sha256 of every input and
+output file, one ``sha256  IN/name`` or ``sha256  OUT/name`` line each,
+sorted by name, under ``# `` lines computed in the child that name what
+picks the last bits: the OpenBLAS core, numpy's dispatch targets enabled on
+this CPU, the glibc version and the numpy version. ``tools/cli_outputs.sha256``
+is that file at ``--seed 7``; a change that moves an output byte regenerates
+it and says why.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
 both grid anchors for every price CSV and strategy document, the same
@@ -46,7 +52,7 @@ none), each at risk aversion a in {-1, 0, 0.1, 15}. Inputs that once ended
 in a numpy warning or a traceback close the set: ``eval``, ``optimize``
 and ``simulate --trace-out`` at a = 1e308, where a*c overflows and u
 saturates at 1/a; ``backtest --band-out`` of a document at kappa 1e307 and
-ell 10, whose per-step sum passes the float range; and fourteen refusals,
+ell 10, whose per-step sum passes the float range; and seventeen refusals,
 which must exit 1 with one ``error:`` line: ``simulate --seed -1``;
 ``optimize`` and ``sweep`` at ``--kappa 1e200 --ell 1e200``, whose product
 overflows; ``optimize`` at ``--kappa 1e-200 --ell 1e-200`` and
@@ -59,15 +65,19 @@ a distribution document that is a list, of one with k_max 1.9, and of
 strategy documents whose params are ``"q"`` and ``{"a": "q"}``, so that
 every form of a document error shows in ``stderr.txt``; and ``eval`` of
 params that misspell kappa as ``kapa`` and of a distribution with an extra
-field, each an unknown field. The run exits 0 when every command exits 0
-and every such refusal exits 1. In all: 54 documents, 665 commands and
-1,011 files with ``exit_codes.txt`` and ``stderr.txt``.
+field, each an unknown field, of a weights-form strategy that gives
+``tau_mass`` and a uniform one that gives ``zzz``, keys their forms do not
+read, and of a distribution with ``source_rows`` -5. The run exits 0 when
+every command exits 0 and every such refusal exits 1. In all: 57
+documents, 668 commands and 1,012 files with ``exit_codes.txt``,
+``stderr.txt`` and ``digest.sha256``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -76,7 +86,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RISKS = (-1.0, 0.0, 0.1, 15.0)
 DOCUMENTS = {
@@ -118,7 +127,8 @@ OVERFLOW_DOCUMENT = "overflow/uniform_count_kappa1e307.json"
 # documents that must be refused: kappa * ell below the smallest normal float,
 # an n_tau past every array size, a distribution that is not an object and one
 # whose k_max is not whole, params that are not an object or not numbers, and
-# params and a distribution with an unknown field
+# params and a distribution with an unknown field, strategy documents of each
+# form with a key that form does not read, and a negative source_rows
 REFUSED_DOCUMENTS = {
     "refused/uniform_count_kappa1e-320.json":
         {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kappa": 1e-320, "ell": 1}},
@@ -132,6 +142,11 @@ REFUSED_DOCUMENTS = {
         {**DOCUMENTS["uniform_count"], "params": {"a": 0.1, "kapa": 2}},
     "refused/dist_extra.json":
         {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25], "extra": 1},
+    "refused/weights_tau_mass.json":
+        {**DOCUMENTS["weights"], "params": {"a": 0.1}, "tau_mass": 0.3},
+    "refused/uniform_count_zzz.json": {**DOCUMENTS["uniform_count"], "zzz": 1},
+    "refused/dist_source_rows_-5.json":
+        {"k_max": 1, "bin_width_pct": 1.0, "probs": [0.25, 0.5, 0.25], "source_rows": -5},
 }
 # the documents outside strategies/
 EXTRA_DOCUMENTS = {
@@ -144,11 +159,28 @@ EXTRA_DOCUMENTS = {
 # the child: run every command of the JSON list on stdin through lpreset.cli.main
 # and give back its exit code and stderr; a command that raises (as a refusal may
 # in an older tree) exits -1 and the rest run. Each command starts with fresh
-# warning filters, so it shows a warning once, as its own process would.
+# warning filters, so it shows a warning once, as its own process would. It also
+# names what picks the last bits on this machine: the OpenBLAS core, the numpy
+# dispatch targets this CPU enables, glibc's version and numpy's.
 CHILD = """
-import contextlib, io, json, sys, traceback, warnings
+import contextlib, ctypes, glob, io, json, os, sys, traceback, warnings
 import lpreset.cli
+import numpy
 print(lpreset.cli.__file__, file=sys.stderr)
+def blas_core():
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+def machine():
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f"openblas-core {blas_core()}",
+            "numpy-dispatch " + " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]),
+            f"glibc {os.confstr('CS_GNU_LIBC_VERSION').split()[-1]}",
+            f"numpy {numpy.__version__}"]
 def run(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -159,14 +191,13 @@ def run(argv):
             traceback.print_exc()
             code = -1
     return code, err.getvalue()
-json.dump([run(argv) for argv in json.load(sys.stdin)], sys.stdout)
+json.dump({"machine": machine(), "runs": [run(argv) for argv in json.load(sys.stdin)]},
+          sys.stdout)
 """
 
 
 def child_env(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.update({var: "1" for var in THREAD_VARS})
-    return env
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def build_inputs(inputs: Path, seed: int) -> None:
@@ -308,8 +339,8 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
     huge = ["--kappa", "1e200", "--ell", "1e200"]
     tiny = ["--kappa", "1e-200", "--ell", "1e-200"]
     prices = inputs / "prices" / "prices_00000.csv"
-    tiny_doc, far_doc, list_dist, k_max_dist, params_q_doc, a_q_doc, kapa_doc, extra_dist = (
-        inputs / name for name in REFUSED_DOCUMENTS)
+    (tiny_doc, far_doc, list_dist, k_max_dist, params_q_doc, a_q_doc, kapa_doc, extra_dist,
+     weights_tau_mass_doc, zzz_doc, rows_dist) = (inputs / name for name in REFUSED_DOCUMENTS)
     return [
         ["simulate", str(dist), str(doc), "--seed", "-1",
          "--out", str(out / "simulate_negative_seed.json")],
@@ -336,7 +367,23 @@ def refusals(inputs: Path, out: Path) -> list[list[str]]:
         # a misspelt field is refused, not read as its default
         ["eval", str(dist), str(kapa_doc), "--out", str(out / "eval_params_kapa.json")],
         ["eval", str(extra_dist), str(doc), "--out", str(out / "eval_dist_extra.json")],
+        # a strategy key that its form does not read, and a negative row count
+        ["eval", str(dist), str(weights_tau_mass_doc),
+         "--out", str(out / "eval_weights_tau_mass.json")],
+        ["eval", str(dist), str(zzz_doc), "--out", str(out / "eval_uniform_zzz.json")],
+        ["eval", str(rows_dist), str(doc), "--out", str(out / "eval_dist_source_rows.json")],
     ]
+
+
+def write_digest(path: Path, machine: list[str], roots: dict[str, Path]) -> None:
+    """``path``: a ``# `` line per item of ``machine``, then ``sha256  NAME/file`` for
+    every file under each of ``roots``, sorted by file name."""
+    files = {f"{name}/{file.relative_to(root).as_posix()}": file
+             for name, root in roots.items() for file in root.rglob("*") if file.is_file()}
+    lines = [f"# {item}" for item in machine]
+    lines += [f"{hashlib.sha256(files[name].read_bytes()).hexdigest()}  {name}"
+              for name in sorted(files)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     ran_from = Path(run.stderr.splitlines()[0]).resolve()
     if src not in ran_from.parents:
         raise SystemExit(f"cli_outputs: ran {ran_from}, not a module under {src}")
-    codes, errs = zip(*json.loads(run.stdout))
+    child = json.loads(run.stdout)
+    codes, errs = zip(*child["runs"])
 
     def portable(text: str) -> str:
         return text.replace(str(out), "OUT").replace(str(inputs), "IN").replace(str(src), "SRC")
@@ -376,6 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(f"{code} {line}\n")
             if err:
                 err_fh.write(f"$ {line}\n{portable(err)}")
+    write_digest(out / "digest.sha256", child["machine"], {"IN": inputs, "OUT": out})
     failed = sum(code != expected for code, expected in zip(codes, want))
     print(f"{len(cmds)} commands ({len(refused)} to be refused), {failed} exited otherwise, "
           f"outputs in {out}")
