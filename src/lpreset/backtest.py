@@ -32,14 +32,13 @@ __all__ = ["Band", "BacktestReport", "replay", "v2_baseline"]
 class Band:
     """The liquidity band of a replay, as columns.
 
-    Row i is step i + 1, at ``prices[i]``. The rows form runs under one
-    centre: the first run starts at row 0 and every other at a reset, so
-    run r covers rows ``starts[r]`` up to the next start. ``edges`` has one
-    row (alpha_low, alpha_high, tau_low, tau_high) per distinct centre, and
-    run r has the edges ``edges[edge_of_run[r]]``.
+    Row i is step i + 1, whose price is the series' ``prices[i + 1]``. The
+    rows form runs under one centre: the first run starts at row 0 and every
+    other at a reset, so run r covers rows ``starts[r]`` up to the next
+    start. ``edges`` has one row (alpha_low, alpha_high, tau_low, tau_high)
+    per distinct centre, and run r has the edges ``edges[edge_of_run[r]]``.
     """
 
-    prices: np.ndarray
     starts: np.ndarray
     edge_of_run: np.ndarray
     edges: np.ndarray
@@ -61,10 +60,13 @@ class BacktestReport:
     def write_band_csv(self, path: str) -> None:
         """Write the band as CSV, with the bytes ``csv.writer`` gives.
 
-        Each distinct edge value is formatted once and each centre's edge
-        columns are joined once; each row adds its step and price. Rows are
-        written ``BLOCK_ROWS`` at a time, and each block finds its rows'
-        runs in ``starts``, so the writer holds one block, never the path.
+        One row per step: ``step,alpha_low,alpha_high,tau_low,tau_high``.
+        The step's price is not repeated: it is the input's data row
+        ``step``, counting the first data row as 0. Each distinct edge value
+        is formatted once and each centre's edge columns are joined once;
+        each row adds its step. Rows are written ``BLOCK_ROWS`` at a time,
+        and each block finds its rows' runs in ``starts``, so the writer
+        holds one block, never the path.
         """
         band = self.band
         if band is None:
@@ -72,18 +74,14 @@ class BacktestReport:
         values, at = distinct_ranks(band.edges.ravel())
         text = np.array(["," + repr(v) for v in values.tolist()], dtype=object)[at]
         tails = [a + b + c + d + "\r\n" for a, b, c, d in text.reshape(-1, 4).tolist()]
-        n = len(band.prices)
+        n = self.steps
         with open(path, "w", newline="") as fh:
-            fh.write("step,price,alpha_low,alpha_high,tau_low,tau_high\r\n")
+            fh.write("step,alpha_low,alpha_high,tau_low,tau_high\r\n")
             for lo in range(0, n, BLOCK_ROWS):
                 hi = min(lo + BLOCK_ROWS, n)
                 run = np.searchsorted(band.starts, np.arange(lo, hi), side="right") - 1
-                rows = zip(
-                    range(lo + 1, hi + 1),
-                    band.prices[lo:hi].tolist(),
-                    band.edge_of_run[run].tolist(),
-                )
-                fh.write("".join([f"{step},{price!r}{tails[e]}" for step, price, e in rows]))
+                rows = zip(range(lo + 1, hi + 1), band.edge_of_run[run].tolist())
+                fh.write("".join([f"{step}{tails[e]}" for step, e in rows]))
 
 
 def v2_baseline(series: PriceSeries, grid: BinGrid, params: UtilityParams) -> float:
@@ -146,7 +144,7 @@ def replay(
         # band edges may poke past the grid's covered span near the series
         # extremes, so they are computed for any index, not read off the grid
         edges = grid.edges_at(distinct[:, None] + [-n_alpha, n_alpha + 1, -n_tau, n_tau + 1])
-        band = Band(series.prices[1:], starts, edge_of_run, edges)
+        band = Band(starts, edge_of_run, edges)
     v2_mean = v2_baseline(series, grid, params)
     # the v2 utility may underflow to 0, or the quotient overflow
     ratio = mean / v2_mean if v2_mean != 0.0 else math.nan

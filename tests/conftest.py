@@ -83,13 +83,13 @@ def write_dist(dist, path) -> str:
     return str(path)
 
 
-def band_rows(band):
-    """One (step, price, alpha_low, alpha_high, tau_low, tau_high) tuple per row
-    of a ``Band``, read run by run from its columns."""
-    prices = band.prices.tolist()
-    bounds = band.starts.tolist() + [len(prices)]
+def band_rows(report):
+    """One (step, alpha_low, alpha_high, tau_low, tau_high) tuple per step of
+    a ``BacktestReport``, read run by run from its band's columns."""
+    band = report.band
+    bounds = band.starts.tolist() + [report.steps]
     rows = []
     for run, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         edges = band.edges[band.edge_of_run[run]].tolist()
-        rows += [(i + 1, prices[i], *edges) for i in range(lo, hi)]
+        rows += [(i + 1, *edges) for i in range(lo, hi)]
     return rows

@@ -142,10 +142,10 @@ class TestReplay:
         series = series_from_prices([100.0, 101.5, 103.0, 101.5, 100.0])
         grid = grid_for(series)
         report = replay(series, spec, grid, collect_band=True)
-        rows = band_rows(report.band)
-        assert [row[:2] for row in rows] == list(enumerate(series.prices[1:].tolist(), 1))
-        for _, price, alpha_lo, alpha_hi, tau_lo, tau_hi in rows:
-            assert alpha_lo <= tau_lo <= price < tau_hi <= alpha_hi
+        rows = band_rows(report)
+        assert [row[0] for row in rows] == [1, 2, 3, 4]
+        for step, alpha_lo, alpha_hi, tau_lo, tau_hi in rows:
+            assert alpha_lo <= tau_lo <= series.prices[step] < tau_hi <= alpha_hi
             assert tau_hi / tau_lo == pytest.approx((1.01) ** 3)
 
     def test_band_csv(self, toy_dist, tmp_path):
@@ -156,7 +156,7 @@ class TestReplay:
         out = tmp_path / "band.csv"
         report.write_band_csv(str(out))
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,price,alpha_low,alpha_high,tau_low,tau_high"
+        assert lines[0] == "step,alpha_low,alpha_high,tau_low,tau_high"
         assert len(lines) == 3
 
     def test_band_csv_requires_collection(self, toy_dist, tmp_path):

@@ -83,10 +83,8 @@ def reference_load_price_csv(path):
 def reference_write_band_csv(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "price", "alpha_low", "alpha_high", "tau_low", "tau_high"]
-        )
-        writer.writerows(band_rows(report.band))
+        writer.writerow(["step", "alpha_low", "alpha_high", "tau_low", "tau_high"])
+        writer.writerows(band_rows(report))
 
 
 def reference_write_trace(path, js, rewards, n_tau):
@@ -358,7 +356,7 @@ class TestWriteBandCsv:
             i = prices.index(min(prices))
             prices[i] = math.nextafter(prices[i], 0.0 if kind == "<" else math.inf)
         report = band_report(prices, step, anchor, n_tau, n_alpha)
-        assert len(report.band.prices) == len(moves)
+        assert report.steps == len(moves)
         with mock.patch("lpreset.backtest.BLOCK_ROWS", block_rows):
             got = written(write_band_csv, report)
         assert got == written(reference_write_band_csv, report)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -502,8 +503,39 @@ class TestBacktest:
         )
         assert code == 0
         lines = band.read_text().strip().splitlines()
-        assert lines[0] == "step,price,alpha_low,alpha_high,tau_low,tau_high"
+        assert lines[0] == "step,alpha_low,alpha_high,tau_low,tau_high"
         assert len(lines) == 401
+
+    @pytest.mark.parametrize("anchor", ["first", "low"])
+    @pytest.mark.parametrize("n_tau, n_alpha", [(0, 0), (2, 5), (3, 3), (5, 1)])
+    def test_band_brackets_the_input_price(self, tmp_path, anchor, n_tau, n_alpha):
+        # the band holds no price: step s is the input's data row s (the
+        # first data row is 0), which must lie in the step's tau band, and
+        # in its alpha band where that band is the wider one
+        rng = np.random.default_rng(21)
+        walk = np.concatenate([[0.0], np.cumsum(0.001 * rng.standard_t(3.0, 3000))])
+        csv_path = write_price_csv(tmp_path / "px.csv", (2000.0 * np.exp(walk)).tolist())
+        doc = {"kind": "uniform", "n_tau": n_tau, "n_alpha": n_alpha,
+               "params": {"a": 0.0, "kappa": 1.0, "ell": 1.0}}
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        band, out = tmp_path / "band.csv", tmp_path / "b.json"
+        code = main(["backtest", csv_path, str(tmp_path / "s.json"), "--bin-width-pct", "0.05",
+                     "--grid-anchor", anchor, "--band-out", str(band), "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["resets"] > 100
+        with open(csv_path) as fh:
+            prices = [float(row.split(",")[1]) for row in fh.read().splitlines()[1:]]
+        with open(band, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "alpha_low", "alpha_high", "tau_low", "tau_high"]
+        steps = [int(row[0]) for row in rows[1:]]
+        assert steps == list(range(1, report["steps"] + 1))
+        for step, alpha_lo, alpha_hi, tau_lo, tau_hi in rows[1:]:
+            price = prices[int(step)]
+            assert float(tau_lo) <= price < float(tau_hi)
+            if n_alpha >= n_tau:
+                assert float(alpha_lo) <= price < float(alpha_hi)
 
     def test_low_one_ulp_below_a_bin_edge(self, tmp_path, strategy_file, capsys):
         # with the grid anchored at the first price, 100.0, bin -3 starts at

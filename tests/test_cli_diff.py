@@ -49,6 +49,28 @@ def test_each_kind_of_move_is_reported(tmp_path, capsys):
     ]
 
 
+def test_csv_columns_are_matched_by_header_name(tmp_path, capsys):
+    # a dropped column shifts no other cell: the columns both headers name
+    # are compared by name, and each one-sided column is listed
+    old = tree(tmp_path / "old", {
+        "band.csv": "step,price,lo,hi\r\n1,100.0,0.5,2.0\r\n2,101.0,0.5,2.0\r\n",
+        "trace.csv": "step,price,lo\r\n1,100.0,0.5\r\n",
+    })
+    new = tree(tmp_path / "new", {
+        "band.csv": "step,lo,hi\r\n1,0.5,2.0\r\n2,0.5,2.0\r\n",
+        "trace.csv": "lo,step,reward\r\n0.4,1,3.0\r\n",
+    })
+    assert cli_diff.main([old, new]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"band.csv: column 'price' only in {old}",
+        "band.csv: 0 cells moved",
+        f"trace.csv: column 'price' only in {old}",
+        f"trace.csv: column 'reward' only in {new}",
+        "trace.csv: 1 cells moved, max 0.2",
+        "2 files differ; largest relative difference 0.2",
+    ]
+
+
 @pytest.mark.parametrize("x, y, want", [
     (1.0, 1.0, 0.0), (2.0, 4.0, 0.5), (-1.0, 1.0, 2.0), (1.0, "1.0", float("inf")),
     (float("nan"), float("nan"), 0.0), (1.0, float("inf"), float("inf")),

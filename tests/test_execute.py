@@ -188,7 +188,6 @@ def reference_replay(series, spec, grid, collect_band=False):
             band.append(
                 (
                     t,
-                    float(series.prices[t]),
                     grid._edge(center - n_alpha),
                     grid._edge(center + n_alpha + 1),
                     grid._edge(center - n_tau),
@@ -456,7 +455,7 @@ def replayed(replayer, prices, step, anchor, spec, collect_band):
     grid = BinGrid.from_price_range(lo, hi * (1.0 + step), step, anchor=anchor)
     got = outcome(replayer, series, spec, grid, collect_band=collect_band)
     if isinstance(got, BacktestReport):
-        return got, None if got.band is None else band_rows(got.band)
+        return got, None if got.band is None else band_rows(got)
     return got
 
 

@@ -5,7 +5,10 @@
 Prints each file present on one side only and each file whose bytes
 differ. For a JSON file it prints each moved field, as a path into the
 document, with its relative difference; for a CSV file, the count of moved
-cells and their largest relative difference. The relative difference of two
+cells and their largest relative difference. When a CSV file's header row
+differs, each column that one side lacks is printed by name and the columns
+both sides have are compared by name, so a dropped column moves no other
+cell; a column on one side only adds no relative difference. The relative difference of two
 numbers is |x - y| / max(|x|, |y|); a moved value that is not a number on
 both sides (text, a missing field or row) counts as inf. The last line is
 the count of files that differ and the largest relative difference over
@@ -63,9 +66,27 @@ def cell(text: str):
         return text
 
 
-def csv_moves(old: bytes, new: bytes) -> list[float]:
-    """Relative difference of each cell that moved; a cell on one side only is inf."""
+def by_name(rows: list[list[str]], names: list[str]) -> list[list[str]]:
+    """The rows cut to the columns ``names``, in that order, found by the header row.
+
+    A row too short for a column has an empty cell there."""
+    at = [rows[0].index(name) for name in names]
+    return [[row[i] if i < len(row) else "" for i in at] for row in rows]
+
+
+def csv_moves(old: bytes, new: bytes) -> tuple[list[str], list[str], list[float]]:
+    """The columns only in OLD, those only in NEW, and the relative difference
+    of each cell that moved; a cell on one side only is inf.
+
+    When the header rows differ, the columns both name are matched by name
+    and the others are only listed; otherwise cells match by position."""
     a, b = (list(csv.reader(io.StringIO(text.decode()))) for text in (old, new))
+    only_old = only_new = []
+    if a and b and a[0] != b[0]:
+        only_old = [name for name in a[0] if name not in b[0]]
+        only_new = [name for name in b[0] if name not in a[0]]
+        shared = [name for name in a[0] if name in b[0]]
+        a, b = by_name(a, shared), by_name(b, shared)
     moves = []
     for i in range(max(len(a), len(b))):
         row_a = a[i] if i < len(a) else []
@@ -75,7 +96,7 @@ def csv_moves(old: bytes, new: bytes) -> list[float]:
                 moves.append(math.inf)
             elif row_a[j] != row_b[j]:
                 moves.append(relative(cell(row_a[j]), cell(row_b[j])))
-    return [rel for rel in moves if rel > 0.0]
+    return only_old, only_new, [rel for rel in moves if rel > 0.0]
 
 
 def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], int, float]:
@@ -92,18 +113,22 @@ def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], int, float]:
         if old == new:
             continue
         differ += 1
+        said = len(lines)
         if name.endswith(".json"):
             moves = json_moves(old, new)
             lines += [f"{name}: {key} {rel:.3g}" for key, rel in sorted(moves)]
             rels = [rel for _, rel in moves]
         elif name.endswith(".csv"):
-            rels = csv_moves(old, new)
-            if rels:
-                lines.append(f"{name}: {len(rels)} cells moved, max {max(rels):.3g}")
+            only_old, only_new, rels = csv_moves(old, new)
+            lines += [f"{name}: column {col!r} only in {old_dir}" for col in only_old]
+            lines += [f"{name}: column {col!r} only in {new_dir}" for col in only_new]
+            if rels or len(lines) > said:
+                top = f", max {max(rels):.3g}" if rels else ""
+                lines.append(f"{name}: {len(rels)} cells moved{top}")
         else:
             rels = [math.inf]
             lines.append(f"{name}: bytes differ")
-        if not rels:
+        if len(lines) == said:
             lines.append(f"{name}: bytes differ, no value moved")
         worst = max([worst, *rels])
     return lines, differ, worst
