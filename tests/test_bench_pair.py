@@ -11,7 +11,7 @@ TOOL = ROOT / "tools" / "bench_pair.py"
 
 
 def test_one_pair_of_one_workload(tmp_path):
-    # one copy serves as both trees: the pair's two runs share nothing but the code
+    # one copy serves as both trees, so both runs read the same code and inputs
     tree = tmp_path / "tree"
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
@@ -31,8 +31,10 @@ def test_one_pair_of_one_workload(tmp_path):
         assert run["provenance"]["seed"] == 5
         assert set(run["provenance"]["threads"].values()) == {"1"}
         assert {"git_sha", "source_sha256", "versions"} <= run["provenance"].keys()
-    assert doc["runs"][0]["provenance"]["source_sha256"] == \
-        doc["runs"][1]["provenance"]["source_sha256"]
+    for key in ("source_sha256", "inputs_sha256"):
+        assert doc["runs"][0]["provenance"][key] == doc["runs"][1]["provenance"][key]
+    assert doc["runs"][0]["provenance"]["versions"]["lpreset_file"] == \
+        str(Path("src", "lpreset", "cli.py"))
     summary = doc["summary"]["montecarlo"]
     assert set(summary) == {"op_p90_ms", "setup_s", "peak_rss_mb"}
     for name, metric in summary.items():

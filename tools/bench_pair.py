@@ -3,18 +3,17 @@
     python3 tools/bench_pair.py --parent PARENT_TREE [--change TREE] \\
         --seeds 100 101 102 --seconds 30 --workload all --out BENCH_<n>.json
 
-Per seed, ``python3 perfbench/run.py --workload W --seconds T --seed S`` runs
-in each tree, the parent first at the 1st, 3rd, ... seed. Each run keeps
-run.py's last-line result JSON per workload and its record's provenance.
-The summary gives, per workload, end-to-end metric and side, the quartiles
-over the seeds, and in how many pairs the change reads lower. The file is
-rewritten after each pair, so an interrupted run keeps the pairs it ended.
+Per seed, ``perfbench/run.py --workload W --seconds T --seed S`` runs in each
+tree, the parent first at the 1st, 3rd, ... seed. Kept per run and workload:
+run.py's last-line result and its record's provenance. Per workload and
+end-to-end metric: each side's quartiles over the seeds, and the pairs in
+which the change reads lower. The file is rewritten after each pair.
 """
 
-from __future__ import annotations
-
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -34,8 +33,17 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict[str,
             record = json.loads((tree / line.removeprefix("  record: ")).read_text())
         elif line.startswith("{"):
             runs[record["workload"]] = {"result": json.loads(line),
-                                        "provenance": record["provenance"]}
+                                        "provenance": provenance(record["provenance"], tree)}
     return runs
+
+
+def provenance(prov: dict, tree: Path) -> dict:
+    """A record's provenance with its input hashes folded into one sha256 (the
+    same on both sides of a pair) and the package's path taken relative to the tree."""
+    inputs = json.dumps(prov["inputs_sha256"], sort_keys=True).encode()
+    versions = {**prov["versions"],
+                "lpreset_file": os.path.relpath(prov["versions"]["lpreset_file"], tree)}
+    return {**prov, "inputs_sha256": hashlib.sha256(inputs).hexdigest(), "versions": versions}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -45,16 +53,19 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summary(runs: list[dict]) -> dict:
-    values = {}  # workload -> metric -> side -> seed -> value
+    values = {}  # (workload, metric) -> side -> seed -> value
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
-            by_side = values.setdefault(run["workload"], {}).setdefault(name, {s: {} for s in SIDES})
+            by_side = values.setdefault((run["workload"], name), {side: {} for side in SIDES})
             by_side[run["side"]][run["seed"]] = metric["value"]
-    return {workload: {name: {"parent": quartiles(list(old.values())),
-                              "change": quartiles(list(new.values())), "pairs": len(old),
-                              "change_lower_in": sum(new[s] < old[s] for s in old)}
-                       for name, (old, new) in ((n, by.values()) for n, by in metrics.items())}
-            for workload, metrics in values.items()}
+    out = {}
+    for (workload, name), by_side in values.items():
+        old, new = by_side["parent"], by_side["change"]
+        out.setdefault(workload, {})[name] = {
+            "parent": quartiles(list(old.values())), "change": quartiles(list(new.values())),
+            "pairs": len(old), "change_lower_in": sum(new[seed] < old[seed] for seed in old),
+        }
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,9 +8,9 @@ document, with its relative difference; for a CSV file, the count of moved
 cells and their largest relative difference. When a CSV file's header row
 differs, each column that one side lacks is printed by name and the columns
 both sides have are compared by name, so a dropped column moves no other
-cell; a column on one side only adds no relative difference. The relative difference of two
-numbers is |x - y| / max(|x|, |y|); a moved value that is not a number on
-both sides (text, a missing field or row) counts as inf. The last line is
+cell; a column on one side only adds no relative difference. The relative
+difference of two numbers is |x - y| / max(|x|, |y|); a moved value that is
+not a number on both sides (text, a missing field or row) counts as inf. The last line is
 the count of files that differ and the largest relative difference over
 all of them. The exit code is 1 when anything differs, 0 when the trees
 are byte-identical, and 2 when the two arguments are not directories. A
