@@ -118,7 +118,9 @@ def replay(
     params = spec.params
     n_tau, n_alpha = spec.n_tau, spec.n_alpha
 
-    js = execute(np.diff(grid.prices_to_bins(series.prices)), n_tau)
+    held = [grid.prices_to_bins(series.prices)]
+    first_bin = int(held[0][0])  # the centre of the band's first run
+    js = execute(np.diff(held.pop()), n_tau)  # popped, the bins are freed once differenced
     rows, _, utilities, resets = payoffs(js, spec, 0.0)
     counts = np.bincount(rows, minlength=len(resets))
     mean, _ = count_stats(counts, utilities)
@@ -137,7 +139,7 @@ def replay(
         # every run but the first starts at a reset
         centres = js[starts]
         del js
-        centres[0] += grid.price_to_bin(float(series.prices[0]))
+        centres[0] += first_bin
         np.cumsum(centres, out=centres)
         distinct, edge_of_run = distinct_ranks(centres)
         del centres

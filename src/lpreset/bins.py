@@ -46,21 +46,12 @@ class BinGrid:
 
     @classmethod
     def from_price_range(cls, low: float, high: float, step: float, anchor: float) -> "BinGrid":
-        """Build a grid covering [low, high].
-
-        ``anchor`` fixes the left edge of bin 0. The floor of the log ratio
-        can put an end one bin off near an edge, so both ends are checked
-        against ``_edge`` and widened where they miss. Only a ``high`` just
-        under an edge gets one bin more than it needs.
-        """
+        """The least grid covering [low, high] with bin 0 starting at ``anchor``:
+        from the bin of ``low`` to the bin of ``high``, as ``_locate`` reads them."""
         if not 0 < low <= high < math.inf:
             raise RangeError(f"invalid price range [{low}, {high}]")
-        edge = cls(reference_price=anchor, step=step, index_range=(0, 0))._edge
-        base = math.log(1.0 + step)  # the rounded base that _edge raises
-        lo = math.floor(math.log(low / anchor) / base)
-        hi = math.floor(math.log(high / anchor) / base)
-        lo -= low < edge(lo)
-        hi += high >= edge(hi + 1)
+        anchored = cls(reference_price=anchor, step=step, index_range=(0, 0))
+        lo, hi = anchored._locate([low, high])[0].tolist()
         return cls(reference_price=anchor, step=step, index_range=(lo, hi))
 
     @property
@@ -94,17 +85,8 @@ class BinGrid:
         return int(self.prices_to_bins([price])[0])
 
     def prices_to_bins(self, prices) -> np.ndarray:
-        """Index of the bin whose interval contains each of ``prices``.
-
-        A price exactly on an edge belongs to the higher bin. The floor of the
-        log ratio over log(1 + step), the rounded base that ``_edge`` raises,
-        can land one index off near an edge, so each result is moved to the
-        neighbour whose ``_edge`` interval holds the price.
-
-        The floors are taken and corrected in place, in the memory of the
-        result; besides it, at most two int64 or float arrays as long as
-        ``prices`` are alive at once, and a few bool ones.
-        """
+        """Index of the bin whose interval contains each of ``prices``, by
+        ``_locate``; a price outside the covered span or the grid's bins is refused."""
         prices = np.asarray(prices, dtype=float)
         span_lo, span_hi = self.covered_span()
         # NaN fails both comparisons, as it fails the mask below
@@ -114,6 +96,27 @@ class BinGrid:
             raise RangeError(
                 f"price {price} outside covered span [{span_lo}, {span_hi})"
             )
+        idx, located = self._locate(prices)
+        lo, hi = self.index_range
+        located &= (idx >= lo) & (idx <= hi)
+        if not located.all():
+            price = float(prices[np.argmin(located)])
+            raise RangeError(f"price {price} could not be located on the grid")
+        return idx
+
+    def _locate(self, prices) -> tuple[np.ndarray, np.ndarray]:
+        """The bin of each of ``prices``, in or out of the index range, and
+        whether ``_edge`` holds the price in it. A price on an edge belongs to
+        the higher bin.
+
+        The floor of the log ratio over log(1 + step), the rounded base that
+        ``_edge`` raises, can land one index off near an edge, so each floor is
+        moved to the neighbour whose ``_edge`` interval holds the price. The
+        floors are corrected in place, in the memory of the result; besides it,
+        at most two int64 or float arrays as long as ``prices`` are alive at
+        once, and a few bool ones.
+        """
+        prices = np.asarray(prices, dtype=float)
         ratio = np.divide(prices, self.reference_price)
         np.log(ratio, out=ratio)
         ratio /= math.log(1.0 + self.step)
@@ -136,12 +139,7 @@ class BinGrid:
         located = prices < edges[at]
         at -= 1
         located &= edges[at] <= prices
-        lo, hi = self.index_range
-        located &= (idx >= lo) & (idx <= hi)
-        if not located.all():
-            price = float(prices[np.argmin(located)])
-            raise RangeError(f"price {price} could not be located on the grid")
-        return idx
+        return idx, located
 
 
 def distinct_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

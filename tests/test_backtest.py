@@ -148,6 +148,29 @@ class TestReplay:
             assert alpha_lo <= tau_lo <= series.prices[step] < tau_hi <= alpha_hi
             assert tau_hi / tau_lo == pytest.approx((1.01) ** 3)
 
+    @pytest.mark.parametrize("collect_band", [False, True])
+    def test_bins_each_price_once(self, toy_dist, monkeypatch, collect_band):
+        # one prices_to_bins call over the series; the band's first centre is
+        # the first of those bins, not a second binning of the first price
+        spec = uniform_strategy(1, 1, UtilityParams(a=0.0, kappa=1.0, ell=1.0))
+        series = series_from_prices([100.0, 101.5, 103.0, 101.5, 100.0])
+        grid = grid_for(series)
+        binned = []
+        to_bins = BinGrid.prices_to_bins
+
+        def prices_to_bins(self, prices):
+            binned.append(len(prices))
+            return to_bins(self, prices)
+
+        def price_to_bin(self, price):
+            raise AssertionError(f"price {price} binned again")
+
+        monkeypatch.setattr(BinGrid, "prices_to_bins", prices_to_bins)
+        monkeypatch.setattr(BinGrid, "price_to_bin", price_to_bin)
+        report = replay(series, spec, grid, collect_band=collect_band)
+        assert binned == [5]
+        assert (report.band is not None) == collect_band
+
     def test_band_csv(self, toy_dist, tmp_path):
         params = UtilityParams(a=0.0, kappa=1.0, ell=1.0)
         spec = uniform_strategy(1, 1, params)

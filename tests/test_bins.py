@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lpreset import BinGrid, RangeError
 
@@ -171,35 +171,38 @@ def test_jitter_correction_near_edges():
         assert g.price_to_bin(math.nextafter(hi, 0.0)) == i
 
 
-def test_from_price_range_covers_low_one_ulp_below_an_edge():
-    # the floor of the log ratio used to start the grid at bin k, one bin
-    # above such a low, for 180 of these 400 k; a low inside a bin still
-    # starts the grid at that bin
-    for k in range(-200, 200):
-        low = math.nextafter(100.0 * 1.01**k, 0.0)
-        g = BinGrid.from_price_range(low, 100.0 * 1.01 ** (k + 3), 0.01, anchor=100.0)
-        assert g.covered_span()[0] <= low
-        assert g.index_range[0] == k - 1
-        assert g.price_to_bin(low) == k - 1
-        inside = 100.0 * 1.01 ** (k + 0.5)
-        g = BinGrid.from_price_range(inside, inside * 2.0, 0.01, anchor=100.0)
-        assert g.index_range[0] == k
+def near_edge(g, k, at):
+    """A price on the lower edge of bin k, one ulp below or above it, or inside bin k."""
+    edge = g._edge(k)
+    return {"on": edge, "below": math.nextafter(edge, 0.0), "above": math.nextafter(edge, math.inf),
+            "inside": math.sqrt(edge * g._edge(k + 1))}[at]
 
 
-def test_from_price_range_covers_high_on_or_one_ulp_above_an_edge():
-    # the floor of the log ratio used to end the grid at bin k - 1, one bin
-    # below such a high, for 381 of these 800 cases; a high inside a bin
-    # still ends the grid at that bin
-    for k in range(-200, 200):
-        edge = 100.0 * 1.01**k
-        for high in (edge, math.nextafter(edge, math.inf)):
-            g = BinGrid.from_price_range(100.0 * 1.01 ** (k - 3), high, 0.01, anchor=100.0)
-            assert g.covered_span()[1] > high
-            assert g.index_range[1] == k
-            assert g.price_to_bin(high) == k
-        inside = 100.0 * 1.01 ** (k + 0.5)
-        g = BinGrid.from_price_range(inside / 2.0, inside, 0.01, anchor=100.0)
-        assert g.index_range[1] == k
+# at anchor 100 and step 1%: a low one ulp below an edge, which the floor of
+# the log ratio alone starts a bin too high, a high on or one ulp above an
+# edge, which it ends a bin too low, and ends inside a bin
+@example(anchor=100.0, step=0.01, ends=((-7, "below"), (-4, "inside")))
+@example(anchor=100.0, step=0.01, ends=((5, "inside"), (9, "on")))
+@example(anchor=100.0, step=0.01, ends=((-3, "inside"), (0, "above")))
+@example(anchor=100.0, step=0.01, ends=((150, "below"), (150, "inside")))
+@given(
+    anchor=st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
+    step=st.floats(-6.0, -1.0).map(lambda e: 10.0**e),
+    ends=st.lists(
+        st.tuples(st.integers(-3000, 2999), st.sampled_from(["on", "below", "above", "inside"])),
+        min_size=2, max_size=2,
+    ),
+)
+def test_from_price_range_is_the_least_grid(anchor, step, ends):
+    # each end on an edge, one ulp beside it or inside a bin: the grid holds the
+    # bins of the two ends, as prices_to_bins reads them on a wider grid, and no more
+    low, high = sorted(near_edge(grid(ref=anchor, step=step), k, at) for k, at in ends)
+    g = BinGrid.from_price_range(low, high, step, anchor=anchor)
+    lo, hi = g.index_range
+    wider = grid(ref=anchor, step=step, lo=lo - 3, hi=hi + 3)
+    assert g.index_range == tuple(wider.prices_to_bins([low, high]).tolist())
+    span_lo, span_hi = g.covered_span()
+    assert span_lo <= low <= high < span_hi
 
 
 @given(

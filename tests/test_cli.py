@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lpreset
@@ -1198,6 +1199,9 @@ import json, sys
 for argv in json.loads(sys.argv[1]):
     assert lpreset.cli.main(argv) == 0
 """
+# the CPU features by which glibc's libm picks a variant, masked
+GLIBC_MASK = ("glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX512DQ,-AVX512VL,-AVX512BW,"
+              "-AVX512CD,-FMA4")
 # one row per environment setting that must not move an output byte: the
 # variables it sets, the values compared (None: none of them set) and the
 # commands each child runs, with {dist}, {doc} and {prices} the shared inputs
@@ -1219,11 +1223,28 @@ BYTE_GATES = {
         ["backtest", "{prices}", "{doc}", "--band-out", "{out}/band.csv",
          "--out", "{out}/backtest.json"],
     ]),
+    # every band edge is BinGrid._edge's libm pow, whose variant glibc picks by
+    # the CPU's features; masking them picks another, with other last bits
+    "glibc_variants": (("GLIBC_TUNABLES",), (None, GLIBC_MASK), [
+        ["backtest", "{prices}", "{doc}", "--band-out", "{out}/band.csv",
+         "--out", "{out}/backtest.json"],
+    ]),
+}
+# the gates that fail today, with why
+GATE_MARKS = {
+    "glibc_variants": [
+        pytest.mark.skipif(not all(__cpu_features__[f] for f in ("AVX2", "FMA3")),
+                           reason="without AVX2 and FMA the mask picks no other pow"),
+        pytest.mark.xfail(strict=True, reason="ROADMAP D12 slice 2: band edges are "
+                          "glibc's pow of this CPU, until _edge and _locate are CPU-independent"),
+    ],
 }
 
 
 class TestByteGates:
-    @pytest.mark.parametrize("gate", BYTE_GATES)
+    @pytest.mark.parametrize(
+        "gate", [pytest.param(gate, marks=GATE_MARKS.get(gate, ())) for gate in BYTE_GATES]
+    )
     def test_output_bytes_do_not_depend_on_the_setting(self, gate, tmp_path, eth_dist):
         names, values, argvs = BYTE_GATES[gate]
         doc = tmp_path / "strategy.json"

@@ -71,6 +71,29 @@ def test_csv_columns_are_matched_by_header_name(tmp_path, capsys):
     ]
 
 
+def test_digest_is_read_as_hashes_by_file_name(tmp_path, capsys):
+    # one CSV cell moved, so its digest line moved too: the digest is not a
+    # file that differs, and only the lines it alone holds are printed
+    def digest(machine, prices, band):
+        return "\n".join([f"# {machine}", "# numpy 2.4.6", f"{prices}  IN/prices.csv",
+                          f"{band}  OUT/band.csv", "c0ffee  OUT/run.json"]) + "\n"
+
+    old = tree(tmp_path / "old", {**BASE, "digest.sha256": digest("glibc 2.36", "aa", "bb")})
+    new = tree(tmp_path / "new", {
+        **BASE,
+        "band.csv": "step,price\r\n1,100.0\r\n2,100.0\r\n",
+        "digest.sha256": digest("glibc 2.41", "ab", "bc"),
+    })
+    assert cli_diff.main([old, new]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "band.csv: 1 cells moved, max 0.0099",
+        f"digest.sha256: '# glibc 2.36' only in {old}",
+        f"digest.sha256: '# glibc 2.41' only in {new}",
+        "digest.sha256: IN/prices.csv hash differs",
+        "1 files differ; largest relative difference 0.0099",
+    ]
+
+
 @pytest.mark.parametrize("x, y, want", [
     (1.0, 1.0, 0.0), (2.0, 4.0, 0.5), (-1.0, 1.0, 2.0), (1.0, "1.0", float("inf")),
     (float("nan"), float("nan"), 0.0), (1.0, float("inf"), float("inf")),

@@ -1,4 +1,4 @@
-"""The CLI's bytes against the committed digest of ``tools/cli_outputs.py --seed 7``."""
+"""The CLI's bytes against the committed digest of ``tools/cli_outputs.py``."""
 
 import shutil
 import subprocess
@@ -10,20 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "cli_outputs.py"
 COMMITTED = ROOT / "tools" / "cli_outputs.sha256"
-
-
-def read_digest(text: str) -> tuple[list[str], dict[str, str]]:
-    """The ``# `` header lines of a digest, and its sha256 by file name."""
-    lines = text.splitlines()
-    header = [line for line in lines if line.startswith("# ")]
-    return header, dict(line.split("  ", 1)[::-1] for line in lines if line not in header)
+sys.path.insert(0, str(TOOL.parent))
+from cli_diff import read_digest  # noqa: E402
 
 
 def test_outputs_match_the_committed_digest(tmp_path):
     out = tmp_path / "out"
     try:  # the outputs take about 270 MB: keep only the digest
         run = subprocess.run(
-            [sys.executable, str(TOOL), "--src", str(ROOT / "src"), "--seed", "7",
+            [sys.executable, str(TOOL), "--src", str(ROOT / "src"),
              "--inputs", str(tmp_path / "in"), "--out", str(out)],
             capture_output=True, text=True, timeout=600,
         )

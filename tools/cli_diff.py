@@ -10,11 +10,16 @@ differs, each column that one side lacks is printed by name and the columns
 both sides have are compared by name, so a dropped column moves no other
 cell; a column on one side only adds no relative difference. The relative
 difference of two numbers is |x - y| / max(|x|, |y|); a moved value that is
-not a number on both sides (text, a missing field or row) counts as inf. The last line is
-the count of files that differ and the largest relative difference over
-all of them. The exit code is 1 when anything differs, 0 when the trees
-are byte-identical, and 2 when the two arguments are not directories. A
-reader that closes the pipe early (``| head``) ends the report quietly.
+not a number on both sides (text, a missing field or row) counts as inf.
+``digest.sha256``, the list of hashes that ``tools/cli_outputs.py`` writes, is
+read as file name -> sha256: each ``# `` machine line on one side only is
+printed, and each file whose hash moved or is on one side only, except the
+``OUT/`` files, which the report compares itself; the digest is not counted
+as a file that differs. The last line is the count of files that differ and
+the largest relative difference over all of them. The exit code is 1 when
+anything differs, 0 when the trees are byte-identical, and 2 when the two
+arguments are not directories. A reader that closes the pipe early
+(``| head``) ends the report quietly.
 """
 
 from __future__ import annotations
@@ -99,6 +104,34 @@ def csv_moves(old: bytes, new: bytes) -> tuple[list[str], list[str], list[float]
     return only_old, only_new, [rel for rel in moves if rel > 0.0]
 
 
+DIGEST = "digest.sha256"
+
+
+def read_digest(text: str) -> tuple[list[str], dict[str, str]]:
+    """The ``# `` machine lines of a digest, and its sha256 by file name."""
+    lines = text.splitlines()
+    machine = [line for line in lines if line.startswith("# ")]
+    return machine, dict(line.split("  ", 1)[::-1] for line in lines if line not in machine)
+
+
+def digest_lines(old: bytes, new: bytes, old_dir: Path, new_dir: Path) -> list[str]:
+    """Each machine line on one side only, then each file outside ``OUT/`` whose
+    hash moved or is on one side only."""
+    (machine_a, a), (machine_b, b) = read_digest(old.decode()), read_digest(new.decode())
+    lines = [f"{DIGEST}: {line!r} only in {old_dir}"
+             for line in machine_a if line not in machine_b]
+    lines += [f"{DIGEST}: {line!r} only in {new_dir}"
+              for line in machine_b if line not in machine_a]
+    for name in sorted({**a, **b}):
+        if name.startswith("OUT/") or a.get(name) == b.get(name):
+            continue
+        if name in a and name in b:
+            lines.append(f"{DIGEST}: {name} hash differs")
+        else:
+            lines.append(f"{DIGEST}: {name} only in {old_dir if name in a else new_dir}")
+    return lines
+
+
 def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], int, float]:
     """The report lines, the count of files that differ and the largest relative difference."""
     old_names, new_names = (
@@ -111,6 +144,9 @@ def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], int, float]:
     for name in sorted(old_names & new_names):
         old, new = (old_dir / name).read_bytes(), (new_dir / name).read_bytes()
         if old == new:
+            continue
+        if name == DIGEST:
+            lines += digest_lines(old, new, old_dir, new_dir)
             continue
         differ += 1
         said = len(lines)
@@ -147,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader closed early, as `| head` does: stop quietly
         # stdout's last buffered bytes would fail again at exit, so it points at devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1 if differ else 0
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Byte-identity check of the ``lpreset`` CLI: fixed commands, all outputs in one directory.
 
-    python3 tools/cli_outputs.py --src OLD/src --inputs IN --out out_old --seed 7
-    python3 tools/cli_outputs.py --src src --inputs IN --out out_new --seed 7
+    python3 tools/cli_outputs.py --src OLD/src --inputs IN --out out_old
+    python3 tools/cli_outputs.py --src src --inputs IN --out out_new
     python3 tools/cli_diff.py out_old out_new    # exit 0: no output byte moved
     diff tools/cli_outputs.sha256 out_new/digest.sha256    # the committed bytes
 
-When ``--inputs`` does not exist yet it is built from ``--seed`` with this
+When ``--inputs`` does not exist yet it is built at seed 7 with this
 checkout's ``perfbench/gen.py``, which fits with this checkout's ``lpreset
 fit``: two fitted distributions, one 10,000-row price CSV, two variants of
 that CSV with the same prices, and the strategy documents below. The base
@@ -29,7 +29,7 @@ output file, one ``sha256  IN/name`` or ``sha256  OUT/name`` line each,
 sorted by name, under ``# `` lines computed in the child that name what
 picks the last bits: the OpenBLAS core, numpy's dispatch targets enabled on
 this CPU, the glibc version and the numpy version. ``tools/cli_outputs.sha256``
-is that file at ``--seed 7``; a change that moves an output byte regenerates
+is that file; a change that moves an output byte regenerates
 it and says why.
 
 The command set: ``fit`` (two settings) and ``backtest --band-out`` with
@@ -86,6 +86,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7  # the perfbench/gen.py seed of the inputs, and so of the committed digest
 
 RISKS = (-1.0, 0.0, 0.1, 15.0)
 DOCUMENTS = {
@@ -200,13 +201,13 @@ def child_env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src))
 
 
-def build_inputs(inputs: Path, seed: int) -> None:
+def build_inputs(inputs: Path) -> None:
     """Distributions and a price CSV from ``perfbench/gen.py``, its variants and the documents."""
     gen = ROOT / "perfbench" / "gen.py"
     env = child_env(ROOT / "src")
     for workload, sub in (("sweep", "dists"), ("backtest", "prices")):
         subprocess.run(
-            [sys.executable, str(gen), "--workload", workload, "--seed", str(seed),
+            [sys.executable, str(gen), "--workload", workload, "--seed", str(SEED),
              "--count", "2" if workload == "sweep" else "1", "--out", str(inputs / sub)],
             env=env, check=True,
         )
@@ -391,12 +392,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, required=True, help="the tree's src directory")
     parser.add_argument("--out", type=Path, required=True, help="new directory for the outputs")
     parser.add_argument("--inputs", type=Path, required=True,
-                        help="input directory, built from --seed when it does not exist")
-    parser.add_argument("--seed", type=int, default=1, help="perfbench/gen.py seed")
+                        help="input directory, built when it does not exist")
     args = parser.parse_args(argv)
     src, inputs, out = args.src.resolve(), args.inputs.resolve(), args.out.resolve()
     if not inputs.exists():
-        build_inputs(inputs, args.seed)
+        build_inputs(inputs)
     missing = missing_inputs(inputs)
     if missing:
         raise SystemExit(f"cli_outputs: {inputs} lacks {', '.join(missing)}; "
